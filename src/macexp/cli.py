@@ -77,7 +77,7 @@ def cmd_exponent(args) -> int:
     w = load_channel(args.channel)
     p = load_law(args.law)
     solver = SolverSpec(lattice_denominator=args.denominator,
-                        refine=args.refine > 0, refine_steps=args.refine,
+                        refine_steps=args.refine,
                         divergence_weighting=args.weighting)
     rows = []
     results = []

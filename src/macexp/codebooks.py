@@ -25,20 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from .errors import ConstructionError, ValidationError
 from .exponents import (
+    PACKING_FAMILIES,
     InputLaw,
     RatePair,
     confusability_feasible,
-    packing_exponent_pair,
-    packing_exponent_x,
-    packing_exponent_xy,
-    packing_exponent_y,
+    family_exponent,
 )
-from .probability import Alphabet, conditional_mutual_information
+from .probability import Alphabet, JointDist, conditional_mutual_information
 from .typeclasses import (
     SymbolSequence,
     TypeVector,
@@ -46,7 +45,7 @@ from .typeclasses import (
     sample_conditional_type_class,
 )
 
-FAMILY_ORDER = ("pair", "triple_x", "triple_y", "quad")
+FAMILY_ORDER = tuple(PACKING_FAMILIES)
 AVG_DELTA_COEFF = {"pair": 2, "triple_x": 3, "triple_y": 3, "quad": 4}
 PAIR_DELTA_COEFF = {"pair": 3, "triple_x": 4, "triple_y": 4, "quad": 5}
 
@@ -205,82 +204,54 @@ def generate_codebooks(p_ux: TypeVector, p_uy: TypeVector, u_seq: SymbolSequence
                         p_ux.axes[1], p_uy.axes[1], p_ux, p_uy)
 
 
-def _family_axes(pair: CodebookPair, family: str):
-    u = pair.u_alphabet.relabel("U")
-    x = pair.x_alphabet.relabel("X")
-    y = pair.y_alphabet.relabel("Y")
-    xt = pair.x_alphabet.relabel("X~")
-    yt = pair.y_alphabet.relabel("Y~")
-    return {
-        "pair": (u, x, y),
-        "triple_x": (u, x, y, xt),
-        "triple_y": (u, x, y, yt),
-        "quad": (u, x, y, xt, yt),
-    }[family]
-
-
 def _tally_family(pair: CodebookPair, family: str, x_rows, y_rows):
     """dict (i, j) -> dict type-key -> pattern count, competitor indices
     drawn from the same row sets."""
     sx, sy = pair.x_alphabet.size, pair.y_alphabet.size
-    cells3 = pair.u_alphabet.size * sx * sy
+    competitors = PACKING_FAMILIES[family][0]
+    sizes = [sx if c == "X~" else sy for c in competitors]
+    inner = math.prod(sizes)
+    # a competitor symbol's place value in the C-order cell index is the
+    # product of the sizes of the axes after it
+    books = [(pair.x_book if c == "X~" else pair.y_book) * math.prod(sizes[t + 1:])
+             for t, c in enumerate(competitors)]
+    cells = pair.u_alphabet.size * sx * sy * inner
     u = pair.u_seq
     out: dict[tuple[int, int], dict[tuple, int]] = {}
     for i in x_rows:
-        xi = pair.x_book[i]
         for j in y_rows:
-            b3 = (u * sx + xi) * sy + pair.y_book[j]
+            b3 = ((u * sx + pair.x_book[i]) * sy + pair.y_book[j]) * inner
+            others = [[book[k] for k in x_rows if k != i] if c == "X~"
+                      else [book[l] for l in y_rows if l != j]
+                      for c, book in zip(competitors, books)]
             d: dict[tuple, int] = {}
-            if family == "pair":
-                key = tuple(np.bincount(b3, minlength=cells3).tolist())
-                d[key] = 1
-            elif family == "triple_x":
-                for k in x_rows:
-                    if k == i:
-                        continue
-                    key = tuple(np.bincount(b3 * sx + pair.x_book[k],
-                                            minlength=cells3 * sx).tolist())
-                    d[key] = d.get(key, 0) + 1
-            elif family == "triple_y":
-                for l in y_rows:
-                    if l == j:
-                        continue
-                    key = tuple(np.bincount(b3 * sy + pair.y_book[l],
-                                            minlength=cells3 * sy).tolist())
-                    d[key] = d.get(key, 0) + 1
-            else:
-                for k in x_rows:
-                    if k == i:
-                        continue
-                    b4 = (b3 * sx + pair.x_book[k]) * sy
-                    for l in y_rows:
-                        if l == j:
-                            continue
-                        key = tuple(np.bincount(b4 + pair.y_book[l],
-                                                minlength=cells3 * sx * sy).tolist())
-                        d[key] = d.get(key, 0) + 1
+            for words in product(*others):
+                key = tuple(np.bincount(sum(words, b3), minlength=cells).tolist())
+                d[key] = d.get(key, 0) + 1
             out[(i, j)] = d
     return out
 
 
-def _family_f(pair: CodebookPair, family: str, key: tuple, rates: RatePair,
-              cache: dict) -> float:
-    if key in cache:
-        return cache[key]
-    axes = _family_axes(pair, family)
+def _family_joint(pair: CodebookPair, family: str, key: tuple) -> JointDist:
+    by_label = {"U": pair.u_alphabet, "X": pair.x_alphabet, "Y": pair.y_alphabet,
+                "X~": pair.x_alphabet, "Y~": pair.y_alphabet}
+    axes = tuple(by_label[lab].relabel(lab)
+                 for lab in ("U", "X", "Y") + PACKING_FAMILIES[family][0])
     shape = tuple(a.size for a in axes)
-    joint = TypeVector(axes, np.asarray(key, dtype=np.int64).reshape(shape),
-                       pair.n).to_joint()
-    if family == "pair":
-        f = packing_exponent_pair(joint)
-    elif family == "triple_x":
-        f = packing_exponent_x(joint, rates.rx)
-    elif family == "triple_y":
-        f = packing_exponent_y(joint, rates.ry)
-    else:
-        f = packing_exponent_xy(joint, rates.rx, rates.ry)
-    cache[key] = f
-    return f
+    return TypeVector(axes, np.asarray(key, dtype=np.int64).reshape(shape),
+                      pair.n).to_joint()
+
+
+def _family_exponents(pair: CodebookPair, family: str, tally, rates: RatePair
+                      ) -> dict[tuple, float]:
+    """Packing exponent of every type a tally realizes, each evaluated once."""
+    out: dict[tuple, float] = {}
+    for counts in tally.values():
+        for key in counts:
+            if key not in out:
+                out[key] = family_exponent(_family_joint(pair, family, key),
+                                           family, rates)
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,7 +295,7 @@ def _build_report(pair: CodebookPair, kind: str, rates: RatePair) -> PackingRepo
     families: dict[str, FamilyReport] = {}
     for family in FAMILY_ORDER:
         tally = _tally_family(pair, family, x_rows, y_rows)
-        f_cache: dict = {}
+        f_of = _family_exponents(pair, family, tally, rates)
         if kind == "average":
             coeff = AVG_DELTA_COEFF[family]
             offset = 0.0
@@ -346,7 +317,7 @@ def _build_report(pair: CodebookPair, kind: str, rates: RatePair) -> PackingRepo
         entries = []
         worst = -math.inf
         for key, cnt, lhs in sorted(items):
-            f = _family_f(pair, family, key, rates, f_cache)
+            f = f_of[key]
             need = (_log2_fraction(lhs) + n * (f - offset)) / (n * coeff)
             worst = max(worst, need)
             entries.append(TypeTallyEntry(key, cnt, lhs, f, need))
@@ -385,24 +356,22 @@ class ExpurgationResult:
     product_ok: bool
 
 
-def _achieved_deltas(pair: CodebookPair, x_rows, y_rows, rates: RatePair
-                     ) -> dict[str, float]:
+def _worst_pair_need(counts: dict, f_of: dict, n: int, offset: float,
+                     coeff: int) -> float:
+    """Smallest delta validating one message pair's per-pair bounds."""
+    worst = 0.0
+    for key, cnt in counts.items():
+        worst = max(worst, (math.log2(cnt) + n * (f_of[key] - offset)) / (n * coeff))
+    return worst
+
+
+def _achieved_deltas(pair: CodebookPair, tallies: dict, f_of: dict,
+                     rates: RatePair) -> dict[str, float]:
     """Smallest delta validating every per-pair bound at min-rate offset."""
-    n = pair.n
-    offset = rates.lower
-    out: dict[str, float] = {}
-    for family in FAMILY_ORDER:
-        coeff = PAIR_DELTA_COEFF[family]
-        tally = _tally_family(pair, family, x_rows, y_rows)
-        f_cache: dict = {}
-        worst = 0.0
-        for d in tally.values():
-            for key, cnt in d.items():
-                f = _family_f(pair, family, key, rates, f_cache)
-                need = (math.log2(cnt) + n * (f - offset)) / (n * coeff)
-                worst = max(worst, need)
-        out[family] = worst
-    return out
+    return {family: max((_worst_pair_need(counts, f_of[family], pair.n,
+                                          rates.lower, PAIR_DELTA_COEFF[family])
+                         for counts in tallies[family].values()), default=0.0)
+            for family in FAMILY_ORDER}
 
 
 def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
@@ -423,7 +392,12 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
     rates = pair.rates
     full_x = tuple(range(pair.m_x))
     full_y = tuple(range(pair.m_y))
-    start = _achieved_deltas(pair, full_x, full_y, rates)
+    # The exponent of a type depends only on the type and the original
+    # rates, and the kept rows realize a subset of the full rows' types, so
+    # one exponent table per family serves every stage.
+    tallies = {f: _tally_family(pair, f, full_x, full_y) for f in FAMILY_ORDER}
+    f_of = {f: _family_exponents(pair, f, tallies[f], rates) for f in FAMILY_ORDER}
+    start = _achieved_deltas(pair, tallies, f_of, rates)
     base = dict(final=pair, kept_x=full_x, kept_y=full_y,
                 target_delta=delta, original_sizes=(pair.m_x, pair.m_y))
     if max(start.values()) <= delta:
@@ -438,24 +412,16 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
 
     order = (("pair", "triple_x", "triple_y", "quad") if score_y
              else ("pair", "triple_y", "triple_x", "quad"))
-    n, offset = pair.n, rates.lower
     active = list(range(pair.m_y if score_y else pair.m_x))
+    others = full_x if score_y else full_y
     stages = []
     for family in order:
-        coeff = PAIR_DELTA_COEFF[family]
-        tally = _tally_family(pair, family, full_x, full_y)
-        f_cache: dict = {}
-        scores = []
-        for w in active:
-            worst = 0.0
-            others = full_x if score_y else full_y
-            for o in others:
-                ij = (o, w) if score_y else (w, o)
-                for key, cnt in tally[ij].items():
-                    f = _family_f(pair, family, key, rates, f_cache)
-                    need = (math.log2(cnt) + n * (f - offset)) / (n * coeff)
-                    worst = max(worst, need)
-            scores.append(worst)
+        tally = tallies[family]
+        scores = [max(_worst_pair_need(tally[(o, w) if score_y else (w, o)],
+                                       f_of[family], pair.n, rates.lower,
+                                       PAIR_DELTA_COEFF[family])
+                      for o in others)
+                  for w in active]
         keep_count = (len(active) + 1) // 2
         ranking = np.argsort(np.asarray(scores), kind="stable")
         kept = sorted(active[t] for t in ranking[:keep_count])
@@ -466,7 +432,8 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
     kept_x = full_x if score_y else tuple(active)
     kept_y = tuple(active) if score_y else full_y
     final = pair.restrict(kept_x, kept_y)
-    achieved = _achieved_deltas(pair, kept_x, kept_y, rates)
+    kept_tallies = {f: _tally_family(pair, f, kept_x, kept_y) for f in FAMILY_ORDER}
+    achieved = _achieved_deltas(pair, kept_tallies, f_of, rates)
     product_ok = 16 * len(kept_x) * len(kept_y) >= pair.m_x * pair.m_y
     return ExpurgationResult(final=final, kept_x=kept_x, kept_y=kept_y,
                              expurgated_book=book, stages=tuple(stages),
@@ -519,11 +486,8 @@ def audit_confusability(pair: CodebookPair, rates: RatePair, delta: float,
                     reps[key] = ij
         pattern_counts[family] = total
         distinct[family] = len(reps)
-        axes = _family_axes(pair, family)
-        shape = tuple(a.size for a in axes)
         for key, ij in sorted(reps.items()):
-            joint = TypeVector(axes, np.asarray(key, dtype=np.int64).reshape(shape),
-                               pair.n).to_joint()
+            joint = _family_joint(pair, family, key)
             feasible, viols = confusability_feasible(joint, law, rates, delta)
             if not feasible:
                 for v in viols:

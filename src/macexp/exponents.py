@@ -39,6 +39,7 @@ from .lattice import (
     ZERO_SNAP,
     BranchSpec,
     MITerm,
+    RateConstraint,
     clamp_offset_value,
     constraint_rhs,
     get_cache,
@@ -76,11 +77,8 @@ class SolverSpec:
     """How branch minima are computed."""
 
     lattice_denominator: int = 4
-    refine: bool = False
     refine_steps: int = 0
     divergence_weighting: str = "V"  # weight D by the candidate V or by the law P
-    max_cells: int | None = None
-    max_denom: int | None = None
 
     def __post_init__(self) -> None:
         if self.lattice_denominator < 2:
@@ -183,33 +181,35 @@ class PackingExponents:
     xy: float
 
 
+# The packing families of a code, in the field order of PackingExponents.
+# Each maps to its competitor axes (in the order a tally encodes them), the
+# confusability constraint whose left side is the family's packing
+# exponent, and the rates subtracted from it, one per competitor word.
+PACKING_FAMILIES = {
+    "pair": ((), "pair_xy", ()),
+    "triple_x": (("X~",), "triple_x", ("rx",)),
+    "triple_y": (("Y~",), "triple_y", ("ry",)),
+    "quad": (("X~", "Y~"), "quad", ("rx", "ry")),
+}
+
+_CONSTRAINTS_BY_NAME = {c.name: c for c in CONFUSABILITY_CONSTRAINTS}
+
+
 def _mi_value(v: JointDist, t: MITerm) -> float:
     return conditional_mutual_information(v, t.a, t.b, t.c)
 
 
-def packing_exponent_pair(v: JointDist) -> float:
-    return conditional_mutual_information(v, ("X",), ("Y",), ("U",))
+def _constraint_lhs(v: JointDist, c: RateConstraint) -> float:
+    return sum(_mi_value(v, t) for t in c.terms)
 
 
-def packing_exponent_x(v: JointDist, rx: float) -> float:
-    return (conditional_mutual_information(v, ("X",), ("Y",), ("U",))
-            + conditional_mutual_information(v, ("X~",), ("Y",), ("U",))
-            + conditional_mutual_information(v, ("X~",), ("X",), ("U", "Y"))
-            - rx)
-
-
-def packing_exponent_y(v: JointDist, ry: float) -> float:
-    return (conditional_mutual_information(v, ("X",), ("Y",), ("U",))
-            + conditional_mutual_information(v, ("X",), ("Y~",), ("U",))
-            + conditional_mutual_information(v, ("Y~",), ("Y",), ("U", "X"))
-            - ry)
-
-
-def packing_exponent_xy(v: JointDist, rx: float, ry: float) -> float:
-    return (conditional_mutual_information(v, ("X",), ("Y",), ("U",))
-            + conditional_mutual_information(v, ("X~",), ("Y~",), ("U",))
-            + conditional_mutual_information(v, ("X~", "Y~"), ("X", "Y"), ("U",))
-            - rx - ry)
+def family_exponent(v: JointDist, family: str, rates: RatePair) -> float:
+    """Packing exponent of one family at a joint carrying its axes."""
+    _, constraint, offsets = PACKING_FAMILIES[family]
+    value = _constraint_lhs(v, _CONSTRAINTS_BY_NAME[constraint])
+    for rate in offsets:
+        value -= getattr(rates, rate)
+    return value
 
 
 def packing_exponents(v: JointDist, rates: RatePair) -> PackingExponents:
@@ -217,12 +217,7 @@ def packing_exponents(v: JointDist, rates: RatePair) -> PackingExponents:
     need = {"U", "X", "Y", "X~", "Y~"}
     if not need.issubset(set(v.labels)):
         raise ValidationError(f"packing_exponents: joint must carry axes {sorted(need)}")
-    return PackingExponents(
-        pair=packing_exponent_pair(v),
-        x=packing_exponent_x(v, rates.rx),
-        y=packing_exponent_y(v, rates.ry),
-        xy=packing_exponent_xy(v, rates.rx, rates.ry),
-    )
+    return PackingExponents(*(family_exponent(v, f, rates) for f in PACKING_FAMILIES))
 
 
 def pair_equivocation(v: JointDist) -> float:
@@ -235,6 +230,25 @@ class ConstraintViolation:
     name: str
     lhs: float
     rhs: float
+
+
+def _violations(v: JointDist, p: InputLaw, pins, constraints, rates: RatePair,
+                delta: float, tol: float) -> list[ConstraintViolation]:
+    """Marginal pins off by more than ``tol`` and rate constraints broken."""
+    violations: list[ConstraintViolation] = []
+    for subset, base in pins:
+        got = marginalize(v, subset).probs.ravel()
+        want = p.marginal_flat(base)
+        gap = float(np.abs(got - want).max())
+        if gap > tol:
+            violations.append(
+                ConstraintViolation(f"marginal_{'_'.join(subset)}", gap, tol))
+    for c in constraints:
+        lhs = _constraint_lhs(v, c)
+        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
+        if not lhs <= rhs + RATE_TOL:
+            violations.append(ConstraintViolation(c.name, lhs, rhs))
+    return violations
 
 
 def confusability_feasible(v: JointDist, p: InputLaw, rates: RatePair,
@@ -250,30 +264,14 @@ def confusability_feasible(v: JointDist, p: InputLaw, rates: RatePair,
     labels = set(v.labels)
     if not {"U", "X", "Y"}.issubset(labels):
         raise ValidationError("confusability check needs axes (U, X, Y)")
-    violations: list[ConstraintViolation] = []
-
     pins = [(("U", "X"), ("U", "X")), (("U", "Y"), ("U", "Y"))]
     if "X~" in labels:
         pins.append((("U", "X~"), ("U", "X")))
     if "Y~" in labels:
         pins.append((("U", "Y~"), ("U", "Y")))
-    for subset, base in pins:
-        got = marginalize(v, subset).probs.ravel()
-        want = p.marginal_flat(base)
-        gap = float(np.abs(got - want).max())
-        if gap > tol:
-            violations.append(ConstraintViolation(f"marginal_{'_'.join(subset)}", gap, tol))
-
-    for c in CONFUSABILITY_CONSTRAINTS:
-        used = set()
-        for t in c.terms:
-            used |= set(t.a) | set(t.b) | set(t.c)
-        if not used.issubset(labels):
-            continue
-        lhs = sum(_mi_value(v, t) for t in c.terms)
-        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
-        if not lhs <= rhs + RATE_TOL:
-            violations.append(ConstraintViolation(c.name, lhs, rhs))
+    present = [c for c in CONFUSABILITY_CONSTRAINTS
+               if all(set(t.a + t.b + t.c) <= labels for t in c.terms)]
+    violations = _violations(v, p, pins, present, rates, delta, tol)
     return (len(violations) == 0), violations
 
 
@@ -337,20 +335,8 @@ def branch_objective(spec: BranchSpec | str, v: JointDist, rates: RatePair,
         raise ValidationError(
             f"branch {spec.name}: expected axes {spec.labels}, got {v.labels}"
         )
-    violations: list[ConstraintViolation] = []
-    for subset, base in spec.marginal_eq:
-        got = marginalize(v, subset).probs.ravel()
-        want = p.marginal_flat(base)
-        gap = float(np.abs(got - want).max())
-        if gap > marginal_tol:
-            violations.append(
-                ConstraintViolation(f"marginal_{'_'.join(subset)}", gap, marginal_tol)
-            )
-    for c in spec.constraints:
-        lhs = sum(_mi_value(v, t) for t in c.terms)
-        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
-        if not lhs <= rhs + RATE_TOL:
-            violations.append(ConstraintViolation(c.name, lhs, rhs))
+    violations = _violations(v, p, spec.marginal_eq, spec.constraints, rates,
+                             delta, marginal_tol)
     if spec.alpha_competitor is not None:
         diff = (pair_equivocation(v)
                 - conditional_entropy(v, spec.alpha_competitor, ("Z", "U")))
@@ -506,8 +492,7 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
         raise ValidationError("delta must be >= 0")
     sizes = _branch_sizes(spec, p, w)
     d = solver.lattice_denominator
-    cache = get_cache(spec, sizes, d, max_cells=solver.max_cells,
-                      max_denom=solver.max_denom)
+    cache = get_cache(spec, sizes, d)
     lm = _law_marginals(p)
     val, argmin_counts, any_feas = minimize_branch(
         cache, rates.rx, rates.ry, delta, lm, w.w,
@@ -537,7 +522,7 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
         if v2 < best_val:
             best_val, best_src, best_joint = v2, s2, j2
 
-    if solver.refine and solver.refine_steps > 0 and best_joint is not None \
+    if solver.refine_steps > 0 and best_joint is not None \
             and math.isfinite(best_val):
         new_val, new_joint, moved = _refine_result(
             spec, best_joint, best_val, rates, w, p, delta, solver)

@@ -30,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .typeclasses import MAX_ENUM_CELLS, MAX_ENUM_DENOM, compositions_array
+from .typeclasses import (
+    MAX_ENUM_CELLS,
+    MAX_ENUM_DENOM,
+    compositions_array,
+    xlogx_table,
+)
 
 # Slack for the equivocation comparison alpha(true) >= alpha(competitor).
 # Symmetric candidates (competitor identical to the true pair) produce the
@@ -318,20 +323,17 @@ def _subset_axes(labels, subset) -> tuple[int, ...]:
     return tuple(i for i, l in enumerate(labels) if l in subset)
 
 
-def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
-              max_cells=None, max_denom=None) -> LatticeCache:
+def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int) -> LatticeCache:
     key = (spec.name, sizes, d)
     if key in _CACHE:
         return _CACHE[key]
 
     cells = int(np.prod(sizes))
-    limit_cells = MAX_ENUM_CELLS if max_cells is None else max_cells
-    limit_denom = MAX_ENUM_DENOM if max_denom is None else max_denom
-    if cells > limit_cells or d > limit_denom:
+    if cells > MAX_ENUM_CELLS or d > MAX_ENUM_DENOM:
         from .errors import ScaleGuardError
         raise ScaleGuardError(
             f"branch {spec.name}: lattice over {cells} cells at denominator {d} "
-            f"exceeds the enumeration guard ({limit_cells} cells, {limit_denom})"
+            f"exceeds the enumeration guard ({MAX_ENUM_CELLS} cells, {MAX_ENUM_DENOM})"
         )
 
     counts = compositions_array(cells, d)
@@ -341,9 +343,7 @@ def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
                      key=lambda s: (len(s), sorted(s)))
     marg_subsets = [tuple(m[0]) for m in spec.marginal_eq]
 
-    table = np.zeros(d + 1, dtype=np.float64)
-    g = np.arange(1, d + 1, dtype=np.float64)
-    table[1:] = g * np.log2(g)
+    table = xlogx_table(d)
 
     quantities = {name: np.empty(n_rows, dtype=np.float64) for name in combos}
     marginals = {

@@ -23,6 +23,7 @@ import numpy as np
 from .codebooks import CodebookPair
 from .errors import ScaleGuardError, ValidationError
 from .probability import Channel
+from .typeclasses import xlogx_table
 
 TIE_TOL = 1e-12
 MAX_EXACT_OUTPUTS = 1 << 22
@@ -59,13 +60,6 @@ def _pair_bases(pair: CodebookPair) -> np.ndarray:
     return b.reshape(-1, pair.n)
 
 
-def _xlogx_table(n: int) -> np.ndarray:
-    g = np.arange(n + 1, dtype=np.float64)
-    out = np.zeros(n + 1)
-    out[1:] = g[1:] * np.log2(g[1:])
-    return out
-
-
 def _equivocation_scores(pair: CodebookPair, bases: np.ndarray, sz: int,
                          z: np.ndarray, table: np.ndarray) -> np.ndarray:
     """H(X,Y | Z,U) of every candidate pair's empirical type, flat (P,)."""
@@ -92,7 +86,7 @@ def equivocation_scores(pair: CodebookPair, w: Channel, z_seq) -> np.ndarray:
     if z.min() < 0 or z.max() >= sz:
         raise ValidationError("z_seq contains symbols outside the output alphabet")
     scores = _equivocation_scores(pair, _pair_bases(pair), sz, z,
-                                  _xlogx_table(pair.n))
+                                  xlogx_table(pair.n))
     return scores.reshape(pair.m_x, pair.m_y)
 
 
@@ -128,7 +122,7 @@ def error_prob_exact(pair: CodebookPair, w: Channel,
             "use error_prob_mc or raise max_outputs"
         )
     bases = _pair_bases(pair)
-    table = _xlogx_table(n)
+    table = xlogx_table(n)
     p_count = bases.shape[0]
     # per-pair log likelihood of each output symbol at each position
     with np.errstate(divide="ignore"):
@@ -172,7 +166,7 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
     sz = w.z_alphabet.size
     n = pair.n
     bases = _pair_bases(pair)
-    table = _xlogx_table(n)
+    table = xlogx_table(n)
     errors = 0
     done = 0
     blk = 0

@@ -190,6 +190,15 @@ def compositions_array(num_cells: int, total: int) -> np.ndarray:
     return prev[total]
 
 
+def xlogx_table(n: int) -> np.ndarray:
+    """g * log2(g) for every count g = 0..n (0 log 0 = 0): entropies of
+    types with denominator n are differences of sums over this table."""
+    table = np.zeros(n + 1, dtype=np.float64)
+    g = np.arange(1, n + 1, dtype=np.float64)
+    table[1:] = g * np.log2(g)
+    return table
+
+
 def type_class_size(t: TypeVector) -> int:
     """Number of aligned symbol arrangements with exactly this composition
     (an exact big-int multinomial coefficient)."""

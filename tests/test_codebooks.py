@@ -44,6 +44,21 @@ def tiny_pair(x_word=(0, 0, 1, 1), y_word=(0, 0, 1, 1)) -> CodebookPair:
                         u_alph, x_alph, y_alph, p_ux, p_uy)
 
 
+def mixed_pair() -> CodebookPair:
+    """Books over a two-symbol u with a ternary X and a binary Y alphabet.
+
+    With |X| != |Y| and |U| = 2, a tally that swaps the X and Y sizes or
+    the order of the competitor axes produces different type keys.
+    """
+    u_alph, x_alph, y_alph = Alphabet(2, "U"), Alphabet(3, "X"), Alphabet(2, "Y")
+    u_seq = SymbolSequence(u_alph, (0, 1, 1, 0, 0, 1, 0, 1))
+    p_ux = TypeVector((u_alph, x_alph),
+                      np.asarray([[2, 1, 1], [1, 1, 2]], dtype=np.int64), 8)
+    p_uy = TypeVector((u_alph, y_alph),
+                      np.asarray([[2, 2], [1, 3]], dtype=np.int64), 8)
+    return generate_codebooks(p_ux, p_uy, u_seq, 6, 4, rng=5)
+
+
 class TestGeneration:
     def test_same_seed_reproduces_books(self):
         a = binary_codebooks(8, 4, 4, seed=3)
@@ -146,8 +161,8 @@ class TestPackingAverages:
             assert keys == sorted(keys)
 
     def test_matches_independent_recount(self):
-        for seed in (21, 22, 23):
-            pair = binary_codebooks(8, 4, 4, seed=seed)
+        pairs = [binary_codebooks(8, 4, 4, seed=s) for s in (21, 22, 23)]
+        for pair in pairs + [mixed_pair()]:
             rep = packing_averages(pair)
             oracle = to.average_needs(pair)
             for fam in FAMILY_ORDER:
@@ -191,8 +206,8 @@ class TestPerPairMaxima:
                 assert e.count <= totals[e.key]
 
     def test_matches_independent_recount(self):
-        for seed in (31, 32):
-            pair = binary_codebooks(8, 4, 4, seed=seed)
+        pairs = [binary_codebooks(8, 4, 4, seed=s) for s in (31, 32)]
+        for pair in pairs + [mixed_pair()]:
             rep = per_pair_maxima(pair)
             oracle = to.per_pair_max_needs(pair)
             for fam in FAMILY_ORDER:
@@ -282,8 +297,8 @@ class TestExpurgate:
                 assert e.lhs <= 16 * source[e.key]
 
     def test_achieved_deltas_match_independent_recount(self):
-        for seed in (61, 62):
-            pair = binary_codebooks(8, 8, 8, seed=seed)
+        pairs = [binary_codebooks(8, 8, 8, seed=s) for s in (61, 62)]
+        for pair in pairs + [mixed_pair()]:
             res = expurgate(pair, 0.0)
             r = pair.rates
             oracle = to.achieved_deltas(pair, res.kept_x, res.kept_y, r.rx, r.ry)

@@ -361,7 +361,7 @@ class TestExponentResultContracts:
     def test_local_refinement_never_increases(self):
         law = uniform_law()
         w = xor_bsc(0.1)
-        spec = SolverSpec(lattice_denominator=4, refine=True, refine_steps=40)
+        spec = SolverSpec(lattice_denominator=4, refine_steps=40)
         for branch in ("X", "Y"):
             plain = branch_exponent(branch, RatePair(0.7, 0.7), w, law, solver=D4)
             refined = branch_exponent(branch, RatePair(0.7, 0.7), w, law,

@@ -65,8 +65,7 @@ from .codebooks import (
     audit_confusability,
     expurgate,
     generate_codebooks,
-    packing_averages,
-    per_pair_maxima,
+    packing_reports,
     single_user_packing_check,
 )
 from .simulate import (
@@ -93,8 +92,8 @@ __all__ = [
     "entropy", "enumerate_lattice", "enumerate_types", "error_prob_exact",
     "error_prob_mc", "expurgate", "expurgated_exponent", "generate_codebooks",
     "in_type_class", "joint_from_law_and_channel", "kl_divergence",
-    "marginalize", "packing_averages", "packing_exponents", "pair_equivocation",
-    "per_pair_maxima", "product_channel_likelihood", "region_contains",
+    "marginalize", "packing_exponents", "packing_reports", "pair_equivocation",
+    "product_channel_likelihood", "region_contains",
     "sample_conditional_type_class", "single_user_packing_check",
     "type_class_size",
 ]

@@ -21,8 +21,7 @@ import sys
 from .codebooks import (
     audit_confusability,
     expurgate,
-    packing_averages,
-    per_pair_maxima,
+    packing_reports,
     single_user_packing_check,
 )
 from .errors import ConstructionError, ScaleGuardError, ValidationError
@@ -132,14 +131,10 @@ def cmd_exponent(args) -> int:
 
 def cmd_verify_packing(args) -> int:
     pair = load_codebook(args.codebook)
-    avg = packing_averages(pair)
-    peak = per_pair_maxima(pair)
-    su_x = single_user_packing_check(
-        SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist())),
-        pair.x_book, pair.x_alphabet, pair.p_ux)
-    su_y = single_user_packing_check(
-        SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist())),
-        pair.y_book, pair.y_alphabet, pair.p_uy)
+    avg, peak = packing_reports(pair)
+    u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
+    su_x = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
+    su_y = single_user_packing_check(u_seq, pair.y_book, pair.y_alphabet)
     ok = (avg.satisfied(args.delta) and peak.satisfied(args.delta)
           and su_x.satisfied(args.delta) and su_y.satisfied(args.delta))
     report = {
@@ -166,6 +161,9 @@ def cmd_verify_packing(args) -> int:
         print(f"average {family}: need delta {_fmt(need)}")
     for family, need in sorted(report["per_pair_need_delta"].items()):
         print(f"per-pair {family}: need delta {_fmt(need)}")
+    for book in ("x", "y"):
+        for kind, need in report[f"single_user_{book}"].items():
+            print(f"single-user {book} {kind}: need delta {_fmt(need)}")
     print(f"packing {'satisfied' if ok else 'NOT satisfied'} at "
           f"delta={_fmt(args.delta)}")
     return 0 if ok else 3

@@ -204,54 +204,91 @@ def generate_codebooks(p_ux: TypeVector, p_uy: TypeVector, u_seq: SymbolSequence
                         p_ux.axes[1], p_uy.axes[1], p_ux, p_uy)
 
 
-def _tally_family(pair: CodebookPair, family: str, x_rows, y_rows):
-    """dict (i, j) -> dict type-key -> pattern count, competitor indices
-    drawn from the same row sets."""
-    sx, sy = pair.x_alphabet.size, pair.y_alphabet.size
-    competitors = PACKING_FAMILIES[family][0]
-    sizes = [sx if c == "X~" else sy for c in competitors]
-    inner = math.prod(sizes)
-    # a competitor symbol's place value in the C-order cell index is the
-    # product of the sizes of the axes after it
-    books = [(pair.x_book if c == "X~" else pair.y_book) * math.prod(sizes[t + 1:])
-             for t, c in enumerate(competitors)]
-    cells = pair.u_alphabet.size * sx * sy * inner
-    u = pair.u_seq
-    out: dict[tuple[int, int], dict[tuple, int]] = {}
-    for i in x_rows:
-        for j in y_rows:
-            b3 = ((u * sx + pair.x_book[i]) * sy + pair.y_book[j]) * inner
-            others = [[book[k] for k in x_rows if k != i] if c == "X~"
-                      else [book[l] for l in y_rows if l != j]
-                      for c, book in zip(competitors, books)]
-            d: dict[tuple, int] = {}
-            for words in product(*others):
-                key = tuple(np.bincount(sum(words, b3), minlength=cells).tolist())
-                d[key] = d.get(key, 0) + 1
-            out[(i, j)] = d
+def _tally(u: np.ndarray, su: int, books, rows, competitors) -> dict:
+    """dict true-word indices -> dict type-key -> pattern count.
+
+    ``books`` holds one (book, alphabet size) pair per true word and
+    ``rows`` the indices each book may use.  Each wrong word copies the
+    true book named by its position in ``competitors`` and skips that
+    book's true index.  A key counts the cells of (U, true words, wrong
+    words) in C order.
+    """
+    sizes = [s for _, s in books] + [books[c][1] for c in competitors]
+    # a symbol's place value in the C-order cell index is the product of
+    # the sizes of the axes after it
+    place = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
+    cells = su * math.prod(sizes)
+    true = [book * p for (book, _), p in zip(books, place)]
+    wrong = [books[c][0] * p for c, p in zip(competitors, place[len(books):])]
+    base = u * math.prod(sizes)
+    out: dict[tuple, dict[tuple, int]] = {}
+    for idx in product(*rows):
+        b = base + sum(t[i] for t, i in zip(true, idx))
+        others = [[w[k] for k in rows[c] if k != idx[c]]
+                  for c, w in zip(competitors, wrong)]
+        d: dict[tuple, int] = {}
+        for words in product(*others):
+            key = tuple(np.bincount(sum(words, b), minlength=cells).tolist())
+            d[key] = d.get(key, 0) + 1
+        out[idx] = d
     return out
 
 
-def _family_joint(pair: CodebookPair, family: str, key: tuple) -> JointDist:
+def _tally_family(pair: CodebookPair, family: str, x_rows, y_rows):
+    """dict (i, j) -> dict type-key -> pattern count, competitor indices
+    drawn from the same row sets."""
+    return _tally(pair.u_seq, pair.u_alphabet.size,
+                  ((pair.x_book, pair.x_alphabet.size),
+                   (pair.y_book, pair.y_alphabet.size)), (x_rows, y_rows),
+                  [0 if c == "X~" else 1 for c in PACKING_FAMILIES[family][0]])
+
+
+def _family_axes(pair: CodebookPair, family: str) -> tuple[Alphabet, ...]:
     by_label = {"U": pair.u_alphabet, "X": pair.x_alphabet, "Y": pair.y_alphabet,
                 "X~": pair.x_alphabet, "Y~": pair.y_alphabet}
-    axes = tuple(by_label[lab].relabel(lab)
+    return tuple(by_label[lab].relabel(lab)
                  for lab in ("U", "X", "Y") + PACKING_FAMILIES[family][0])
+
+
+def _joint(axes: tuple[Alphabet, ...], key: tuple, n: int) -> JointDist:
     shape = tuple(a.size for a in axes)
     return TypeVector(axes, np.asarray(key, dtype=np.int64).reshape(shape),
-                      pair.n).to_joint()
+                      n).to_joint()
 
 
-def _family_exponents(pair: CodebookPair, family: str, tally, rates: RatePair
-                      ) -> dict[tuple, float]:
-    """Packing exponent of every type a tally realizes, each evaluated once."""
+def _type_values(tally, axes: tuple[Alphabet, ...], n: int, value
+                 ) -> dict[tuple, float]:
+    """``value(joint)`` of every type a tally realizes, each evaluated once."""
     out: dict[tuple, float] = {}
     for counts in tally.values():
         for key in counts:
             if key not in out:
-                out[key] = family_exponent(_family_joint(pair, family, key),
-                                           family, rates)
+                out[key] = value(_joint(axes, key, n))
     return out
+
+
+def _family_exponents(pair: CodebookPair, family: str, tally, rates: RatePair
+                      ) -> dict[tuple, float]:
+    return _type_values(tally, _family_axes(pair, family), pair.n,
+                        lambda joint: family_exponent(joint, family, rates))
+
+
+def _totals_and_peaks(tally) -> tuple[dict[tuple, int], dict[tuple, int]]:
+    """Per type, the count summed over all true words and its largest
+    count for any one choice of true words."""
+    totals: dict[tuple, int] = {}
+    peaks: dict[tuple, int] = {}
+    for counts in tally.values():
+        for key, cnt in counts.items():
+            totals[key] = totals.get(key, 0) + cnt
+            if cnt > peaks.get(key, 0):
+                peaks[key] = cnt
+    return totals, peaks
+
+
+def _need(log2_lhs: float, f: float, n: int, offset: float, coeff: int) -> float:
+    """Smallest delta with 2^log2_lhs <= 2^(-n (f - offset - coeff delta))."""
+    return (log2_lhs + n * (f - offset)) / (n * coeff)
 
 
 @dataclass(frozen=True)
@@ -284,55 +321,43 @@ class PackingReport:
                    for rep in self.families.values())
 
 
-def _log2_fraction(fr: Fraction) -> float:
-    return math.log2(fr.numerator) - math.log2(fr.denominator)
+def _entries(counts: dict, denom: int, values: dict, n: int, offset: float,
+             coeff: int, worst: float) -> tuple[float, tuple[TypeTallyEntry, ...]]:
+    """Entries for lhs = count / denom in key order, and the largest need
+    among them and ``worst``."""
+    entries = []
+    for key, cnt in sorted(counts.items()):
+        lhs = Fraction(cnt, denom)
+        need = _need(math.log2(lhs.numerator) - math.log2(lhs.denominator),
+                     values[key], n, offset, coeff)
+        worst = max(worst, need)
+        entries.append(TypeTallyEntry(key, cnt, lhs, values[key], need))
+    return worst, tuple(entries)
 
 
-def _build_report(pair: CodebookPair, kind: str, rates: RatePair) -> PackingReport:
-    n = pair.n
-    x_rows = range(pair.m_x)
-    y_rows = range(pair.m_y)
-    families: dict[str, FamilyReport] = {}
+def packing_reports(pair: CodebookPair) -> tuple[PackingReport, PackingReport]:
+    """(average, per-pair maximum) reports from one tally per family.
+
+    The average report tests the mean tally per type against
+    2^(-n (F - c delta)), the per-pair report the worst single-pair tally
+    against 2^(-n (F - Rx - Ry - c delta)), with c = 2, 3, 3, 4.
+    """
+    rates = pair.rates
+    offset = rates.rx + rates.ry
+    avg: dict[str, FamilyReport] = {}
+    peak: dict[str, FamilyReport] = {}
     for family in FAMILY_ORDER:
-        tally = _tally_family(pair, family, x_rows, y_rows)
+        tally = _tally_family(pair, family, range(pair.m_x), range(pair.m_y))
         f_of = _family_exponents(pair, family, tally, rates)
-        if kind == "average":
-            coeff = AVG_DELTA_COEFF[family]
-            offset = 0.0
-            totals: dict[tuple, int] = {}
-            for d in tally.values():
-                for key, cnt in d.items():
-                    totals[key] = totals.get(key, 0) + cnt
-            denom = pair.m_x * pair.m_y
-            items = [(key, cnt, Fraction(cnt, denom)) for key, cnt in totals.items()]
-        else:
-            coeff = AVG_DELTA_COEFF[family]
-            offset = rates.rx + rates.ry
-            peaks: dict[tuple, int] = {}
-            for d in tally.values():
-                for key, cnt in d.items():
-                    if cnt > peaks.get(key, 0):
-                        peaks[key] = cnt
-            items = [(key, cnt, Fraction(cnt)) for key, cnt in peaks.items()]
-        entries = []
-        worst = -math.inf
-        for key, cnt, lhs in sorted(items):
-            f = f_of[key]
-            need = (_log2_fraction(lhs) + n * (f - offset)) / (n * coeff)
-            worst = max(worst, need)
-            entries.append(TypeTallyEntry(key, cnt, lhs, f, need))
-        families[family] = FamilyReport(family, coeff, offset, worst, tuple(entries))
-    return PackingReport(n, rates, kind, families)
-
-
-def packing_averages(pair: CodebookPair) -> PackingReport:
-    """Average tallies per type against 2^(-n (F - c delta)), c = 2,3,3,4."""
-    return _build_report(pair, "average", pair.rates)
-
-
-def per_pair_maxima(pair: CodebookPair) -> PackingReport:
-    """Worst single-pair tallies against 2^(-n (F - Rx - Ry - c delta))."""
-    return _build_report(pair, "per_pair_max", pair.rates)
+        totals, peaks = _totals_and_peaks(tally)
+        del tally  # hold one family's tally at a time
+        coeff = AVG_DELTA_COEFF[family]
+        avg[family] = FamilyReport(family, coeff, 0.0, *_entries(
+            totals, pair.m_x * pair.m_y, f_of, pair.n, 0.0, coeff, -math.inf))
+        peak[family] = FamilyReport(family, coeff, offset, *_entries(
+            peaks, 1, f_of, pair.n, offset, coeff, -math.inf))
+    return (PackingReport(pair.n, rates, "average", avg),
+            PackingReport(pair.n, rates, "per_pair_max", peak))
 
 
 @dataclass(frozen=True)
@@ -361,7 +386,7 @@ def _worst_pair_need(counts: dict, f_of: dict, n: int, offset: float,
     """Smallest delta validating one message pair's per-pair bounds."""
     worst = 0.0
     for key, cnt in counts.items():
-        worst = max(worst, (math.log2(cnt) + n * (f_of[key] - offset)) / (n * coeff))
+        worst = max(worst, _need(math.log2(cnt), f_of[key], n, offset, coeff))
     return worst
 
 
@@ -477,6 +502,7 @@ def audit_confusability(pair: CodebookPair, rates: RatePair, delta: float,
     distinct: dict[str, int] = {}
     for family in FAMILY_ORDER:
         tally = _tally_family(pair, family, x_rows, y_rows)
+        axes = _family_axes(pair, family)
         reps: dict[tuple, tuple] = {}
         total = 0
         for ij, d in tally.items():
@@ -487,7 +513,7 @@ def audit_confusability(pair: CodebookPair, rates: RatePair, delta: float,
         pattern_counts[family] = total
         distinct[family] = len(reps)
         for key, ij in sorted(reps.items()):
-            joint = _family_joint(pair, family, key)
+            joint = _joint(axes, key, pair.n)
             feasible, viols = confusability_feasible(joint, law, rates, delta)
             if not feasible:
                 for v in viols:
@@ -511,8 +537,7 @@ class SingleUserReport:
 
 
 def single_user_packing_check(u_seq: SymbolSequence, book: np.ndarray,
-                              alphabet: Alphabet, p_joint: TypeVector
-                              ) -> SingleUserReport:
+                              alphabet: Alphabet) -> SingleUserReport:
     """Packing tallies for one book against its own wrong words.
 
     For each realized (U, X, X~) type with I = I(X; X~ | U): the average
@@ -522,41 +547,17 @@ def single_user_packing_check(u_seq: SymbolSequence, book: np.ndarray,
     """
     book = _as_int_matrix(book, "book")
     m, n = book.shape
-    if m < 1 or n != u_seq.array().size:
+    u = u_seq.array()
+    if m < 1 or n != u.size:
         raise ValidationError("book shape does not match the shared sequence")
     rate = math.log2(m) / n
-    u = u_seq.array()
-    s = alphabet.size
-    su = u_seq.alphabet.size
-    cells = su * s * s
-    totals: dict[tuple, int] = {}
-    peaks: dict[tuple, int] = {}
-    for i in range(m):
-        b2 = (u * s + book[i]) * s
-        per: dict[tuple, int] = {}
-        for k in range(m):
-            if k == i:
-                continue
-            key = tuple(np.bincount(b2 + book[k], minlength=cells).tolist())
-            per[key] = per.get(key, 0) + 1
-        for key, cnt in per.items():
-            totals[key] = totals.get(key, 0) + cnt
-            if cnt > peaks.get(key, 0):
-                peaks[key] = cnt
+    tally = _tally(u, u_seq.alphabet.size, ((book, alphabet.size),),
+                   (range(m),), (0,))
     axes = (u_seq.alphabet.relabel("U"), alphabet.relabel("X"),
             alphabet.relabel("X~"))
-    shape = (su, s, s)
-    entries = []
-    avg_worst = 0.0
-    peak_worst = 0.0
-    for key in sorted(totals):
-        joint = TypeVector(axes, np.asarray(key, dtype=np.int64).reshape(shape),
-                           n).to_joint()
-        info = conditional_mutual_information(joint, ("X",), ("X~",), ("U",))
-        lhs = Fraction(totals[key], m)
-        avg_need = (_log2_fraction(lhs) + n * (info - rate)) / (n * 2)
-        peak_need = (math.log2(peaks[key]) + n * (info - 2 * rate)) / (n * 3)
-        avg_worst = max(avg_worst, avg_need)
-        peak_worst = max(peak_worst, peak_need)
-        entries.append(TypeTallyEntry(key, totals[key], lhs, info, avg_need))
-    return SingleUserReport(n, rate, avg_worst, peak_worst, tuple(entries))
+    info = _type_values(tally, axes, n, lambda joint:
+                        conditional_mutual_information(joint, ("X",), ("X~",), ("U",)))
+    totals, peaks = _totals_and_peaks(tally)
+    avg_worst, entries = _entries(totals, m, info, n, rate, 2, 0.0)
+    peak_worst, _ = _entries(peaks, 1, info, n, 2 * rate, 3, 0.0)
+    return SingleUserReport(n, rate, avg_worst, peak_worst, entries)

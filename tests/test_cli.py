@@ -141,6 +141,25 @@ class TestVerifyPackingCommand:
         assert main(argv) == 3
         assert "NOT satisfied" in capsys.readouterr().out
 
+    def test_single_user_need_is_printed(self, tmp_path, capsys):
+        # every pair-family need of these books is below 0.2, the
+        # single-user need of a book is not, and it alone fails the check
+        save_json(tmp_path / "books.json",
+                  codebook_to_dict(binary_codebooks(6, 4, 1, seed=3)))
+        argv = ["verify-packing", "--codebook", str(tmp_path / "books.json"),
+                "--delta", "0.2"]
+        assert main(argv) == 3
+        needs = {}
+        for line in capsys.readouterr().out.splitlines():
+            if ": need delta " in line:
+                name, value = line.split(": need delta ")
+                needs[name] = float(value)
+        single = {k: v for k, v in needs.items() if k.startswith("single-user")}
+        assert set(single) == {f"single-user {b} {k}" for b in "xy"
+                               for k in ("avg", "per_word")}
+        assert max(single.values()) > 0.2
+        assert max(v for k, v in needs.items() if k not in single) <= 0.2
+
     def test_rerun_is_byte_identical(self, workdir):
         a = workdir / "verify_a.json"
         b = workdir / "verify_b.json"

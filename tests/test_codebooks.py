@@ -22,8 +22,7 @@ from macexp.codebooks import (
     audit_confusability,
     expurgate,
     generate_codebooks,
-    packing_averages,
-    per_pair_maxima,
+    packing_reports,
     single_user_packing_check,
 )
 from macexp.errors import ConstructionError, ValidationError
@@ -127,7 +126,7 @@ class TestGeneration:
 class TestPackingAverages:
     def test_report_shape_and_constants(self):
         pair = binary_codebooks(8, 4, 4, seed=11)
-        rep = packing_averages(pair)
+        rep = packing_reports(pair)[0]
         assert rep.kind == "average"
         assert tuple(rep.families) == FAMILY_ORDER
         for fam in FAMILY_ORDER:
@@ -135,7 +134,7 @@ class TestPackingAverages:
             assert rep.families[fam].rate_offset == 0.0
 
     def test_single_words_leave_competitor_families_empty(self):
-        rep = packing_averages(tiny_pair())
+        rep = packing_reports(tiny_pair())[0]
         assert len(rep.families["pair"].entries) == 1
         assert rep.families["pair"].entries[0].lhs == Fraction(1)
         for fam in ("triple_x", "triple_y", "quad"):
@@ -143,19 +142,19 @@ class TestPackingAverages:
             assert rep.families[fam].worst_need_delta == -math.inf
 
     def test_fully_dependent_single_words_need_half_a_bit(self):
-        rep = packing_averages(tiny_pair())
+        rep = packing_reports(tiny_pair())[0]
         assert rep.families["pair"].worst_need_delta == pytest.approx(0.5, abs=1e-12)
         assert rep.satisfied(0.5)
         assert not rep.satisfied(0.49)
 
     def test_pair_family_lhs_sums_to_one(self):
         pair = binary_codebooks(8, 4, 4, seed=12)
-        rep = packing_averages(pair)
+        rep = packing_reports(pair)[0]
         assert sum(e.lhs for e in rep.families["pair"].entries) == Fraction(1)
 
     def test_entries_are_sorted_by_key(self):
         pair = binary_codebooks(8, 4, 4, seed=13)
-        rep = packing_averages(pair)
+        rep = packing_reports(pair)[0]
         for fam in FAMILY_ORDER:
             keys = [e.key for e in rep.families[fam].entries]
             assert keys == sorted(keys)
@@ -163,7 +162,7 @@ class TestPackingAverages:
     def test_matches_independent_recount(self):
         pairs = [binary_codebooks(8, 4, 4, seed=s) for s in (21, 22, 23)]
         for pair in pairs + [mixed_pair()]:
-            rep = packing_averages(pair)
+            rep = packing_reports(pair)[0]
             oracle = to.average_needs(pair)
             for fam in FAMILY_ORDER:
                 worst, lhs_map = oracle[fam]
@@ -173,7 +172,7 @@ class TestPackingAverages:
 
     def test_entry_exponents_match_recomposition(self):
         pair = binary_codebooks(8, 4, 4, seed=24)
-        rep = packing_averages(pair)
+        rep = packing_reports(pair)[0]
         r = pair.rates
         for fam in FAMILY_ORDER:
             _, counters = to.recount(pair, fam)
@@ -185,7 +184,7 @@ class TestPackingAverages:
 class TestPerPairMaxima:
     def test_report_shape_and_constants(self):
         pair = binary_codebooks(8, 4, 4, seed=11)
-        rep = per_pair_maxima(pair)
+        rep = packing_reports(pair)[1]
         assert rep.kind == "per_pair_max"
         r = pair.rates
         for fam in FAMILY_ORDER:
@@ -193,13 +192,13 @@ class TestPerPairMaxima:
             assert rep.families[fam].rate_offset == pytest.approx(r.rx + r.ry, abs=0)
 
     def test_single_words_have_unit_peaks(self):
-        rep = per_pair_maxima(tiny_pair())
+        rep = packing_reports(tiny_pair())[1]
         assert [e.count for e in rep.families["pair"].entries] == [1]
 
     def test_peaks_never_exceed_average_totals(self):
         pair = binary_codebooks(8, 4, 4, seed=14)
-        avg = packing_averages(pair)
-        ppm = per_pair_maxima(pair)
+        avg = packing_reports(pair)[0]
+        ppm = packing_reports(pair)[1]
         for fam in FAMILY_ORDER:
             totals = {e.key: e.count for e in avg.families[fam].entries}
             for e in ppm.families[fam].entries:
@@ -208,7 +207,7 @@ class TestPerPairMaxima:
     def test_matches_independent_recount(self):
         pairs = [binary_codebooks(8, 4, 4, seed=s) for s in (31, 32)]
         for pair in pairs + [mixed_pair()]:
-            rep = per_pair_maxima(pair)
+            rep = packing_reports(pair)[1]
             oracle = to.per_pair_max_needs(pair)
             for fam in FAMILY_ORDER:
                 worst, peaks = oracle[fam]
@@ -288,8 +287,8 @@ class TestExpurgate:
     def test_average_tallies_grow_at_most_sixteenfold(self):
         pair = binary_codebooks(8, 8, 8, seed=54)
         res = expurgate(pair, 0.0)
-        before = packing_averages(pair)
-        after = packing_averages(res.final)
+        before = packing_reports(pair)[0]
+        after = packing_reports(res.final)[0]
         for fam in FAMILY_ORDER:
             source = {e.key: e.lhs for e in before.families[fam].entries}
             for e in after.families[fam].entries:
@@ -351,8 +350,7 @@ class TestSingleUserPacking:
     def test_single_word_has_no_competitors(self):
         pair = binary_codebooks(6, 1, 1, seed=2)
         u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
-        rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet,
-                                        pair.p_ux)
+        rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
         assert rep.avg_entries == ()
         assert rep.avg_worst_need_delta == 0.0
         assert rep.per_word_worst_need_delta == 0.0
@@ -361,19 +359,22 @@ class TestSingleUserPacking:
     def test_total_patterns_cover_all_ordered_pairs(self):
         pair = binary_codebooks(8, 6, 1, seed=3)
         u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
-        rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet,
-                                        pair.p_ux)
+        rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
         assert sum(e.count for e in rep.avg_entries) == 6 * 5
 
     def test_matches_independent_recount(self):
-        pair = binary_codebooks(10, 8, 1, seed=4)
-        u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
-        rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet,
-                                        pair.p_ux)
-        aw, pw = to.single_user_needs(pair.u_seq.tolist(),
-                                      [r.tolist() for r in pair.x_book],
-                                      pair.u_alphabet.size, pair.x_alphabet.size)
-        assert rep.avg_worst_need_delta == pytest.approx(aw, abs=1e-12)
-        assert rep.per_word_worst_need_delta == pytest.approx(pw, abs=1e-12)
-        assert rep.rate == pytest.approx(0.3, abs=1e-15)
-        assert rep.satisfied(max(aw, pw))
+        binary = binary_codebooks(10, 8, 1, seed=4)
+        mixed = mixed_pair()
+        for pair, book, alphabet, rate in (
+                (binary, binary.x_book, binary.x_alphabet, 0.3),
+                (mixed, mixed.x_book, mixed.x_alphabet, math.log2(6) / 8),
+                (mixed, mixed.y_book, mixed.y_alphabet, 0.25)):
+            u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
+            rep = single_user_packing_check(u_seq, book, alphabet)
+            aw, pw = to.single_user_needs(pair.u_seq.tolist(),
+                                          [r.tolist() for r in book],
+                                          pair.u_alphabet.size, alphabet.size)
+            assert rep.avg_worst_need_delta == pytest.approx(aw, abs=1e-12)
+            assert rep.per_word_worst_need_delta == pytest.approx(pw, abs=1e-12)
+            assert rep.rate == pytest.approx(rate, abs=1e-15)
+            assert rep.satisfied(max(aw, pw))

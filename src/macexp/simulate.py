@@ -10,13 +10,24 @@ the event the exponent minimization constrains.
 Error probability under uniform messages is computed exactly by output
 enumeration for small |Z|^n, or by Monte Carlo with block-indexed seeding
 so estimates are reproducible and independent of block scheduling.
+
+One block scorer serves every decoder: it counts the joint types of a
+block of received sequences against all candidate pairs at once, in
+chunks whose scratch arrays hold at most SCORE_CELLS entries each, and
+decides each chunk before scoring the next.  Monte Carlo scores each
+distinct received sequence of an RNG block once, and remembers up to
+MEMO_ENTRIES decisions across blocks; the exact path generates its outputs
+chunk by chunk and adds their error mass in enumeration order.  The RNG
+draws and the order of every floating-point operation are those of a
+decoder that scores one sequence at a time, so both estimates equal that
+decoder's bit for bit (``tests/decoder_oracle.py`` is such a decoder).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -27,6 +38,12 @@ from .typeclasses import xlogx_table
 
 TIE_TOL = 1e-12
 MAX_EXACT_OUTPUTS = 1 << 22
+RNG_BLOCK = 4096
+# entries per scratch array of a scored chunk (512 KB of int64); larger
+# chunks raise peak memory without speeding up the scorer
+SCORE_CELLS = 1 << 16
+# decisions remembered across Monte Carlo blocks
+MEMO_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,54 +69,77 @@ def _check_channel(pair: CodebookPair, w: Channel) -> None:
         raise ValidationError("channel alphabets do not match the codebooks")
 
 
-def _pair_bases(pair: CodebookPair) -> np.ndarray:
-    """(m_x * m_y, n) flattened cell index of (u_t, x_t, y_t) per pair."""
-    sx, sy = pair.x_alphabet.size, pair.y_alphabet.size
-    b = (pair.u_seq[None, None, :] * sx + pair.x_book[:, None, :]) * sy \
-        + pair.y_book[None, :, :]
-    return b.reshape(-1, pair.n)
+class _BlockScorer:
+    """Decoder scores of blocks of received sequences for one codebook pair."""
+
+    def __init__(self, pair: CodebookPair, sz: int) -> None:
+        self.n = pair.n
+        self.p_count = pair.m_x * pair.m_y
+        su, sx, sy = (pair.u_alphabet.size, pair.x_alphabet.size,
+                      pair.y_alphabet.size)
+        self.cells = su * sx * sy * sz
+        self.uz_cells = su * sz
+        # (P, n) flat cell index of (u_t, x_t, y_t, 0) for each pair
+        self.pair_cells = (((pair.u_seq * sx + pair.x_book[:, None, :]) * sy
+                            + pair.y_book[None, :, :]) * sz).reshape(-1, pair.n)
+        self.u_cells = pair.u_seq * sz
+        self.table = xlogx_table(pair.n)
+        # each (B, P, cells) or (B, P, n) array of a chunk stays within
+        # SCORE_CELLS entries
+        self.chunk_rows = max(
+            1, SCORE_CELLS // (self.p_count * max(self.cells, self.n)))
+
+    def score(self, z: np.ndarray):
+        """Scores (B, P), winner (B,) and ambiguity (B,) of a (B, n) block.
+
+        The winner is the lowest index whose score is within TIE_TOL of the
+        row minimum; a row is ambiguous when more than one pair is.
+        """
+        b, p_count = z.shape[0], self.p_count
+        rows = np.arange(b * p_count).reshape(b, p_count, 1) * self.cells
+        idx = rows + self.pair_cells + z[:, None, :]
+        counts = np.bincount(idx.ravel(), minlength=b * p_count * self.cells)
+        xl4 = np.take(self.table, counts.reshape(b * p_count, self.cells)) \
+            .sum(axis=1).reshape(b, p_count)
+        uz = np.arange(b)[:, None] * self.uz_cells + self.u_cells + z
+        cuz = np.bincount(uz.ravel(), minlength=b * self.uz_cells)
+        xl_uz = np.take(self.table, cuz.reshape(b, self.uz_cells)).sum(axis=1)
+        scores = (xl_uz[:, None] - xl4) / self.n
+        tied = scores <= scores.min(axis=1, keepdims=True) + TIE_TOL
+        return scores, tied.argmax(axis=1), tied.sum(axis=1) > 1
+
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        """Decoded flat pair index of each row of z, -1 where ambiguous."""
+        out = np.empty(z.shape[0], dtype=np.int64)
+        for s in range(0, z.shape[0], self.chunk_rows):
+            _, winner, ambiguous = self.score(z[s:s + self.chunk_rows])
+            out[s:s + self.chunk_rows] = np.where(ambiguous, -1, winner)
+        return out
 
 
-def _equivocation_scores(pair: CodebookPair, bases: np.ndarray, sz: int,
-                         z: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """H(X,Y | Z,U) of every candidate pair's empirical type, flat (P,)."""
-    n = pair.n
-    cells4 = (pair.u_alphabet.size * pair.x_alphabet.size
-              * pair.y_alphabet.size * sz)
-    idx = bases * sz + z[None, :]
-    p_count = bases.shape[0]
-    counts = np.zeros((p_count, cells4), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(p_count), n), idx.ravel()), 1)
-    xl4 = np.take(table, counts).sum(axis=1)
-    cuz = np.bincount(pair.u_seq * sz + z, minlength=pair.u_alphabet.size * sz)
-    xl_uz = float(np.take(table, cuz).sum())
-    return (xl_uz - xl4) / n
+def _score_one(pair: CodebookPair, w: Channel, z_seq):
+    _check_channel(pair, w)
+    z = np.asarray(z_seq)
+    if z.shape != (pair.n,):
+        raise ValidationError(f"z_seq must have shape ({pair.n},)")
+    if z.dtype.kind not in "iu":
+        raise ValidationError("z_seq must hold integer symbols")
+    sz = w.z_alphabet.size
+    if z.min() < 0 or z.max() >= sz:
+        raise ValidationError("z_seq contains symbols outside the output alphabet")
+    scores, winner, ambiguous = _BlockScorer(pair, sz).score(
+        z.astype(np.int64)[None, :])
+    return scores[0], int(winner[0]), bool(ambiguous[0])
 
 
 def equivocation_scores(pair: CodebookPair, w: Channel, z_seq) -> np.ndarray:
     """(m_x, m_y) matrix of decoder scores for one received sequence."""
-    _check_channel(pair, w)
-    z = np.asarray(z_seq, dtype=np.int64)
-    if z.shape != (pair.n,):
-        raise ValidationError(f"z_seq must have shape ({pair.n},)")
-    sz = w.z_alphabet.size
-    if z.min() < 0 or z.max() >= sz:
-        raise ValidationError("z_seq contains symbols outside the output alphabet")
-    scores = _equivocation_scores(pair, _pair_bases(pair), sz, z,
-                                  xlogx_table(pair.n))
-    return scores.reshape(pair.m_x, pair.m_y)
-
-
-def _decide(scores: np.ndarray) -> tuple[int, bool]:
-    best = scores.min()
-    tied = np.flatnonzero(scores <= best + TIE_TOL)
-    return int(tied[0]), tied.size > 1
+    return _score_one(pair, w, z_seq)[0].reshape(pair.m_x, pair.m_y)
 
 
 def alpha_decode(pair: CodebookPair, w: Channel, z_seq) -> DecodeOutcome:
     """Decode one received sequence; ties are ambiguous (an error)."""
-    scores = equivocation_scores(pair, w, z_seq).ravel()
-    winner, ambiguous = _decide(scores)
+    scores, winner, ambiguous = _score_one(pair, w, z_seq)
     if ambiguous:
         return DecodeOutcome(None, None, True, float(scores[winner]))
     return DecodeOutcome(winner // pair.m_y, winner % pair.m_y, False,
@@ -111,44 +151,63 @@ def error_prob_exact(pair: CodebookPair, w: Channel,
     """Exact average error probability by enumerating every output sequence.
 
     Cost grows as |Z|^n times the number of candidate pairs; the guard
-    refuses beyond ``max_outputs`` output sequences.
+    refuses beyond ``max_outputs`` output sequences.  Outputs are generated
+    chunk by chunk in lexicographic order, never all at once.
     """
     _check_channel(pair, w)
     sz = w.z_alphabet.size
     n = pair.n
-    if sz ** n > max_outputs:
+    total = sz ** n
+    if total > max_outputs:
         raise ScaleGuardError(
             f"|Z|^n = {sz}^{n} exceeds the enumeration guard ({max_outputs}); "
             "use error_prob_mc or raise max_outputs"
         )
-    bases = _pair_bases(pair)
-    table = xlogx_table(n)
-    p_count = bases.shape[0]
+    scorer = _BlockScorer(pair, sz)
+    p_count = scorer.p_count
     # per-pair log likelihood of each output symbol at each position
     with np.errstate(divide="ignore"):
         logw = np.log2(w.w)
     pos_ll = logw[pair.x_book[:, None, :], pair.y_book[None, :, :], :] \
         .reshape(p_count, n, sz)
+    place = sz ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    positions = np.arange(n)
+    pairs = np.arange(p_count)
     err = np.zeros(p_count)
-    for z_tuple in product(range(sz), repeat=n):
-        z = np.asarray(z_tuple, dtype=np.int64)
-        ll = pos_ll[:, np.arange(n), z].sum(axis=1)
-        like = np.exp2(ll)
-        if not like.any():
-            continue
-        scores = _equivocation_scores(pair, bases, sz, z, table)
-        winner, ambiguous = _decide(scores)
-        if ambiguous:
-            err += like
-        else:
-            mask = np.ones(p_count, dtype=bool)
-            mask[winner] = False
-            err += like * mask
+    for start in range(0, total, scorer.chunk_rows):
+        # base-|Z| digits, most significant first: itertools.product order
+        z = np.arange(start, min(start + scorer.chunk_rows, total),
+                      dtype=np.int64)[:, None] // place % sz
+        like = np.exp2(pos_ll[:, positions, z].sum(axis=-1)).T   # (B, P)
+        live = like.any(axis=1)
+        wrong = scorer.decode(z[live])[:, None] != pairs
+        # add output by output: a block-wide sum would reorder the additions
+        err = np.add.accumulate(
+            np.vstack((err, np.where(wrong, like[live], 0.0))))[-1]
     per_pair = err.reshape(pair.m_x, pair.m_y)
     return ErrorEstimate(float(err.mean()), 0.0, 0, "exact", per_pair)
 
 
-RNG_BLOCK = 4096
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
+
+
+def _distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of z and the index of each row among them.
+
+    Sorting on the columns keeps any row length exact, where a base-|Z|
+    integer code of the row would overflow int64 beyond |Z|^n = 2^63.
+    """
+    order = np.lexsort(z.T)
+    ordered = z[order]
+    first = np.ones(z.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(z.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
@@ -158,15 +217,16 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
     Trials are grouped into fixed blocks of RNG_BLOCK, each with its own
     generator seeded from (seed, block index): reruns reproduce exactly,
     and growing the trial count extends the sequence without disturbing
-    earlier trials.
+    earlier trials.  Each distinct received sequence is decoded once.
     """
     _check_channel(pair, w)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     sz = w.z_alphabet.size
     n = pair.n
-    bases = _pair_bases(pair)
-    table = xlogx_table(n)
+    scorer = _BlockScorer(pair, sz)
+    key_type = np.min_scalar_type(sz - 1)
+    memo: dict[bytes, int] = {}
     errors = 0
     done = 0
     blk = 0
@@ -179,11 +239,17 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
         cdf = np.cumsum(rows, axis=-1)
         r = rng.random((b, n, 1))
         z_all = np.minimum((r >= cdf).sum(axis=-1), sz - 1)
-        for t in range(b):
-            scores = _equivocation_scores(pair, bases, sz, z_all[t], table)
-            winner, ambiguous = _decide(scores)
-            if ambiguous or winner != ii[t] * pair.m_y + jj[t]:
-                errors += 1
+        del rows, cdf, r
+        distinct, inverse = _distinct_rows(z_all)
+        keys = [row.tobytes() for row in distinct.astype(key_type)]
+        decoded = np.fromiter((memo.get(k, -2) for k in keys), np.int64,
+                              len(keys))
+        fresh = np.flatnonzero(decoded == -2)
+        decoded[fresh] = scorer.decode(distinct[fresh])
+        for k in fresh[:max(0, MEMO_ENTRIES - len(memo))]:
+            memo[keys[k]] = int(decoded[k])
+        truth = ii * pair.m_y + jj
+        errors += int(np.count_nonzero(decoded[inverse] != truth))
         done += b
         blk += 1
     p = errors / trials

@@ -229,6 +229,12 @@ class TestSimulateCommand:
                 "--channel", str(workdir / "iden.json")]
         assert main(argv) == 2
 
+    def test_negative_seed_exits_two(self, workdir, capsys):
+        argv = ["simulate", "--codebook", str(workdir / "clean.json"),
+                "--channel", str(workdir / "chan.json"), "--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_monte_carlo_rerun_is_byte_identical(self, workdir):
         outs = [workdir / "mc_a.json", workdir / "mc_b.json"]
         for out in outs:

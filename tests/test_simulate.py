@@ -3,7 +3,10 @@
 The n=6 identity-channel books (seed 0) decode uniquely for every message
 pair, which makes the noiseless cases exact zeros.  The n=3 code on the
 mod-2 adder with a 0.1 flip is small enough to enumerate exactly, so the
-Monte Carlo estimator can be cross-checked against the true value.
+Monte Carlo estimator can be cross-checked against the true value.  The
+block scorer, the Monte Carlo error count and the exact enumeration are
+also compared for equality with the one-sequence-at-a-time decoder in
+``decoder_oracle`` on generated pairs.
 """
 
 import math
@@ -11,13 +14,17 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import decoder_oracle as oracle
 from helpers import binary_codebooks, identity_channel, xor_bsc
-from macexp import Alphabet, TypeVector
+from macexp import Alphabet, TypeVector, simulate
 from macexp.codebooks import CodebookPair
 from macexp.errors import ScaleGuardError, ValidationError
 from macexp.probability import Channel, product_channel_likelihood
 from macexp.simulate import (
+    _BlockScorer,
     alpha_decode,
     bound_curve,
     equivocation_scores,
@@ -90,6 +97,12 @@ class TestAlphaDecode:
             alpha_decode(pair, w, (0, 1))
         with pytest.raises(ValidationError):
             alpha_decode(pair, w, (0, 1, 2, 3, 0, 9))
+
+    def test_non_integer_symbols_are_refused(self):
+        with pytest.raises(ValidationError):
+            alpha_decode(noisy_pair(), xor_bsc(0.1), (0.9, 1.7, 1.2))
+        with pytest.raises(ValidationError):
+            equivocation_scores(noisy_pair(), xor_bsc(0.1), (0.0, 1.0, 1.0))
 
     def test_channel_alphabet_mismatch_is_refused(self):
         pair = clean_pair()
@@ -199,6 +212,124 @@ class TestMonteCarlo:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValidationError):
             error_prob_mc(noisy_pair(), xor_bsc(0.1), 0, seed=1)
+
+    def test_boolean_trials_are_refused(self):
+        with pytest.raises(ValidationError):
+            error_prob_mc(noisy_pair(), xor_bsc(0.1), True, seed=1)
+
+    def test_fractional_trials_are_refused(self):
+        with pytest.raises(ValidationError):
+            error_prob_mc(noisy_pair(), xor_bsc(0.1), 2.5, seed=1)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            error_prob_mc(noisy_pair(), xor_bsc(0.1), 10, seed=-1)
+
+
+def _book(rng, u, size, m, su):
+    """Up to m distinct words sharing one joint type with u."""
+    base = rng.integers(0, size, size=u.size)
+    words = [base]
+    for _ in range(m - 1):
+        word = base.copy()
+        for a in range(su):
+            at = np.flatnonzero(u == a)
+            word[at] = word[rng.permutation(at)]
+        if not any(np.array_equal(word, v) for v in words):
+            words.append(word)
+    counts = np.bincount(u * size + base, minlength=su * size)
+    return np.asarray(words), counts.reshape(su, size)
+
+
+@st.composite
+def decoder_cases(draw):
+    """A small codebook pair and a channel, some of its entries zero."""
+    su, sx, sy, sz = (draw(st.integers(lo, 3)) for lo in (1, 2, 2, 2))
+    n = draw(st.integers(2, 7 if sz == 3 else 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.integers(0, su, size=n)
+    alph = [Alphabet(su, "U"), Alphabet(sx, "X"), Alphabet(sy, "Y")]
+    x_book, ux = _book(rng, u, sx, draw(st.integers(1, 3)), su)
+    y_book, uy = _book(rng, u, sy, draw(st.integers(1, 3)), su)
+    pair = CodebookPair(u, x_book, y_book, *alph,
+                        TypeVector((alph[0], alph[1]), ux, n),
+                        TypeVector((alph[0], alph[2]), uy, n))
+    w = rng.gamma(1.0, 1.0, size=(sx, sy, sz))
+    w[rng.random(w.shape) < 0.3] = 0.0
+    w[..., 0] += w.sum(axis=2) == 0.0
+    w /= w.sum(axis=2, keepdims=True)
+    return pair, Channel(alph[1], alph[2], Alphabet(sz, "Z"), w)
+
+
+ORACLE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+# count cells per scored chunk: one row at a time, a few rows, the default
+CHUNK_BUDGETS = st.sampled_from([1, 400, simulate.SCORE_CELLS])
+
+
+class TestAgainstOracle:
+    @ORACLE_SETTINGS
+    @given(case=decoder_cases(), budget=CHUNK_BUDGETS,
+           seed=st.integers(0, 2 ** 16))
+    @example(case=(mirror_pair(), xor_bsc(0.0)), budget=1, seed=0)
+    def test_block_scores_match(self, case, budget, seed):
+        pair, w = case
+        sz = w.z_alphabet.size
+        z = np.random.default_rng(seed).integers(0, sz, size=(9, pair.n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "SCORE_CELLS", budget)
+            scorer = _BlockScorer(pair, sz)
+            scores, winner, ambiguous = scorer.score(z)
+            decoded = scorer.decode(z)
+        for t, row in enumerate(z):
+            expected = oracle.scores(pair, sz, row)
+            assert np.array_equal(scores[t], expected)
+            assert np.array_equal(equivocation_scores(pair, w, row).ravel(),
+                                  expected)
+            best, tied = oracle.decide(expected)
+            assert (winner[t], ambiguous[t]) == (best, tied)
+            assert decoded[t] == (-1 if tied else best)
+
+    @ORACLE_SETTINGS
+    @given(case=decoder_cases(), budget=CHUNK_BUDGETS,
+           trials=st.integers(1, 5000), seed=st.integers(0, 2 ** 16))
+    @example(case=(mirror_pair(), xor_bsc(0.1)), budget=1, trials=300,
+             seed=0)
+    def test_monte_carlo_error_count_matches(self, case, budget, trials,
+                                             seed):
+        pair, w = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "SCORE_CELLS", budget)
+            est = error_prob_mc(pair, w, trials, seed)
+        assert est.p == oracle.mc_errors(pair, w, trials, seed) / trials
+
+    @ORACLE_SETTINGS
+    @given(case=decoder_cases(), budget=CHUNK_BUDGETS)
+    @example(case=(mirror_pair(), xor_bsc(0.1)), budget=1)
+    @example(case=(clean_pair(), identity_channel()), budget=400)
+    def test_exact_enumeration_matches(self, case, budget):
+        pair, w = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "SCORE_CELLS", budget)
+            est = error_prob_exact(pair, w)
+        err = oracle.exact_errors(pair, w)
+        assert np.array_equal(est.per_pair.ravel(), err)
+        assert est.p == float(err.mean())
+
+    def test_sequences_beyond_int64_codes_decode_exactly(self):
+        pair = binary_codebooks(70, 2, 3, seed=1)
+        w = xor_bsc(0.3)
+        assert 2 ** pair.n > 2 ** 63
+        est = error_prob_mc(pair, w, 500, seed=4)
+        assert est.p == oracle.mc_errors(pair, w, 500, 4) / 500
+
+    def test_memo_bound_does_not_change_the_count(self, monkeypatch):
+        pair = binary_codebooks(6, 3, 3, seed=2)
+        w = xor_bsc(0.1)
+        trials = 3 * simulate.RNG_BLOCK
+        bounded = error_prob_mc(pair, w, trials, seed=5)
+        monkeypatch.setattr(simulate, "MEMO_ENTRIES", 1)
+        assert error_prob_mc(pair, w, trials, seed=5).p == bounded.p
+        assert bounded.p == oracle.mc_errors(pair, w, trials, 5) / trials
 
 
 class TestDecoderInvariance:

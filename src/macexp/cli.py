@@ -20,6 +20,7 @@ import sys
 
 from .codebooks import (
     audit_confusability,
+    check_delta,
     expurgate,
     packing_reports,
     single_user_packing_check,
@@ -130,6 +131,7 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_verify_packing(args) -> int:
+    check_delta(args.delta)
     pair = load_codebook(args.codebook)
     avg, peak = packing_reports(pair)
     u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))

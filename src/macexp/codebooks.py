@@ -18,6 +18,13 @@ per stage, worst offenders dropped) which trades a factor 16 in size for
 per-pair guarantees; ``audit_confusability`` then re-checks every realized
 competitor type against the rate-constraint family used by the exponent
 minimization.
+
+A tally counts the wrong-word patterns of each message pair in one block
+and stores each distinct type once.  Each distinct type is evaluated once
+per family: all of a family's types form one ``JointBatch``, whose scratch
+memory is bounded per chunk of rows (``probability.ENTROPY_CELLS``).  Its
+values equal those of one ``JointDist`` per type bit for bit, so reports,
+kept words and audits are identical to a type-by-type evaluation.
 """
 
 from __future__ import annotations
@@ -34,10 +41,10 @@ from .exponents import (
     PACKING_FAMILIES,
     InputLaw,
     RatePair,
-    confusability_feasible,
-    family_exponent,
+    confusability_checks,
+    family_exponents,
 )
-from .probability import Alphabet, JointDist, conditional_mutual_information
+from .probability import Alphabet, JointBatch
 from .typeclasses import (
     SymbolSequence,
     TypeVector,
@@ -48,6 +55,12 @@ from .typeclasses import (
 FAMILY_ORDER = tuple(PACKING_FAMILIES)
 AVG_DELTA_COEFF = {"pair": 2, "triple_x": 3, "triple_y": 3, "quad": 4}
 PAIR_DELTA_COEFF = {"pair": 3, "triple_x": 4, "triple_y": 4, "quad": 5}
+
+
+def check_delta(delta: float) -> None:
+    """Refuse a slack that is negative or not a finite number."""
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
 
 
 def _as_int_matrix(a, name: str) -> np.ndarray:
@@ -211,7 +224,9 @@ def _tally(u: np.ndarray, su: int, books, rows, competitors) -> dict:
     ``rows`` the indices each book may use.  Each wrong word copies the
     true book named by its position in ``competitors`` and skips that
     book's true index.  A key counts the cells of (U, true words, wrong
-    words) in C order.
+    words) in C order.  Each true-word tuple counts the types of all its
+    wrong-word tuples (later competitors varying fastest) in one block, and
+    every distinct key is stored once across the whole tally.
     """
     sizes = [s for _, s in books] + [books[c][1] for c in competitors]
     # a symbol's place value in the C-order cell index is the product of
@@ -220,17 +235,23 @@ def _tally(u: np.ndarray, su: int, books, rows, competitors) -> dict:
     cells = su * math.prod(sizes)
     true = [book * p for (book, _), p in zip(books, place)]
     wrong = [books[c][0] * p for c, p in zip(competitors, place[len(books):])]
+    wrong_rows = [np.asarray(rows[c], dtype=np.int64) for c in competitors]
     base = u * math.prod(sizes)
+    canon: dict[tuple, tuple] = {}
     out: dict[tuple, dict[tuple, int]] = {}
     for idx in product(*rows):
-        b = base + sum(t[i] for t, i in zip(true, idx))
-        others = [[w[k] for k in rows[c] if k != idx[c]]
-                  for c, w in zip(competitors, wrong)]
+        block = base + sum(t[i] for t, i in zip(true, idx))
+        for c, w, r in zip(competitors, wrong, wrong_rows):
+            block = block[..., None, :] + w[r[r != idx[c]]]
+        block = block.reshape(-1, u.size)
+        k = block.shape[0]
+        block += cells * np.arange(k)[:, None]
+        cnt = np.bincount(block.ravel(), minlength=k * cells).reshape(k, cells)
         d: dict[tuple, int] = {}
-        for words in product(*others):
-            key = tuple(np.bincount(sum(words, b), minlength=cells).tolist())
+        for key in map(tuple, cnt.tolist()):
             d[key] = d.get(key, 0) + 1
-        out[idx] = d
+        out[idx] = {canon.setdefault(key, key): count
+                    for key, count in d.items()}
     return out
 
 
@@ -250,27 +271,25 @@ def _family_axes(pair: CodebookPair, family: str) -> tuple[Alphabet, ...]:
                  for lab in ("U", "X", "Y") + PACKING_FAMILIES[family][0])
 
 
-def _joint(axes: tuple[Alphabet, ...], key: tuple, n: int) -> JointDist:
-    shape = tuple(a.size for a in axes)
-    return TypeVector(axes, np.asarray(key, dtype=np.int64).reshape(shape),
-                      n).to_joint()
-
-
 def _type_values(tally, axes: tuple[Alphabet, ...], n: int, value
                  ) -> dict[tuple, float]:
-    """``value(joint)`` of every type a tally realizes, each evaluated once."""
-    out: dict[tuple, float] = {}
-    for counts in tally.values():
-        for key in counts:
-            if key not in out:
-                out[key] = value(_joint(axes, key, n))
-    return out
+    """``value(batch)`` of every type a tally realizes, all distinct types
+    evaluated in one JointBatch."""
+    keys = list(dict.fromkeys(key for counts in tally.values() for key in counts))
+    return dict(zip(keys, value(_type_batch(keys, axes, n)).tolist()))
+
+
+def _type_batch(keys, axes: tuple[Alphabet, ...], n: int) -> JointBatch:
+    """The joints ``TypeVector(axes, key, n).to_joint()`` of flat count keys."""
+    counts = np.asarray(keys, dtype=np.int64).reshape(
+        (len(keys),) + tuple(a.size for a in axes))
+    return JointBatch.from_counts(tuple(a.label for a in axes), counts, n)
 
 
 def _family_exponents(pair: CodebookPair, family: str, tally, rates: RatePair
                       ) -> dict[tuple, float]:
     return _type_values(tally, _family_axes(pair, family), pair.n,
-                        lambda joint: family_exponent(joint, family, rates))
+                        lambda batch: family_exponents(batch, family, rates))
 
 
 def _totals_and_peaks(tally) -> tuple[dict[tuple, int], dict[tuple, int]]:
@@ -317,6 +336,7 @@ class PackingReport:
     families: dict[str, FamilyReport]
 
     def satisfied(self, delta: float, tol: float = 1e-12) -> bool:
+        check_delta(delta)
         return all(rep.worst_need_delta <= delta + tol
                    for rep in self.families.values())
 
@@ -390,12 +410,19 @@ def _worst_pair_need(counts: dict, f_of: dict, n: int, offset: float,
     return worst
 
 
-def _achieved_deltas(pair: CodebookPair, tallies: dict, f_of: dict,
-                     rates: RatePair) -> dict[str, float]:
-    """Smallest delta validating every per-pair bound at min-rate offset."""
-    return {family: max((_worst_pair_need(counts, f_of[family], pair.n,
+def _pair_needs(pair: CodebookPair, tallies: dict, f_of: dict,
+                rates: RatePair) -> dict[str, dict[tuple, float]]:
+    """Per family, each message pair's worst per-pair need at min-rate
+    offset."""
+    return {family: {ij: _worst_pair_need(counts, f_of[family], pair.n,
                                           rates.lower, PAIR_DELTA_COEFF[family])
-                         for counts in tallies[family].values()), default=0.0)
+                     for ij, counts in tallies[family].items()}
+            for family in FAMILY_ORDER}
+
+
+def _achieved_deltas(needs: dict) -> dict[str, float]:
+    """Smallest delta validating every per-pair bound of each family."""
+    return {family: max(needs[family].values(), default=0.0)
             for family in FAMILY_ORDER}
 
 
@@ -412,8 +439,7 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
     and offsets refer to the original sizes throughout.  Returns the final
     books, stage logs, and the delta each family actually achieves.
     """
-    if delta < 0.0:
-        raise ValidationError("delta must be >= 0")
+    check_delta(delta)
     rates = pair.rates
     full_x = tuple(range(pair.m_x))
     full_y = tuple(range(pair.m_y))
@@ -422,7 +448,8 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
     # one exponent table per family serves every stage.
     tallies = {f: _tally_family(pair, f, full_x, full_y) for f in FAMILY_ORDER}
     f_of = {f: _family_exponents(pair, f, tallies[f], rates) for f in FAMILY_ORDER}
-    start = _achieved_deltas(pair, tallies, f_of, rates)
+    needs = _pair_needs(pair, tallies, f_of, rates)
+    start = _achieved_deltas(needs)
     base = dict(final=pair, kept_x=full_x, kept_y=full_y,
                 target_delta=delta, original_sizes=(pair.m_x, pair.m_y))
     if max(start.values()) <= delta:
@@ -441,11 +468,8 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
     others = full_x if score_y else full_y
     stages = []
     for family in order:
-        tally = tallies[family]
-        scores = [max(_worst_pair_need(tally[(o, w) if score_y else (w, o)],
-                                       f_of[family], pair.n, rates.lower,
-                                       PAIR_DELTA_COEFF[family])
-                      for o in others)
+        need = needs[family]
+        scores = [max(need[(o, w) if score_y else (w, o)] for o in others)
                   for w in active]
         keep_count = (len(active) + 1) // 2
         ranking = np.argsort(np.asarray(scores), kind="stable")
@@ -458,7 +482,7 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
     kept_y = tuple(active) if score_y else full_y
     final = pair.restrict(kept_x, kept_y)
     kept_tallies = {f: _tally_family(pair, f, kept_x, kept_y) for f in FAMILY_ORDER}
-    achieved = _achieved_deltas(pair, kept_tallies, f_of, rates)
+    achieved = _achieved_deltas(_pair_needs(pair, kept_tallies, f_of, rates))
     product_ok = 16 * len(kept_x) * len(kept_y) >= pair.m_x * pair.m_y
     return ExpurgationResult(final=final, kept_x=kept_x, kept_y=kept_y,
                              expurgated_book=book, stages=tuple(stages),
@@ -493,6 +517,7 @@ def audit_confusability(pair: CodebookPair, rates: RatePair, delta: float,
     the one the books realize exactly, so marginal pinning holds by
     construction and any violation is a genuine rate-constraint failure.
     """
+    check_delta(delta)
     if law is None:
         law = pair.input_law()
     x_rows = range(pair.m_x)
@@ -512,13 +537,13 @@ def audit_confusability(pair: CodebookPair, rates: RatePair, delta: float,
                     reps[key] = ij
         pattern_counts[family] = total
         distinct[family] = len(reps)
-        for key, ij in sorted(reps.items()):
-            joint = _joint(axes, key, pair.n)
-            feasible, viols = confusability_feasible(joint, law, rates, delta)
-            if not feasible:
-                for v in viols:
-                    violations.append(AuditViolation(family, ij, v.name,
-                                                     v.lhs, v.rhs))
+        keys = sorted(reps)
+        checks = confusability_checks(_type_batch(keys, axes, pair.n), law,
+                                      rates, delta)
+        for r, c in zip(*np.nonzero(checks.violated)):
+            violations.append(AuditViolation(
+                family, reps[keys[r]], checks.names[c],
+                float(checks.lhs[r, c]), checks.rhs[c]))
     return AuditReport(len(violations) == 0, pattern_counts, distinct,
                        tuple(violations))
 
@@ -532,6 +557,7 @@ class SingleUserReport:
     avg_entries: tuple[TypeTallyEntry, ...]
 
     def satisfied(self, delta: float, tol: float = 1e-12) -> bool:
+        check_delta(delta)
         return (self.avg_worst_need_delta <= delta + tol
                 and self.per_word_worst_need_delta <= delta + tol)
 
@@ -555,8 +581,8 @@ def single_user_packing_check(u_seq: SymbolSequence, book: np.ndarray,
                    (range(m),), (0,))
     axes = (u_seq.alphabet.relabel("U"), alphabet.relabel("X"),
             alphabet.relabel("X~"))
-    info = _type_values(tally, axes, n, lambda joint:
-                        conditional_mutual_information(joint, ("X",), ("X~",), ("U",)))
+    info = _type_values(tally, axes, n, lambda batch: batch.per_chunk(
+        lambda chunk: chunk.conditional_mutual_information(("X",), ("X~",), ("U",))))
     totals, peaks = _totals_and_peaks(tally)
     avg_worst, entries = _entries(totals, m, info, n, rate, 2, 0.0)
     peak_worst, _ = _entries(peaks, 1, info, n, 2 * rate, 3, 0.0)

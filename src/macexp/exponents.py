@@ -49,6 +49,7 @@ from .probability import (
     EQ_TOL,
     Alphabet,
     Channel,
+    JointBatch,
     JointDist,
     conditional_entropy,
     conditional_mutual_information,
@@ -203,13 +204,27 @@ def _constraint_lhs(v: JointDist, c: RateConstraint) -> float:
     return sum(_mi_value(v, t) for t in c.terms)
 
 
-def family_exponent(v: JointDist, family: str, rates: RatePair) -> float:
-    """Packing exponent of one family at a joint carrying its axes."""
+def _batch_lhs(batch: JointBatch, c: RateConstraint) -> np.ndarray:
+    """``_constraint_lhs`` of every row, in the same order of operations."""
+    return sum(batch.conditional_mutual_information(t.a, t.b, t.c)
+               for t in c.terms)
+
+
+def family_exponents(batch: JointBatch, family: str, rates: RatePair
+                     ) -> np.ndarray:
+    """Packing exponent of one family at every joint of a batch carrying its
+    axes, equal to ``family_exponent`` of each row."""
     _, constraint, offsets = PACKING_FAMILIES[family]
-    value = _constraint_lhs(v, _CONSTRAINTS_BY_NAME[constraint])
+    c = _CONSTRAINTS_BY_NAME[constraint]
+    value = batch.per_chunk(lambda chunk: _batch_lhs(chunk, c))
     for rate in offsets:
         value -= getattr(rates, rate)
     return value
+
+
+def family_exponent(v: JointDist, family: str, rates: RatePair) -> float:
+    """Packing exponent of one family at a joint carrying its axes."""
+    return float(family_exponents(JointBatch.of(v), family, rates)[0])
 
 
 def packing_exponents(v: JointDist, rates: RatePair) -> PackingExponents:
@@ -251,6 +266,51 @@ def _violations(v: JointDist, p: InputLaw, pins, constraints, rates: RatePair,
     return violations
 
 
+@dataclass(frozen=True)
+class ConfusabilityChecks:
+    """Each check's left side at every row of a batch (N, checks), its right
+    side and which rows break it: marginal pins first (the largest
+    deviation against the tolerance), then the rate constraints."""
+
+    names: tuple[str, ...]
+    lhs: np.ndarray
+    rhs: tuple[float, ...]
+    violated: np.ndarray
+
+
+def confusability_checks(batch: JointBatch, p: InputLaw, rates: RatePair,
+                         delta: float = 0.0, tol: float = EQ_TOL
+                         ) -> ConfusabilityChecks:
+    """``confusability_feasible`` at every joint of a batch, bit for bit."""
+    labels = set(batch.labels)
+    if not {"U", "X", "Y"}.issubset(labels):
+        raise ValidationError("confusability check needs axes (U, X, Y)")
+    pins = [(("U", "X"), ("U", "X")), (("U", "Y"), ("U", "Y"))]
+    if "X~" in labels:
+        pins.append((("U", "X~"), ("U", "X")))
+    if "Y~" in labels:
+        pins.append((("U", "Y~"), ("U", "Y")))
+    present = [c for c in CONFUSABILITY_CONSTRAINTS
+               if all(set(t.a + t.b + t.c) <= labels for t in c.terms)]
+    wants = [p.marginal_flat(base) for _, base in pins]
+
+    def lhs_of(chunk: JointBatch) -> np.ndarray:
+        gaps = [np.abs(chunk.marginal(subset) - want).max(axis=1)
+                for (subset, _), want in zip(pins, wants)]
+        return np.stack(gaps + [_batch_lhs(chunk, c) for c in present], axis=1)
+
+    lhs = batch.per_chunk(lhs_of)
+    rhs = tuple([tol] * len(pins) + [constraint_rhs(c.offset, rates.rx, rates.ry,
+                                                    delta) for c in present])
+    violated = np.empty(lhs.shape, dtype=bool)
+    violated[:, :len(pins)] = lhs[:, :len(pins)] > tol
+    violated[:, len(pins):] = ~(lhs[:, len(pins):]
+                                <= np.asarray(rhs[len(pins):]) + RATE_TOL)
+    names = tuple([f"marginal_{'_'.join(subset)}" for subset, _ in pins]
+                  + [c.name for c in present])
+    return ConfusabilityChecks(names, lhs, rhs, violated)
+
+
 def confusability_feasible(v: JointDist, p: InputLaw, rates: RatePair,
                            delta: float = 0.0, tol: float = EQ_TOL):
     """Check the rate-constraint family a realized confusable joint type
@@ -261,17 +321,11 @@ def confusability_feasible(v: JointDist, p: InputLaw, rates: RatePair,
     checked, alongside the marginal pinning of every present axis to the
     input law.  Returns (feasible, violations).
     """
-    labels = set(v.labels)
-    if not {"U", "X", "Y"}.issubset(labels):
-        raise ValidationError("confusability check needs axes (U, X, Y)")
-    pins = [(("U", "X"), ("U", "X")), (("U", "Y"), ("U", "Y"))]
-    if "X~" in labels:
-        pins.append((("U", "X~"), ("U", "X")))
-    if "Y~" in labels:
-        pins.append((("U", "Y~"), ("U", "Y")))
-    present = [c for c in CONFUSABILITY_CONSTRAINTS
-               if all(set(t.a + t.b + t.c) <= labels for t in c.terms)]
-    violations = _violations(v, p, pins, present, rates, delta, tol)
+    checks = confusability_checks(JointBatch.of(v), p, rates, delta, tol)
+    violations = [ConstraintViolation(name, float(lhs), rhs)
+                  for name, lhs, rhs, bad in zip(checks.names, checks.lhs[0],
+                                                 checks.rhs, checks.violated[0])
+                  if bad]
     return (len(violations) == 0), violations
 
 

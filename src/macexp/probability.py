@@ -137,6 +137,132 @@ def _entropy_of_probs(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _clean_rows(m: np.ndarray) -> np.ndarray:
+    """``_clean_probs`` of each row of an (N, cells) batch: a row whose
+    total is not exactly 1 is divided by it."""
+    totals = m.sum(axis=1)
+    if np.any(np.abs(totals - 1.0) > RENORM_TOL):
+        raise ValidationError("JointBatch: a row's total mass is not 1")
+    off = totals != 1.0
+    if off.any():
+        m = m.copy()
+        m[off] /= totals[off, None]
+    return m
+
+
+def _entropy_rows(m: np.ndarray) -> np.ndarray:
+    """``_entropy_of_probs`` of each row of an (N, cells) batch.
+
+    A row adds its positive cells in order.  numpy sums a row pairwise once
+    it has 8 or more terms, so zero padding would regroup the additions;
+    rows are instead summed in groups with equal positive count.
+    """
+    positive = m > 0.0
+    k = positive.sum(axis=1)
+    vals = m[positive]
+    terms = -(vals * np.log2(vals))
+    starts = np.cumsum(k) - k
+    out = np.empty(m.shape[0])
+    for kk in np.unique(k):
+        rows = np.flatnonzero(k == kk)
+        out[rows] = terms[starts[rows, None] + np.arange(kk)].sum(axis=1)
+    return out
+
+
+# Each marginal of a JointBatch chunk holds at most this many probabilities.
+ENTROPY_CELLS = 1 << 16
+
+
+class JointBatch:
+    """N joints over the same labeled axes, evaluated together.
+
+    ``probs`` has shape (N,) + axis sizes; each row is what a JointDist over
+    ``labels`` stores.  Marginals, entropies and (conditional) mutual
+    informations equal the scalar functions of each row's JointDist bit for
+    bit: a marginal is summed and renormalised as ``marginalize`` does, and
+    its entropy as ``_entropy_of_probs`` does.  Each label set is
+    marginalised once per batch; ``per_chunk`` bounds that scratch.
+    """
+
+    def __init__(self, labels, probs) -> None:
+        self.labels = tuple(labels)
+        self.probs = np.asarray(probs, dtype=np.float64)
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError(f"duplicate axis labels {self.labels}")
+        if self.probs.ndim != len(self.labels) + 1:
+            raise ValidationError(
+                f"JointBatch: expected {len(self.labels) + 1} dimensions, "
+                f"got {self.probs.ndim}")
+        self._marginals: dict[frozenset, np.ndarray] = {}
+        self._entropies: dict[frozenset, np.ndarray] = {}
+
+    @classmethod
+    def from_counts(cls, labels, counts: np.ndarray, n: int) -> "JointBatch":
+        """Rows ``counts / n`` renormalised as ``TypeVector.to_joint`` does."""
+        cells = math.prod(counts.shape[1:])
+        flat = _clean_rows((counts / n).reshape(len(counts), cells))
+        return cls(labels, flat.reshape(counts.shape))
+
+    @classmethod
+    def of(cls, joint: JointDist) -> "JointBatch":
+        """The one-row batch of a JointDist."""
+        return cls(joint.labels, joint.probs[None])
+
+    def __len__(self) -> int:
+        return self.probs.shape[0]
+
+    def per_chunk(self, fn) -> np.ndarray:
+        """``fn`` of consecutive row chunks, each with marginals of at most
+        ENTROPY_CELLS probabilities, joined along the rows."""
+        rows = max(1, ENTROPY_CELLS // math.prod(self.probs.shape[1:]))
+        return np.concatenate([
+            fn(JointBatch(self.labels, self.probs[lo:lo + rows]))
+            for lo in range(0, max(len(self), 1), rows)])
+
+    def _key(self, labels) -> frozenset:
+        idx = []
+        for label in labels:
+            if label not in self.labels:
+                raise ValidationError(
+                    f"no axis {label!r}; batch has {self.labels}")
+            idx.append(self.labels.index(label))
+        if len(set(idx)) != len(idx):
+            raise ValidationError(f"repeated axis labels in {tuple(labels)}")
+        return frozenset(idx)
+
+    def marginal(self, keep) -> np.ndarray:
+        """(N, cells) rows of ``marginalize(row, keep).probs``, kept axes in
+        batch order."""
+        key = self._key(keep)
+        m = self._marginals.get(key)
+        if m is None:
+            drop = tuple(1 + i for i in range(len(self.labels)) if i not in key)
+            m = self.probs.sum(axis=drop) if drop else self.probs
+            cells = math.prod(self.probs.shape[1 + i] for i in key)
+            m = self._marginals[key] = _clean_rows(m.reshape(len(self), cells))
+        return m
+
+    def entropy(self, keep) -> np.ndarray:
+        key = self._key(keep)
+        h = self._entropies.get(key)
+        if h is None:
+            h = self._entropies[key] = _entropy_rows(self.marginal(keep))
+        return h
+
+    def conditional_entropy(self, target, given=()) -> np.ndarray:
+        target, given = tuple(target), tuple(given)
+        h_both = self.entropy(target + given)
+        if not given:
+            return h_both
+        return h_both - self.entropy(given)
+
+    def conditional_mutual_information(self, a, b, c=()) -> np.ndarray:
+        a, b, c = tuple(a), tuple(b), tuple(c)
+        self._key(a + b + c)  # validates disjointness
+        return (self.conditional_entropy(a, c)
+                - self.conditional_entropy(a, b + c))
+
+
 def entropy(dist) -> float:
     """Shannon entropy in bits of a Dist or of a whole JointDist."""
     if isinstance(dist, Dist):

@@ -141,6 +141,14 @@ class TestVerifyPackingCommand:
         assert main(argv) == 3
         assert "NOT satisfied" in capsys.readouterr().out
 
+    def test_nan_delta_exits_two(self, workdir, capsys):
+        argv = ["verify-packing", "--codebook", str(workdir / "books.json"),
+                "--delta", "nan"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "delta must be finite" in captured.err
+        assert "satisfied" not in captured.out
+
     def test_single_user_need_is_printed(self, tmp_path, capsys):
         # every pair-family need of these books is below 0.2, the
         # single-user need of a book is not, and it alone fails the check
@@ -192,6 +200,16 @@ class TestExpurgateCommand:
                 "--delta", "0.0", "--out", str(workdir / "exp_zero.json")]
         assert main(argv) == 3
         assert "audit FAILED" in capsys.readouterr().out
+
+    def test_nan_delta_exits_two(self, workdir, capsys):
+        out = workdir / "exp_nan.json"
+        argv = ["expurgate", "--codebook", str(workdir / "books.json"),
+                "--delta", "nan", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "delta must be finite" in captured.err
+        assert "audit" not in captured.out
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir):
         outs = [(workdir / f"exp_{t}.json", workdir / f"rep_{t}.json")
@@ -264,6 +282,16 @@ class TestRegionCommand:
                 "--rx", "2.0", "--ry", "2.0"]
         assert main(argv) == 3
         assert "no witness" in capsys.readouterr().out
+
+    def test_nan_delta_exits_two(self, workdir, capsys):
+        out = workdir / "exp_nan.json"
+        argv = ["expurgate", "--codebook", str(workdir / "books.json"),
+                "--delta", "nan", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "delta must be finite" in captured.err
+        assert "audit" not in captured.out
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir):
         outs = [workdir / "wit_a.json", workdir / "wit_b.json"]

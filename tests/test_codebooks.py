@@ -22,6 +22,7 @@ from macexp.codebooks import (
     audit_confusability,
     expurgate,
     generate_codebooks,
+    _tally_family,
     packing_reports,
     single_user_packing_check,
 )
@@ -121,6 +122,38 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             CodebookPair(pair.u_seq, dup, pair.y_book, pair.u_alphabet,
                          pair.x_alphabet, pair.y_alphabet, pair.p_ux, pair.p_uy)
+
+
+class TestBlockTally:
+    """Block tallies equal the tally_oracle recount in keys, counts and both
+    dict orders (true-word pairs, then types by first occurrence)."""
+
+    CASES = (
+        (binary_codebooks(8, 5, 4, seed=11), None, None),
+        (binary_codebooks(6, 4, 1, seed=3), None, None),
+        (mixed_pair(), None, None),
+        (mixed_pair(), (0, 2, 5), (1, 3)),
+        (mixed_pair(), (4,), (0, 1, 2, 3)),
+    )
+
+    @pytest.mark.parametrize("family", FAMILY_ORDER)
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_oracle_in_order(self, case, family):
+        pair, x_rows, y_rows = self.CASES[case]
+        want, _ = to.recount(pair, family, x_rows, y_rows)
+        got = _tally_family(pair, family,
+                            range(pair.m_x) if x_rows is None else x_rows,
+                            range(pair.m_y) if y_rows is None else y_rows)
+        assert list(got) == list(want)
+        for ij, counts in want.items():
+            assert list(got[ij].items()) == list(counts.items())
+
+    def test_each_distinct_type_is_stored_once(self):
+        pair = mixed_pair()
+        for family in FAMILY_ORDER:
+            tally = _tally_family(pair, family, range(pair.m_x), range(pair.m_y))
+            keys = [key for counts in tally.values() for key in counts]
+            assert len({id(key) for key in keys}) == len(set(keys))
 
 
 class TestPackingAverages:
@@ -275,6 +308,16 @@ class TestExpurgate:
     def test_negative_target_is_refused(self):
         with pytest.raises(ValidationError):
             expurgate(binary_codebooks(6, 2, 2, seed=1), -0.1)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_target_is_refused(self, delta):
+        pair = binary_codebooks(6, 2, 2, seed=1)
+        with pytest.raises(ValidationError):
+            expurgate(pair, delta)
+        with pytest.raises(ValidationError):
+            audit_confusability(pair, pair.rates, delta)
+        with pytest.raises(ValidationError):
+            packing_reports(pair)[0].satisfied(delta)
 
     def test_sixteenth_product_bound(self):
         for seed in (51, 52, 53):

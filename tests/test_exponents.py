@@ -7,9 +7,12 @@ one to within 1e-12; frozen-value comparisons run at 1e-9.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macexp import (
     Alphabet,
@@ -33,6 +36,19 @@ from macexp import (
     pair_equivocation,
     region_contains,
 )
+from macexp import probability
+from macexp.exponents import (
+    _CONSTRAINTS_BY_NAME,
+    PACKING_FAMILIES,
+    ConstraintViolation,
+    _constraint_lhs,
+    _violations,
+    confusability_checks,
+    family_exponents,
+)
+from macexp.lattice import CONFUSABILITY_CONSTRAINTS
+from macexp.probability import EQ_TOL, JointBatch, entropy, marginalize
+from macexp.typeclasses import TypeVector
 from helpers import (
     adder_channel,
     chan,
@@ -201,6 +217,109 @@ class TestConfusabilityFeasible:
         rate_viols = [x for x in violations if not x.name.startswith("marginal")]
         assert not rate_viols
         assert ok
+
+
+@st.composite
+def type_batches(draw):
+    """Count rows of one packing family's axes: |U| <= 2, binary or ternary
+    X and Y, n <= 12, each row with a random number of positive cells."""
+    family = draw(st.sampled_from(tuple(PACKING_FAMILIES)))
+    sizes = {"U": draw(st.integers(1, 2)), "X": draw(st.integers(2, 3)),
+             "Y": draw(st.integers(2, 3))}
+    sizes["X~"], sizes["Y~"] = sizes["X"], sizes["Y"]
+    labels = ("U", "X", "Y") + PACKING_FAMILIES[family][0]
+    shape = tuple(sizes[lab] for lab in labels)
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = math.prod(shape)
+    counts = np.zeros((draw(st.integers(1, 6)), cells), dtype=np.int64)
+    for row in counts:
+        support = rng.choice(cells, size=rng.integers(1, min(cells, n) + 1),
+                             replace=False)
+        row[support] = 1
+        np.add.at(row, rng.choice(support, size=n - support.size), 1)
+    return family, labels, n, counts.reshape((-1,) + shape)
+
+
+# n = 12 quad types with 8 and with 12 positive cells whose counts / 12 do
+# not sum to exactly 1.0, so JointDist renormalises them
+RENORMALISED_QUADS = np.asarray(
+    [[0, 0, 1, 2, 1, 0, 1, 0, 0, 1, 0, 3, 2, 0, 0, 1],
+     [1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1]]).reshape(2, 1, 2, 2, 2, 2)
+QUAD_LABELS = ("U", "X", "Y", "X~", "Y~")
+# probabilities per marginal of a chunk: one row at a time, a few, the default
+ENTROPY_BUDGETS = st.sampled_from([1, 40, probability.ENTROPY_CELLS])
+
+
+class TestBatchedEvaluator:
+    """The batched evaluator equals the scalar JointDist path bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=type_batches(), budget=ENTROPY_BUDGETS,
+           rx=st.floats(0.0, 1.0), ry=st.floats(0.0, 1.0),
+           delta=st.floats(0.0, 0.2))
+    @example(case=("quad", QUAD_LABELS, 12, RENORMALISED_QUADS), budget=1,
+             rx=0.25, ry=0.5, delta=0.0)
+    @example(case=("quad", QUAD_LABELS, 12, RENORMALISED_QUADS[1:]),
+             budget=probability.ENTROPY_CELLS, rx=0.0, ry=0.0, delta=0.1)
+    def test_batch_equals_scalar_path(self, case, budget, rx, ry, delta):
+        family, labels, n, counts = case
+        rates = RatePair(rx, ry)
+        u_size, x_size, y_size = counts.shape[1:4]
+        law = InputLaw.from_components(
+            np.full(u_size, 1.0 / u_size), np.full((u_size, x_size), 1.0 / x_size),
+            np.full((u_size, y_size), 1.0 / y_size))
+        axes = tuple(Alphabet(s, lab) for s, lab in zip(counts.shape[1:], labels))
+        joints = [TypeVector(axes, row, n).to_joint() for row in counts]
+        batch = JointBatch.from_counts(labels, counts, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probability, "ENTROPY_CELLS", budget)
+            values = family_exponents(batch, family, rates)
+            checks = confusability_checks(batch, law, rates, delta)
+        present = [c for c in CONFUSABILITY_CONSTRAINTS
+                   if all(set(t.a + t.b + t.c) <= set(labels) for t in c.terms)]
+        pins = [((u, a), (u, base)) for u, a, base in (
+            ("U", "X", "X"), ("U", "Y", "Y"), ("U", "X~", "X"), ("U", "Y~", "Y"))
+            if a in labels]
+        constraint = _CONSTRAINTS_BY_NAME[PACKING_FAMILIES[family][1]]
+        for r, joint in enumerate(joints):
+            assert np.array_equal(batch.probs[r], joint.probs)
+            for size in range(1, len(labels) + 1):
+                for keep in combinations(labels, size):
+                    marginal = marginalize(joint, keep)
+                    assert np.array_equal(batch.marginal(keep)[r],
+                                          marginal.probs.ravel())
+                    assert batch.entropy(keep)[r] == entropy(marginal)
+            for c in present:
+                for t in c.terms:
+                    assert (batch.conditional_mutual_information(t.a, t.b, t.c)[r]
+                            == conditional_mutual_information(joint, t.a, t.b, t.c))
+            want = _constraint_lhs(joint, constraint)
+            for rate in PACKING_FAMILIES[family][2]:
+                want -= getattr(rates, rate)
+            assert values[r] == want
+            assert list(checks.lhs[r, len(pins):]) == [
+                _constraint_lhs(joint, c) for c in present]
+            scalar = _violations(joint, law, pins, present, rates, delta, EQ_TOL)
+            batched = [ConstraintViolation(name, float(lhs), rhs)
+                       for name, lhs, rhs, bad in zip(
+                           checks.names, checks.lhs[r], checks.rhs,
+                           checks.violated[r]) if bad]
+            assert batched == scalar
+            assert confusability_feasible(joint, law, rates, delta) == (
+                not scalar, scalar)
+
+    def test_examples_take_the_renormalisation_branch(self):
+        for row in RENORMALISED_QUADS:
+            assert (row / 12).sum() != 1.0
+            assert np.count_nonzero(row) >= 8
+
+    def test_empty_batch_gives_no_values(self):
+        batch = JointBatch.from_counts(
+            QUAD_LABELS, np.zeros((0, 1, 2, 2, 2, 2), dtype=np.int64), 12)
+        assert family_exponents(batch, "quad", RatePair(0.1, 0.1)).shape == (0,)
+        checks = confusability_checks(batch, uniform_law(), RatePair(0.1, 0.1))
+        assert checks.lhs.shape == checks.violated.shape == (0, len(checks.names))
 
 
 ORACLE_BASELINE = [

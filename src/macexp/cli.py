@@ -20,7 +20,6 @@ import sys
 
 from .codebooks import (
     audit_confusability,
-    check_delta,
     expurgate,
     packing_reports,
     single_user_packing_check,
@@ -31,6 +30,7 @@ from .exponents import (
     SolverSpec,
     baseline_exponent,
     branch_exponent,
+    check_delta,
     expurgated_exponent,
     region_contains,
 )

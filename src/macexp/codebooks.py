@@ -41,6 +41,7 @@ from .exponents import (
     PACKING_FAMILIES,
     InputLaw,
     RatePair,
+    check_delta,
     confusability_checks,
     family_exponents,
 )
@@ -55,12 +56,6 @@ from .typeclasses import (
 FAMILY_ORDER = tuple(PACKING_FAMILIES)
 AVG_DELTA_COEFF = {"pair": 2, "triple_x": 3, "triple_y": 3, "quad": 4}
 PAIR_DELTA_COEFF = {"pair": 3, "triple_x": 4, "triple_y": 4, "quad": 5}
-
-
-def check_delta(delta: float) -> None:
-    """Refuse a slack that is negative or not a finite number."""
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
 
 
 def _as_int_matrix(a, name: str) -> np.ndarray:

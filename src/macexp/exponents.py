@@ -59,6 +59,12 @@ from .probability import (
 from .typeclasses import compositions_array
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a slack that is negative or not a finite number."""
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
+
+
 @dataclass(frozen=True)
 class RatePair:
     rx: float
@@ -542,12 +548,11 @@ def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
 def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
                   delta: float, solver: SolverSpec, anchor_kinds,
                   threads: int = 1) -> ExponentResult:
-    if delta < 0.0:
-        raise ValidationError("delta must be >= 0")
+    check_delta(delta)
     sizes = _branch_sizes(spec, p, w)
     d = solver.lattice_denominator
-    cache = get_cache(spec, sizes, d)
     lm = _law_marginals(p)
+    cache = get_cache(spec, sizes, d, lm)
     val, argmin_counts, any_feas = minimize_branch(
         cache, rates.rx, rates.ry, delta, lm, w.w,
         weighting=solver.divergence_weighting, threads=threads,

@@ -8,13 +8,26 @@ over joint distributions V subject to marginal pinning, mutual-information
 rate constraints, and (for the expurgated branches) the decoder condition
 that the true pair's equivocation is at least the competitor pair's.
 
-Candidates are all joint types with a fixed denominator d, enumerated in
-ascending lexicographic order of the flattened count tensor.  Every
-entropic quantity of a type is a rational combination of integer
+Candidates are the joint types with a fixed denominator d whose pinned
+marginals lie within 0.5/d of the input law: for every marginal cell, the
+counts c in 0..d with ``abs(c/d - p) <= 0.5/d`` in float64, the same test
+the evaluation applies.  They are enumerated directly, as fixed-margin
+tables (Diaconis & Sturmfels 1998): a dynamic program over the flat cells
+tracks the partial marginal sums, counts the completions of every state
+and so gives the exact row count before anything is allocated; partial
+rows are then extended one cell at a time, values ascending, keeping only
+those with a completion.  The rows are therefore exactly the ordered
+subsequence of all compositions of d that passes the pin test, in
+ascending lexicographic order of the flattened count tensor.  Requests
+whose rows, cache and scratch memory would exceed ``LATTICE_BYTES`` raise
+``ScaleGuardError`` before any large allocation.
+
+Every entropic quantity of a type is a rational combination of integer
 "g*log2(g)" sums over marginal count tensors, so for a given (branch,
-alphabet sizes, d) they are computed once, cached, and reused across
-channels and rate pairs; a channel evaluation then reduces to one
-matrix-vector product plus vector comparisons.
+alphabet sizes, d, admissible counts) they are computed once, cached, and
+reused across channels, rate pairs and every law that pins the same way; a
+channel evaluation then reduces to one matrix-vector product plus vector
+comparisons.
 
 The grid is chunked and reduced with an associative (value, index) min,
 so chunk size and thread count cannot change results: ties always resolve
@@ -29,13 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .typeclasses import (
-    MAX_ENUM_CELLS,
-    MAX_ENUM_DENOM,
-    compositions_array,
-    xlogx_table,
-)
+from .errors import ScaleGuardError, ValidationError
+from .typeclasses import MAX_ENUM_CELLS, MAX_ENUM_DENOM, xlogx_table
 
 # Slack for the equivocation comparison alpha(true) >= alpha(competitor).
 # Symmetric candidates (competitor identical to the true pair) produce the
@@ -55,6 +63,19 @@ RATE_TOL = 1e-10
 ZERO_SNAP = 1e-12
 
 _EVAL_CHUNK = 1 << 18
+
+# Memory bound of the lattice layer: the caches held at once, and the
+# projected rows x bytes of one build (stored arrays plus enumeration
+# scratch) or of one step of its dynamic program.  Branch XY on binary
+# alphabets needs about 0.5 GB at d=10 (2,605,984 pinned rows) and would
+# need about 4 GB at d=12 (22,901,128), which is refused.
+LATTICE_BYTES = 1 << 30
+
+# OpenBLAS computes the last (rows mod 4) rows of a gemv call, and the rows
+# at its thread splits, with a different kernel whose last bit can differ.
+# Blocks of a multiple of 4 rows and at most this many entries run on one
+# thread with one kernel, so a row's value does not depend on where it sits.
+_GEMV_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -310,9 +331,14 @@ class LatticeCache:
     def total(self) -> int:
         return self.counts.shape[0]
 
+    @property
+    def nbytes(self) -> int:
+        return (self.counts.nbytes
+                + sum(a.nbytes for a in self.quantities.values())
+                + sum(a.nbytes for a in self.marginals.values()))
+
 
 _CACHE: dict[tuple, LatticeCache] = {}
-_CACHE_LIMIT = 6
 
 
 def clear_lattice_cache() -> None:
@@ -323,20 +349,137 @@ def _subset_axes(labels, subset) -> tuple[int, ...]:
     return tuple(i for i, l in enumerate(labels) if l in subset)
 
 
-def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int) -> LatticeCache:
-    key = (spec.name, sizes, d)
-    if key in _CACHE:
-        return _CACHE[key]
+def _marginal_width(spec: BranchSpec, sizes, subset) -> int:
+    return int(np.prod([sizes[i] for i in _subset_axes(spec.labels, subset)]))
 
+
+def admissible_counts(spec: BranchSpec, d: int, law_marginals: dict) -> tuple:
+    """Per pinned marginal and marginal cell, the counts c in 0..d that pass
+    ``_chunk_value``'s pin test, evaluated with the same float expression."""
+    grid = np.arange(d + 1, dtype=np.float64) / d
+    half = 0.5 / d
+    return tuple(
+        tuple(tuple(np.flatnonzero(np.abs(grid - target) <= half).tolist())
+              for target in law_marginals[tuple(base)])
+        for _, base in spec.marginal_eq)
+
+
+def _row_bytes(spec: BranchSpec, sizes, d: int) -> tuple[int, int]:
+    """(bytes a cache stores per row, enumeration scratch per row)."""
     cells = int(np.prod(sizes))
-    if cells > MAX_ENUM_CELLS or d > MAX_ENUM_DENOM:
-        from .errors import ScaleGuardError
-        raise ScaleGuardError(
-            f"branch {spec.name}: lattice over {cells} cells at denominator {d} "
-            f"exceeds the enumeration guard ({MAX_ENUM_CELLS} cells, {MAX_ENUM_DENOM})"
-        )
+    stored = (cells + 8 * len(_branch_combos(spec))
+              + 2 * sum(_marginal_width(spec, sizes, s)
+                        for s, _ in spec.marginal_eq))
+    # previous and next partial rows, the per-row admissible-value mask, and
+    # four index vectors (parent row, value, old and new state)
+    return stored, 2 * cells + (d + 1) + 4 * 8
 
-    counts = compositions_array(cells, d)
+
+class _PinnedPlan:
+    """Dynamic program over the flat cells in C order for the rows whose
+    pinned marginal counts are all admissible.
+
+    A state is the vector of partial marginal sums (one column per marginal
+    cell, plus the running total).  ``steps[k][i, v]`` is the state reached
+    from state ``i`` of level k by giving cell k the count v, or -1 when a
+    marginal cell exceeds its largest admissible count or closes on an
+    inadmissible one; ``ways[k][i]`` counts the completions of state i.
+    """
+
+    def __init__(self, spec: BranchSpec, sizes, d: int, pins, budget: int):
+        cells = int(np.prod(sizes))
+        flat = np.indices(sizes).reshape(len(sizes), -1)
+        hits, allowed = [], []
+        for (subset, _), counts in zip(spec.marginal_eq, pins):
+            keep = _subset_axes(spec.labels, subset)
+            hits.append(len(allowed) + np.ravel_multi_index(
+                tuple(flat[i] for i in keep), tuple(sizes[i] for i in keep)))
+            for ok in counts:
+                row = np.zeros(d + 1, dtype=bool)
+                row[list(ok)] = True
+                allowed.append(row)
+        hits.append(np.full(cells, len(allowed)))
+        total = np.zeros(d + 1, dtype=bool)
+        total[d] = True
+        allowed.append(total)
+        hit = np.stack(hits, axis=1)                  # (cells, columns)
+        allowed = np.stack(allowed)                   # (columns, d + 1)
+        n_cols = allowed.shape[0]
+        cap = np.where(allowed.any(axis=1),
+                       d - np.argmax(allowed[:, ::-1], axis=1), -1)
+        last = np.zeros(n_cols, dtype=np.intp)        # cell that closes a column
+        for k in range(cells):
+            last[hit[k]] = k
+
+        values = np.arange(d + 1, dtype=np.int16)
+        states = np.zeros((1, n_cols), dtype=np.int16)
+        self.steps: list[np.ndarray] = []
+        held = 0
+        for k in range(cells):
+            n = states.shape[0] * (d + 1)
+            # the candidate states, their sorted copies, the inverse and step
+            if held + n * (8 * n_cols + 24) > budget:
+                raise ScaleGuardError(
+                    f"branch {spec.name}: the pinned-lattice program at "
+                    f"denominator {d} exceeds {budget} bytes")
+            child = np.repeat(states, d + 1, axis=0)
+            child[:, hit[k]] += np.tile(values, states.shape[0])[:, None]
+            ok = (child <= cap).all(axis=1)
+            for c in np.flatnonzero(last == k):
+                ok &= allowed[c, np.minimum(child[:, c], d)]
+            states, inv = np.unique(child[ok], axis=0, return_inverse=True)
+            step = np.full(n, -1, dtype=np.int64)
+            step[ok] = inv.ravel()
+            self.steps.append(step.reshape(-1, d + 1))
+            held += step.nbytes + states.nbytes
+        self.ways = [np.ones(states.shape[0], dtype=np.int64)]
+        for step in reversed(self.steps):
+            nxt = np.append(self.ways[0], 0)          # index -1 has no ways
+            self.ways.insert(0, nxt[step].sum(axis=1))
+
+    @property
+    def rows(self) -> int:
+        return int(self.ways[0][0])
+
+    def enumerate(self) -> np.ndarray:
+        """The pinned rows as a uint8 matrix in ascending lexicographic
+        order: each partial row is extended by its admissible values in
+        ascending order, parents in order, so no row is ever reordered."""
+        rows = np.zeros((1, 0), dtype=np.uint8)
+        state = np.zeros(1, dtype=np.int64)
+        for k, step in enumerate(self.steps):
+            alive = np.append(self.ways[k + 1] > 0, False)[step]
+            parent, value = np.nonzero(alive[state])
+            grown = np.empty((parent.size, k + 1), dtype=np.uint8)
+            grown[:, :k] = rows[parent]
+            grown[:, k] = value
+            state = step[state[parent], value]
+            rows = grown
+        return rows
+
+
+def pinned_compositions(spec: BranchSpec, sizes: tuple[int, ...], d: int,
+                        pins) -> np.ndarray:
+    """Rows of ``compositions_array(cells, d)`` whose pinned marginal counts
+    are all in ``pins`` (see ``admissible_counts``), in the same order.
+
+    Raises ``ScaleGuardError`` when the rows, at the bytes a cache stores
+    per row plus the enumeration scratch, would exceed ``LATTICE_BYTES``;
+    the count is exact and is known before the rows are allocated.
+    """
+    plan = _PinnedPlan(spec, sizes, d, pins, LATTICE_BYTES)
+    stored, scratch = _row_bytes(spec, sizes, d)
+    if plan.rows * (stored + scratch) > LATTICE_BYTES:
+        raise ScaleGuardError(
+            f"branch {spec.name}: {plan.rows} pinned types at denominator {d} "
+            f"need about {plan.rows * (stored + scratch)} bytes, over the "
+            f"lattice budget of {LATTICE_BYTES}")
+    return plan.enumerate()
+
+
+def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
+                      counts: np.ndarray) -> LatticeCache:
+    """Per-type quantities and pinned marginals of the given rows."""
     n_rows = counts.shape[0]
     combos = _branch_combos(spec)
     subsets = sorted({s for combo in combos.values() for s in combo},
@@ -346,11 +489,9 @@ def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int) -> LatticeCache:
     table = xlogx_table(d)
 
     quantities = {name: np.empty(n_rows, dtype=np.float64) for name in combos}
-    marginals = {
-        s: np.empty((n_rows, int(np.prod([sizes[i] for i in _subset_axes(spec.labels, s)]))),
-                    dtype=np.int16)
-        for s in marg_subsets
-    }
+    marginals = {s: np.empty((n_rows, _marginal_width(spec, sizes, s)),
+                             dtype=np.int16)
+                 for s in marg_subsets}
 
     chunk = 1 << 17
     for a in range(0, n_rows, chunk):
@@ -379,9 +520,33 @@ def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int) -> LatticeCache:
                 gsum = view.sum(axis=drop, dtype=np.int64)
             marginals[s][a:b] = gsum.reshape(b - a, -1)
 
-    cache = LatticeCache(spec, sizes, d, counts, quantities, marginals)
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.pop(next(iter(_CACHE)))
+    return LatticeCache(spec, sizes, d, counts, quantities, marginals)
+
+
+def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
+              law_marginals: dict) -> LatticeCache:
+    """The cached lattice of one branch at denominator d, holding the types
+    that pass the pin test against ``law_marginals``.  Laws whose
+    admissible counts agree share one cache; the oldest caches are dropped
+    to keep every cache held within ``LATTICE_BYTES``."""
+    pins = admissible_counts(spec, d, law_marginals)
+    key = (spec.name, sizes, d, pins)
+    if key in _CACHE:
+        return _CACHE[key]
+
+    cells = int(np.prod(sizes))
+    if cells > MAX_ENUM_CELLS or d > MAX_ENUM_DENOM:
+        raise ScaleGuardError(
+            f"branch {spec.name}: lattice over {cells} cells at denominator {d} "
+            f"exceeds the enumeration guard ({MAX_ENUM_CELLS} cells, {MAX_ENUM_DENOM})"
+        )
+
+    counts = pinned_compositions(spec, sizes, d, pins)
+    stored, _ = _row_bytes(spec, sizes, d)
+    held = sum(c.nbytes for c in _CACHE.values())
+    while _CACHE and held + counts.shape[0] * stored > LATTICE_BYTES:
+        held -= _CACHE.pop(next(iter(_CACHE))).nbytes
+    cache = cache_from_counts(spec, sizes, d, counts)
     _CACHE[key] = cache
     return cache
 
@@ -421,8 +586,7 @@ def _chunk_value(cache: LatticeCache, a: int, b: int, rhs: list,
     if alpha:
         feas &= q["alpha_diff"][a:b] >= -ALPHA_TOL
     if weighting == "V":
-        cnts = cache.counts[a:b].astype(np.float64)
-        value = q["div_ent"][a:b] + cnts @ w_finite / d
+        value = q["div_ent"][a:b] + _linear_term(cache.counts[a:b], w_finite) / d
         if inf_cells.size:
             hit = cache.counts[a:b][:, inf_cells].sum(axis=1) > 0
             value = np.where(hit, np.inf, value)
@@ -436,6 +600,18 @@ def _chunk_value(cache: LatticeCache, a: int, b: int, rhs: list,
     value = np.where(feas, value, np.inf)
     i = int(np.argmin(value))
     return float(value[i]), a + i, bool(feas.any())
+
+
+def _linear_term(counts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``counts @ w`` per row, bit-identical wherever the row sits."""
+    n, cells = counts.shape
+    step = max(4, _GEMV_CELLS // cells // 4 * 4)
+    padded = np.zeros((-(-n // step) * step, cells))
+    padded[:n] = counts
+    out = np.empty(padded.shape[0])
+    for a in range(0, padded.shape[0], step):
+        np.matmul(padded[a:a + step], w, out=out[a:a + step])
+    return out[:n]
 
 
 def _p_weighted_divergence(cache: LatticeCache, a: int, b: int,
@@ -455,14 +631,15 @@ def _p_weighted_divergence(cache: LatticeCache, a: int, b: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(gz > 0, g / np.where(gz > 0, gz, 1.0), 0.0)
         logc = np.where(cond > 0, np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
-    zcount = sizes[labels.index("Z")]
     wneg = w_finite.reshape(cache.sizes)
     # collapse the broadcast tilde axes back to (U, X, Y, Z)
     wneg4 = wneg
     for i in reversed(range(len(sizes))):
         if i not in keep:
             wneg4 = np.take(wneg4, 0, axis=i)
-    inf_mask4 = np.zeros(cache.sizes, dtype=bool)
+    per_cell = cond * (logc + wneg4[None])
+    contrib = (per_cell * p_uxy[None, ..., None]).sum(axis=-1)
+    out = contrib.reshape(b - a, -1).sum(axis=1)
     if inf_cells.size:
         flat = np.zeros(int(np.prod(cache.sizes)), dtype=bool)
         flat[inf_cells] = True
@@ -470,11 +647,7 @@ def _p_weighted_divergence(cache: LatticeCache, a: int, b: int,
         for i in reversed(range(len(sizes))):
             if i not in keep:
                 inf_mask4 = np.take(inf_mask4, 0, axis=i)
-    per_cell = cond * (logc + wneg4[None])
-    bad = (cond > 0) & inf_mask4[None]
-    contrib = (per_cell * p_uxy[None, ..., None]).sum(axis=-1)
-    out = contrib.reshape(b - a, -1).sum(axis=1)
-    if inf_cells.size:
+        bad = (cond > 0) & inf_mask4[None]
         hit = (bad & (p_uxy[None, ..., None] > 0)).reshape(b - a, -1).any(axis=1)
         out = np.where(hit, np.inf, out)
     return out

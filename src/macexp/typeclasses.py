@@ -3,8 +3,9 @@
 A type is the exact vector of symbol counts of one or several aligned
 words; everything here is integer-exact (big-int multinomials, no float
 counting).  Enumeration follows ascending lexicographic order of the
-flattened count tensor, and the array-based enumeration used by the
-exponent solver is guaranteed to match the generator order row for row.
+flattened count tensor, and ``compositions_array`` matches the generator
+order row for row; the exponent solver's marginal-pinned lattice is an
+ordered subsequence of it.
 
 Joint-type enumeration is protected by desk-scale guards: at most
 ``MAX_ENUM_CELLS`` cells and denominator at most ``MAX_ENUM_DENOM``.

@@ -124,6 +124,16 @@ class TestExponentCommand:
         assert one.read_bytes() == two.read_bytes()
 
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_two(self, workdir, capsys, delta):
+        csv = workdir / f"delta_{delta}.csv"
+        assert main(sweep_args(workdir, csv=csv, extra=["--delta", delta])) == 2
+        captured = capsys.readouterr()
+        assert "delta must be finite" in captured.err
+        assert "exponent=" not in captured.out
+        assert not csv.exists()
+
+
 class TestVerifyPackingCommand:
     def test_generous_delta_passes(self, workdir, capsys):
         argv = ["verify-packing", "--codebook", str(workdir / "books.json"),
@@ -334,6 +344,14 @@ class TestErrorHandling:
                 "--channel", str(workdir / "iden.json"), "--exact",
                 "--max-outputs", "100"]
         assert main(argv) == 3
+
+    def test_pinned_lattice_byte_guard_exits_three(self, workdir, capsys):
+        # branch XY at d = 12 has 22,901,128 pinned types, refused by bytes
+        argv = ["exponent", "--channel", str(workdir / "chan.json"),
+                "--law", str(workdir / "law.json"), "--rx", "0.4",
+                "--ry", "0.4", "--denominator", "12", "--branch", "XY"]
+        assert main(argv) == 3
+        assert "lattice budget" in capsys.readouterr().err
 
 
 SUBCOMMANDS = ("exponent", "verify-packing", "expurgate", "simulate", "region")

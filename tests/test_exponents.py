@@ -399,6 +399,14 @@ class TestBranchExponents:
         assert res.source == "lattice"
         assert abs(res.value - 0.6953614262976122) <= 1e-9
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1])
+    def test_non_finite_or_negative_delta_is_refused(self, delta):
+        law, w = uniform_law(), xor_bsc(0.1)
+        with pytest.raises(ValidationError, match="delta must be finite"):
+            expurgated_exponent(RatePair(0.4, 0.4), w, law, delta, D4)
+        with pytest.raises(ValidationError, match="delta must be finite"):
+            baseline_exponent(RatePair(0.4, 0.4), w, law, delta, D4)
+
     def test_invalid_branch_rejected(self):
         with pytest.raises(ValidationError):
             branch_exponent("Z", RatePair(0.1, 0.1), xor_bsc(0.1),

@@ -245,9 +245,13 @@ class TestByteGuard:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    def test_small_budget_refuses(self, monkeypatch):
+    # 100 bytes stop the dynamic program's first step; 150,000 bytes let it
+    # finish and stop the 904 rows of branch XY at d = 4
+    @pytest.mark.parametrize("budget,refusal", [(100, "program"),
+                                                (150_000, "904 pinned types")])
+    def test_small_budget_refuses(self, monkeypatch, budget, refusal):
         clear_lattice_cache()
-        monkeypatch.setattr(lattice, "LATTICE_BYTES", 10_000)
-        with pytest.raises(ScaleGuardError):
+        monkeypatch.setattr(lattice, "LATTICE_BYTES", budget)
+        with pytest.raises(ScaleGuardError, match=refusal):
             branch_exponent("XY", RatePair(0.4, 0.4), xor_bsc(0.1),
                             uniform_law(), solver=SolverSpec(lattice_denominator=4))

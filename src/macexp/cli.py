@@ -14,6 +14,7 @@ MACEXP_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,10 @@ def _float_list(text: str) -> list[float]:
     return vals
 
 
-def _default_threads() -> int:
+def _threads(args) -> int:
+    """--threads, else MACEXP_THREADS as set when the command runs."""
+    if args.threads is not None:
+        return args.threads
     raw = os.environ.get("MACEXP_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -79,6 +83,7 @@ def cmd_exponent(args) -> int:
     solver = SolverSpec(lattice_denominator=args.denominator,
                         refine_steps=args.refine,
                         divergence_weighting=args.weighting)
+    threads = _threads(args)
     rows = []
     results = []
     for rx in args.rx:
@@ -86,10 +91,10 @@ def cmd_exponent(args) -> int:
             rates = RatePair(rx, ry)
             if args.branch == "all":
                 res = expurgated_exponent(rates, w, p, args.delta, solver,
-                                          threads=args.threads)
+                                          threads=threads)
             else:
                 res = branch_exponent(args.branch, rates, w, p, args.delta,
-                                      solver, threads=args.threads)
+                                      solver, threads=threads)
             entry = {
                 "rx": rx, "ry": ry, "value": res.value, "branch": res.branch,
                 "source": res.source, "feasible_empty": res.feasible_empty,
@@ -98,7 +103,7 @@ def cmd_exponent(args) -> int:
                    res.source]
             if args.baseline:
                 base = baseline_exponent(rates, w, p, args.delta, solver,
-                                         threads=args.threads)
+                                         threads=threads)
                 entry["baseline_value"] = base.value
                 entry["baseline_branch"] = base.branch
                 row += [_full(base.value), base.branch]
@@ -303,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also report the relaxed baseline exponent")
     p_exp.add_argument("--refine", type=int, default=0, metavar="STEPS")
     p_exp.add_argument("--weighting", choices=["V", "P"], default="V")
-    p_exp.add_argument("--threads", type=int, default=_default_threads())
+    p_exp.add_argument("--threads", type=int,
+                       help="evaluation threads (default: MACEXP_THREADS or 1)")
     p_exp.add_argument("--out", help="JSON results path")
     p_exp.add_argument("--csv", help="CSV results path")
     p_exp.set_defaults(func=cmd_exponent)
@@ -348,9 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScaleGuardError as exc:

@@ -43,6 +43,8 @@ from .lattice import (
     clamp_offset_value,
     constraint_rhs,
     get_cache,
+    memo,
+    memoised,
     minimize_branch,
 )
 from .probability import (
@@ -253,23 +255,34 @@ class ConstraintViolation:
     rhs: float
 
 
+def _pin_gaps(v: JointDist, p: InputLaw, pins) -> tuple[tuple[str, float], ...]:
+    """Each pinned marginal's largest deviation from the input law."""
+    return tuple(
+        (f"marginal_{'_'.join(subset)}",
+         float(np.abs(marginalize(v, subset).probs.ravel()
+                      - p.marginal_flat(base)).max()))
+        for subset, base in pins)
+
+
+def _broken(gaps, lhs, rates: RatePair, delta: float,
+            tol: float) -> list[ConstraintViolation]:
+    """Pin gaps over ``tol`` and (constraint, left side) pairs over their
+    right side at these rates."""
+    violations = [ConstraintViolation(name, gap, tol)
+                  for name, gap in gaps if gap > tol]
+    for c, value in lhs:
+        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
+        if not value <= rhs + RATE_TOL:
+            violations.append(ConstraintViolation(c.name, value, rhs))
+    return violations
+
+
 def _violations(v: JointDist, p: InputLaw, pins, constraints, rates: RatePair,
                 delta: float, tol: float) -> list[ConstraintViolation]:
     """Marginal pins off by more than ``tol`` and rate constraints broken."""
-    violations: list[ConstraintViolation] = []
-    for subset, base in pins:
-        got = marginalize(v, subset).probs.ravel()
-        want = p.marginal_flat(base)
-        gap = float(np.abs(got - want).max())
-        if gap > tol:
-            violations.append(
-                ConstraintViolation(f"marginal_{'_'.join(subset)}", gap, tol))
-    for c in constraints:
-        lhs = _constraint_lhs(v, c)
-        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
-        if not lhs <= rhs + RATE_TOL:
-            violations.append(ConstraintViolation(c.name, lhs, rhs))
-    return violations
+    return _broken(_pin_gaps(v, p, pins),
+                   [(c, _constraint_lhs(v, c)) for c in constraints],
+                   rates, delta, tol)
 
 
 @dataclass(frozen=True)
@@ -380,6 +393,53 @@ def _divergence_term(v: JointDist, w: Channel, p: InputLaw | None,
     return total
 
 
+@dataclass(frozen=True)
+class _ObjectiveTerms:
+    """The parts of one branch objective at one joint that no rate changes."""
+
+    pin_gaps: tuple[tuple[str, float], ...]
+    lhs: tuple[tuple[RateConstraint, float], ...]
+    alpha_diff: float | None    # equivocation of true minus competitor pair
+    divergence: float
+    mi_xy: float
+    clamp_base: float
+
+
+def _objective_terms(spec: BranchSpec, v: JointDist, w: Channel, p: InputLaw,
+                     weighting: str) -> _ObjectiveTerms:
+    alpha_diff = None
+    if spec.alpha_competitor is not None:
+        alpha_diff = (pair_equivocation(v)
+                      - conditional_entropy(v, spec.alpha_competitor, ("Z", "U")))
+    # every term is a divergence or mutual information, hence >= 0; clamp
+    # away the ulp-scale negatives float cancellation can leave behind
+    return _ObjectiveTerms(
+        pin_gaps=_pin_gaps(v, p, spec.marginal_eq),
+        lhs=tuple((c, _constraint_lhs(v, c)) for c in spec.constraints),
+        alpha_diff=alpha_diff,
+        divergence=max(0.0, _divergence_term(v, w, p, weighting)),
+        mi_xy=max(0.0, conditional_mutual_information(v, ("X",), ("Y",), ("U",))),
+        clamp_base=sum(_mi_value(v, t) for t in spec.clamp_terms),
+    )
+
+
+def _objective_report(spec: BranchSpec, terms: _ObjectiveTerms,
+                      rates: RatePair, delta: float,
+                      marginal_tol: float) -> ObjectiveReport:
+    """The objective and feasibility at these rates from its terms."""
+    violations = _broken(terms.pin_gaps, terms.lhs, rates, delta, marginal_tol)
+    diff = terms.alpha_diff
+    if diff is not None and not diff >= -ALPHA_TOL:
+        violations.append(ConstraintViolation("equivocation_order", diff, -ALPHA_TOL))
+    clamp = max(0.0, terms.clamp_base - clamp_offset_value(spec.clamp_offset,
+                                                           rates.rx, rates.ry))
+    value = terms.divergence + terms.mi_xy + clamp
+    if value < ZERO_SNAP:
+        value = 0.0
+    return ObjectiveReport(value, terms.divergence, terms.mi_xy, clamp,
+                           len(violations) == 0, tuple(violations))
+
+
 def branch_objective(spec: BranchSpec | str, v: JointDist, rates: RatePair,
                      w: Channel, p: InputLaw, delta: float = 0.0,
                      weighting: str = "V", marginal_tol: float = EQ_TOL
@@ -395,26 +455,8 @@ def branch_objective(spec: BranchSpec | str, v: JointDist, rates: RatePair,
         raise ValidationError(
             f"branch {spec.name}: expected axes {spec.labels}, got {v.labels}"
         )
-    violations = _violations(v, p, spec.marginal_eq, spec.constraints, rates,
-                             delta, marginal_tol)
-    if spec.alpha_competitor is not None:
-        diff = (pair_equivocation(v)
-                - conditional_entropy(v, spec.alpha_competitor, ("Z", "U")))
-        if not diff >= -ALPHA_TOL:
-            violations.append(ConstraintViolation("equivocation_order", diff, -ALPHA_TOL))
-
-    # every term is a divergence or mutual information, hence >= 0; clamp
-    # away the ulp-scale negatives float cancellation can leave behind
-    div = max(0.0, _divergence_term(v, w, p, weighting))
-    mi = max(0.0, conditional_mutual_information(v, ("X",), ("Y",), ("U",)))
-    clamp_base = sum(_mi_value(v, t) for t in spec.clamp_terms)
-    clamp = max(0.0, clamp_base - clamp_offset_value(spec.clamp_offset,
-                                                     rates.rx, rates.ry))
-    value = div + mi + clamp
-    if value < ZERO_SNAP:
-        value = 0.0
-    return ObjectiveReport(value, div, mi, clamp,
-                           len(violations) == 0, tuple(violations))
+    return _objective_report(spec, _objective_terms(spec, v, w, p, weighting),
+                             rates, delta, marginal_tol)
 
 
 def _place(a: np.ndarray, labs: tuple[str, ...], labels: tuple[str, ...]) -> np.ndarray:
@@ -455,12 +497,36 @@ def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> Joint
     return JointDist(tuple(axes[lab] for lab in labels), arr)
 
 
+# Content-keyed memos: the command line loads fresh law and channel objects
+# for every call, so identity would never hit.
+_LAW_MARGINALS = memo()
+_ANCHORS = memo()
+
+
+def _law_key(p: InputLaw) -> tuple:
+    return (p.joint.axes, p.joint.probs.shape, p.joint.probs.tobytes())
+
+
+def _channel_key(w: Channel) -> tuple:
+    return (w.x_alphabet, w.y_alphabet, w.z_alphabet, w.w.shape, w.w.tobytes())
+
+
 def _law_marginals(p: InputLaw) -> dict:
-    return {
+    return memoised(_LAW_MARGINALS, _law_key(p), lambda: {
         ("U", "X"): p.marginal_flat(("U", "X")),
         ("U", "Y"): p.marginal_flat(("U", "Y")),
         ("U", "X", "Y"): p.joint.probs.ravel(),
-    }
+    })
+
+
+def _anchor(spec: BranchSpec, p: InputLaw, w: Channel, kind: str,
+            weighting: str) -> tuple[JointDist, _ObjectiveTerms]:
+    """An anchor joint and its objective terms, computed once per content."""
+    def compute():
+        joint = _anchor_joint(spec, p, w, kind)
+        return joint, _objective_terms(spec, joint, w, p, weighting)
+    return memoised(_ANCHORS, (spec, kind, weighting, _law_key(p), _channel_key(w)),
+                    compute)
 
 
 def _branch_sizes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[int, ...]:
@@ -566,10 +632,8 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
         # feasible points exist but every objective is infinite
         candidates.append((math.inf, "lattice", None))
     for kind in anchor_kinds:
-        joint = _anchor_joint(spec, p, w, kind)
-        rep = branch_objective(spec, joint, rates, w, p, delta,
-                               solver.divergence_weighting,
-                               marginal_tol=0.5 / d)
+        joint, terms = _anchor(spec, p, w, kind, solver.divergence_weighting)
+        rep = _objective_report(spec, terms, rates, delta, marginal_tol=0.5 / d)
         if rep.feasible:
             candidates.append((rep.value, f"anchor_{kind}", joint))
 

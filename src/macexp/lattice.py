@@ -10,9 +10,11 @@ that the true pair's equivocation is at least the competitor pair's.
 
 Candidates are the joint types with a fixed denominator d whose pinned
 marginals lie within 0.5/d of the input law: for every marginal cell, the
-counts c in 0..d with ``abs(c/d - p) <= 0.5/d`` in float64, the same test
-the evaluation applies.  They are enumerated directly, as fixed-margin
-tables (Diaconis & Sturmfels 1998): a dynamic program over the flat cells
+counts c in 0..d with ``abs(c/d - p) <= 0.5/d`` in float64 (see
+``admissible_counts``).  The cache key holds those counts, so every row a
+cache holds passes the pin and the evaluation does not test it again.  They
+are enumerated directly, as fixed-margin tables (Diaconis & Sturmfels
+1998): a dynamic program over the flat cells
 tracks the partial marginal sums, counts the completions of every state
 and so gives the exact row count before anything is allocated; partial
 rows are then extended one cell at a time, values ascending, keeping only
@@ -25,9 +27,10 @@ whose rows, cache and scratch memory would exceed ``LATTICE_BYTES`` raise
 Every entropic quantity of a type is a rational combination of integer
 "g*log2(g)" sums over marginal count tensors, so for a given (branch,
 alphabet sizes, d, admissible counts) they are computed once, cached, and
-reused across channels, rate pairs and every law that pins the same way; a
-channel evaluation then reduces to one matrix-vector product plus vector
-comparisons.
+reused across channels, rate pairs and every law that pins the same way.
+The rate-independent part of the objective, divergence plus I(X;Y|U), is
+one matrix-vector product per channel, kept with the cache; a rate pair
+then reduces to vector comparisons, the clamp and an argmin.
 
 The grid is chunked and reduced with an associative (value, index) min,
 so chunk size and thread count cannot change results: ties always resolve
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,11 +67,11 @@ ZERO_SNAP = 1e-12
 
 _EVAL_CHUNK = 1 << 18
 
-# Memory bound of the lattice layer: the caches held at once, and the
-# projected rows x bytes of one build (stored arrays plus enumeration
-# scratch) or of one step of its dynamic program.  Branch XY on binary
-# alphabets needs about 0.5 GB at d=10 (2,605,984 pinned rows) and would
-# need about 4 GB at d=12 (22,901,128), which is refused.
+# Memory bound of the lattice layer: the caches held at once with their
+# value vectors, and the projected rows x bytes of one build (stored arrays
+# plus enumeration scratch) or of one step of its dynamic program.  Branch
+# XY on binary alphabets needs about 0.5 GB at d=10 (2,605,984 pinned rows)
+# and would need about 4 GB at d=12 (22,901,128), which is refused.
 LATTICE_BYTES = 1 << 30
 
 # OpenBLAS computes the last (rows mod 4) rows of a gemv call, and the rows
@@ -318,14 +321,16 @@ def _branch_combos(spec: BranchSpec) -> dict[str, dict[frozenset, float]]:
 
 @dataclass
 class LatticeCache:
-    """Channel-independent per-type quantities for one (branch, sizes, d)."""
+    """Channel-independent per-type quantities for one (branch, sizes, d),
+    and the rate-independent value vector of each channel evaluated on it."""
 
     spec: BranchSpec
     sizes: tuple[int, ...]
     d: int
     counts: np.ndarray                      # (N, cells) uint8
     quantities: dict[str, np.ndarray]       # name -> (N,) float64
-    marginals: dict[tuple[str, ...], np.ndarray]  # axes -> (N, cells_s) int16
+    # (weighting, channel[, law]) -> (N,) float64, see ``_value_vector``
+    values: dict[tuple, np.ndarray] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -335,41 +340,68 @@ class LatticeCache:
     def nbytes(self) -> int:
         return (self.counts.nbytes
                 + sum(a.nbytes for a in self.quantities.values())
-                + sum(a.nbytes for a in self.marginals.values()))
+                + sum(a.nbytes for a in self.values.values()))
 
 
 _CACHE: dict[tuple, LatticeCache] = {}
 
+# Entries a content-keyed memo holds before dropping its oldest; each is a
+# few small arrays or floats, so this bounds a memo to a few MB.
+MEMO_ENTRIES = 1024
+
+_MEMOS: list[dict] = [_CACHE]
+
+
+def memo() -> dict:
+    """A new memo that ``clear_lattice_cache`` empties with the caches."""
+    table: dict = {}
+    _MEMOS.append(table)
+    return table
+
+
+def memoised(table: dict, key, compute):
+    """``table[key]``, first set to ``compute()`` (dropping the oldest entry
+    when the table is full)."""
+    hit = table.get(key)
+    if hit is None:
+        if len(table) >= MEMO_ENTRIES:
+            table.pop(next(iter(table)))
+        hit = table[key] = compute()
+    return hit
+
 
 def clear_lattice_cache() -> None:
-    _CACHE.clear()
+    """Drop every cache, value vector and memoised per-law result."""
+    for table in _MEMOS:
+        table.clear()
 
 
 def _subset_axes(labels, subset) -> tuple[int, ...]:
     return tuple(i for i, l in enumerate(labels) if l in subset)
 
 
-def _marginal_width(spec: BranchSpec, sizes, subset) -> int:
-    return int(np.prod([sizes[i] for i in _subset_axes(spec.labels, subset)]))
+_PINS = memo()
 
 
 def admissible_counts(spec: BranchSpec, d: int, law_marginals: dict) -> tuple:
-    """Per pinned marginal and marginal cell, the counts c in 0..d that pass
-    ``_chunk_value``'s pin test, evaluated with the same float expression."""
+    """Per pinned marginal and marginal cell, the counts c in 0..d whose
+    share c/d lies within 0.5/d of the law, ``abs(c/d - p) <= 0.5/d`` in
+    float64: the pin test that decides which rows a cache enumerates."""
+    bases = tuple(tuple(base) for _, base in spec.marginal_eq)
     grid = np.arange(d + 1, dtype=np.float64) / d
-    half = 0.5 / d
-    return tuple(
-        tuple(tuple(np.flatnonzero(np.abs(grid - target) <= half).tolist())
-              for target in law_marginals[tuple(base)])
-        for _, base in spec.marginal_eq)
+    return memoised(
+        _PINS, (bases, d) + tuple(law_marginals[b].tobytes() for b in bases),
+        lambda: tuple(
+            tuple(tuple(np.flatnonzero(np.abs(grid - target) <= 0.5 / d).tolist())
+                  for target in law_marginals[base])
+            for base in bases))
 
 
 def _row_bytes(spec: BranchSpec, sizes, d: int) -> tuple[int, int]:
-    """(bytes a cache stores per row, enumeration scratch per row)."""
+    """(bytes a cache stores per row with one value vector, enumeration
+    scratch per row)."""
     cells = int(np.prod(sizes))
-    stored = (cells + 8 * len(_branch_combos(spec))
-              + 2 * sum(_marginal_width(spec, sizes, s)
-                        for s, _ in spec.marginal_eq))
+    stored = cells + 8 * len(_branch_combos(spec)) + 8
     # previous and next partial rows, the per-row admissible-value mask, and
     # four index vectors (parent row, value, old and new state)
     return stored, 2 * cells + (d + 1) + 4 * 8
@@ -479,19 +511,15 @@ def pinned_compositions(spec: BranchSpec, sizes: tuple[int, ...], d: int,
 
 def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
                       counts: np.ndarray) -> LatticeCache:
-    """Per-type quantities and pinned marginals of the given rows."""
+    """Per-type quantities of the given rows."""
     n_rows = counts.shape[0]
     combos = _branch_combos(spec)
     subsets = sorted({s for combo in combos.values() for s in combo},
                      key=lambda s: (len(s), sorted(s)))
-    marg_subsets = [tuple(m[0]) for m in spec.marginal_eq]
 
     table = xlogx_table(d)
 
     quantities = {name: np.empty(n_rows, dtype=np.float64) for name in combos}
-    marginals = {s: np.empty((n_rows, _marginal_width(spec, sizes, s)),
-                             dtype=np.int16)
-                 for s in marg_subsets}
 
     # each chunk's marginal sums take about 1.4 KB per row on branch XY
     chunk = 1 << 14
@@ -499,29 +527,31 @@ def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
         b = min(a + chunk, n_rows)
         view = counts[a:b].reshape((b - a,) + sizes)
         xl: dict[frozenset, np.ndarray] = {}
-        g_cache: dict[frozenset, np.ndarray] = {}
         for s in subsets:
             keep = _subset_axes(spec.labels, s)
             drop = tuple(i + 1 for i in range(len(sizes)) if i not in keep)
             gsum = view.sum(axis=drop, dtype=np.int64) if drop else view.astype(np.int64)
-            g_cache[s] = gsum
             xl[s] = np.take(table, gsum).reshape(b - a, -1).sum(axis=1)
         for name, combo in combos.items():
             acc = np.zeros(b - a, dtype=np.float64)
             for s, coef in combo.items():
                 acc += coef * xl[s]
             quantities[name][a:b] = -acc / d
-        for s in marg_subsets:
-            fs = frozenset(s)
-            if fs in g_cache:
-                gsum = g_cache[fs]
-            else:
-                keep = _subset_axes(spec.labels, fs)
-                drop = tuple(i + 1 for i in range(len(sizes)) if i not in keep)
-                gsum = view.sum(axis=drop, dtype=np.int64)
-            marginals[s][a:b] = gsum.reshape(b - a, -1)
 
-    return LatticeCache(spec, sizes, d, counts, quantities, marginals)
+    return LatticeCache(spec, sizes, d, counts, quantities)
+
+
+def _make_room(extra: int, keep: LatticeCache | None = None) -> None:
+    """Drop the oldest caches other than ``keep``, then ``keep``'s value
+    vectors, until ``extra`` more bytes fit within ``LATTICE_BYTES``."""
+    held = sum(c.nbytes for c in _CACHE.values() if c is not keep)
+    held += keep.nbytes if keep is not None else 0
+    for key in [k for k, c in _CACHE.items() if c is not keep]:
+        if held + extra <= LATTICE_BYTES:
+            return
+        held -= _CACHE.pop(key).nbytes
+    if keep is not None and held + extra > LATTICE_BYTES:
+        keep.values.clear()
 
 
 def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
@@ -529,7 +559,8 @@ def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
     """The cached lattice of one branch at denominator d, holding the types
     that pass the pin test against ``law_marginals``.  Laws whose
     admissible counts agree share one cache; the oldest caches are dropped
-    to keep every cache held within ``LATTICE_BYTES``."""
+    to keep every cache held, with its value vectors, within
+    ``LATTICE_BYTES``."""
     pins = admissible_counts(spec, d, law_marginals)
     key = (spec.name, sizes, d, pins)
     if key in _CACHE:
@@ -544,9 +575,7 @@ def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
 
     counts = pinned_compositions(spec, sizes, d, pins)
     stored, _ = _row_bytes(spec, sizes, d)
-    held = sum(c.nbytes for c in _CACHE.values())
-    while _CACHE and held + counts.shape[0] * stored > LATTICE_BYTES:
-        held -= _CACHE.pop(next(iter(_CACHE))).nbytes
+    _make_room(counts.shape[0] * stored)
     cache = cache_from_counts(spec, sizes, d, counts)
     _CACHE[key] = cache
     return cache
@@ -571,29 +600,15 @@ def channel_log_vector(spec: BranchSpec, sizes: tuple[int, ...], w: np.ndarray):
     return finite, inf_cells
 
 
-def _chunk_value(cache: LatticeCache, a: int, b: int, rhs: list,
-                 targets: list, alpha: bool, w_finite: np.ndarray,
-                 inf_cells: np.ndarray, clamp_off: float,
-                 weighting: str, p_uxy: np.ndarray | None):
-    d = cache.d
+def _chunk_value(cache: LatticeCache, base: np.ndarray, a: int, b: int,
+                 rhs: list, alpha: bool, clamp_off: float):
     q = cache.quantities
     feas = np.ones(b - a, dtype=bool)
-    half = 0.5 / d
-    for subset, target in targets:
-        m = cache.marginals[subset][a:b].astype(np.float64) / d
-        feas &= (np.abs(m - target[None, :]) <= half).all(axis=1)
     for name, bound in rhs:
         feas &= q[name][a:b] <= bound + RATE_TOL
     if alpha:
         feas &= q["alpha_diff"][a:b] >= -ALPHA_TOL
-    if weighting == "V":
-        value = q["div_ent"][a:b] + _linear_term(cache.counts[a:b], w_finite) / d
-        if inf_cells.size:
-            hit = cache.counts[a:b][:, inf_cells].sum(axis=1) > 0
-            value = np.where(hit, np.inf, value)
-    else:
-        value = _p_weighted_divergence(cache, a, b, w_finite, inf_cells, p_uxy)
-    value = value + q["mi_xy"][a:b] + np.maximum(q["clamp"][a:b] - clamp_off, 0.0)
+    value = base[a:b] + np.maximum(q["clamp"][a:b] - clamp_off, 0.0)
     # sums of divergences and mutual informations are >= 0; rounding can
     # leave ulp-scale residue on either side of zero, corrupting zero minima
     value = np.maximum(value, 0.0)
@@ -601,6 +616,52 @@ def _chunk_value(cache: LatticeCache, a: int, b: int, rhs: list,
     value = np.where(feas, value, np.inf)
     i = int(np.argmin(value))
     return float(value[i]), a + i, bool(feas.any())
+
+
+def _map(fn, ranges: list, threads: int) -> list:
+    if threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, ranges))
+    return [fn(rg) for rg in ranges]
+
+
+def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
+                  law_marginals: dict, ranges: list, threads: int) -> np.ndarray:
+    """Divergence + I(X;Y|U) of every row: the part of the objective no rate
+    changes, built once per channel and weighting and kept with the cache.
+    Under P weighting the divergence also depends on the law, which the
+    cache does not fix, so the law is part of the key."""
+    spec = cache.spec
+    key = (weighting, w.shape, w.tobytes())
+    p_uxy = None
+    if weighting == "P":
+        p_uxy = law_marginals[("U", "X", "Y")]
+        key += (p_uxy.tobytes(),)
+        p_uxy = p_uxy.reshape(
+            tuple(cache.sizes[i] for i in _subset_axes(spec.labels, {"U", "X", "Y"})))
+    base = cache.values.get(key)
+    if base is not None:
+        return base
+    w_finite, inf_cells = channel_log_vector(spec, cache.sizes, w)
+    q = cache.quantities
+    base = np.empty(cache.total)
+
+    def fill(rg):
+        a, b = rg
+        if weighting == "V":
+            value = (q["div_ent"][a:b]
+                     + _linear_term(cache.counts[a:b], w_finite) / cache.d)
+            if inf_cells.size:
+                hit = cache.counts[a:b][:, inf_cells].sum(axis=1) > 0
+                value = np.where(hit, np.inf, value)
+        else:
+            value = _p_weighted_divergence(cache, a, b, w_finite, inf_cells, p_uxy)
+        base[a:b] = value + q["mi_xy"][a:b]
+
+    _map(fill, ranges, threads)
+    _make_room(base.nbytes, cache)
+    cache.values[key] = base
+    return base
 
 
 def _linear_term(counts: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -665,29 +726,14 @@ def minimize_branch(cache: LatticeCache, rx: float, ry: float, delta: float,
     spec = cache.spec
     rhs = [(c.name, constraint_rhs(c.offset, rx, ry, delta))
            for c in spec.constraints]
-    targets = []
-    for subset, base in spec.marginal_eq:
-        targets.append((tuple(subset), law_marginals[tuple(base)]))
     clamp_off = clamp_offset_value(spec.clamp_offset, rx, ry)
     alpha = spec.alpha_competitor is not None
-    w_finite, inf_cells = channel_log_vector(spec, cache.sizes, w)
-    p_uxy = None
-    if weighting == "P":
-        p_uxy = law_marginals[("U", "X", "Y")].reshape(
-            tuple(cache.sizes[i] for i in _subset_axes(spec.labels, {"U", "X", "Y"}))
-        )
     ranges = [(a, min(a + _EVAL_CHUNK, cache.total))
               for a in range(0, cache.total, _EVAL_CHUNK)]
-
-    def run(rg):
-        return _chunk_value(cache, rg[0], rg[1], rhs, targets, alpha,
-                            w_finite, inf_cells, clamp_off, weighting, p_uxy)
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, ranges))
-    else:
-        results = [run(rg) for rg in ranges]
+    base = _value_vector(cache, w, weighting, law_marginals, ranges, threads)
+    results = _map(lambda rg: _chunk_value(cache, base, rg[0], rg[1], rhs,
+                                           alpha, clamp_off),
+                   ranges, threads)
 
     best_val, best_idx, any_feas = math.inf, -1, False
     for val, idx, feas in results:

@@ -123,6 +123,28 @@ class TestExponentCommand:
         assert main(argv + ["--threads", "2", "--csv", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    def test_thread_count_is_read_when_the_command_runs(self, workdir,
+                                                        monkeypatch):
+        seen = []
+
+        def spy(solve):
+            def wrapped(*args, threads):
+                seen.append(threads)
+                return solve(*args, threads=threads)
+            return wrapped
+
+        import macexp.cli as cli
+        for name in ("expurgated_exponent", "baseline_exponent"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        argv = ["exponent", "--channel", str(workdir / "chan.json"),
+                "--law", str(workdir / "law.json"), "--rx", "0.4",
+                "--ry", "0.4", "--denominator", "4", "--baseline"]
+        monkeypatch.delenv("MACEXP_THREADS", raising=False)
+        assert main(argv) == 0
+        monkeypatch.setenv("MACEXP_THREADS", "3")
+        assert main(argv) == 0
+        assert main(argv + ["--threads", "2"]) == 0
+        assert seen == [1, 1, 3, 3, 2, 2]
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_exits_two(self, workdir, capsys, delta):

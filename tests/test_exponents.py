@@ -36,17 +36,31 @@ from macexp import (
     pair_equivocation,
     region_contains,
 )
-from macexp import probability
+from macexp import exponents, lattice, probability
 from macexp.exponents import (
     _CONSTRAINTS_BY_NAME,
     PACKING_FAMILIES,
     ConstraintViolation,
+    _anchor,
+    _anchor_joint,
+    _branch_sizes,
     _constraint_lhs,
+    _law_marginals,
+    _objective_report,
+    _objective_terms,
     _violations,
     confusability_checks,
     family_exponents,
 )
-from macexp.lattice import CONFUSABILITY_CONSTRAINTS
+from macexp.lattice import (
+    BASELINE_SPECS,
+    BRANCH_SPECS,
+    CONFUSABILITY_CONSTRAINTS,
+    cache_from_counts,
+    clear_lattice_cache,
+    get_cache,
+    minimize_branch,
+)
 from macexp.probability import EQ_TOL, JointBatch, entropy, marginalize
 from macexp.typeclasses import TypeVector
 from helpers import (
@@ -544,6 +558,147 @@ class TestDominanceAndMonotonicity:
             assert res.value == 0.0
             base = baseline_exponent(RatePair(2.0, 2.0), w, law, solver=D4)
             assert base.value == 0.0
+
+
+ANCHORS = ([(spec, kind) for spec in BRANCH_SPECS.values()
+            for kind in ("fresh", "diag")]
+           + [(spec, "product") for spec in BASELINE_SPECS.values()])
+
+
+def law_of(px, py=(0.5, 0.5)):
+    return InputLaw.from_components([1.0], [list(px)], [list(py)])
+
+
+@st.composite
+def anchor_cases(draw):
+    spec, kind = draw(st.sampled_from(ANCHORS))
+    law = draw(st.sampled_from([uniform_law(), SKEW_LAW, TS_LAW,
+                                law_of((0.3, 0.7), (0.6, 0.4))]))
+    w = draw(st.sampled_from([xor_bsc(0.1), zeros_channel(), adder_channel(),
+                              random_channel(np.random.default_rng(7))]))
+    weighting = draw(st.sampled_from(["V", "P"]))
+    d = draw(st.integers(2, 10))
+    delta = draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.2))
+    # on a boundary: a rate equal to a constraint's left side, or to the
+    # clamp's base, with the other rate random or equal
+    terms = _objective_terms(spec, _anchor_joint(spec, law, w, kind), w, law,
+                             weighting)
+    edges = [lhs for _, lhs in terms.lhs] + [terms.clamp_base]
+    rate = st.floats(0.0, 2.5) | st.sampled_from(edges)
+    rx = draw(rate)
+    ry = draw(st.just(rx) | rate)
+    return spec, kind, law, w, weighting, d, delta, RatePair(abs(rx), abs(ry))
+
+
+class TestAnchorMemo:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=anchor_cases())
+    def test_memoised_anchor_matches_a_fresh_evaluation(self, case):
+        spec, kind, law, w, weighting, d, delta, rates = case
+        joint, terms = _anchor(spec, law, w, kind, weighting)
+        assert _anchor(spec, law, w, kind, weighting)[1] is terms
+        got = _objective_report(spec, terms, rates, delta, 0.5 / d)
+        want = branch_objective(spec, _anchor_joint(spec, law, w, kind), rates,
+                                w, law, delta, weighting, marginal_tol=0.5 / d)
+        assert got.value == want.value
+        assert got.feasible == want.feasible
+        assert got == want
+        assert np.array_equal(joint.probs, _anchor_joint(spec, law, w, kind).probs)
+
+
+def _same_result(a, b):
+    assert (a.value, a.branch, a.source, a.feasible_empty) == (
+        b.value, b.branch, b.source, b.feasible_empty)
+    assert (a.argmin is None) == (b.argmin is None)
+    if a.argmin is not None:
+        assert a.argmin.axes == b.argmin.axes
+        assert np.array_equal(a.argmin.probs, b.argmin.probs)
+
+
+class TestMemoKeys:
+    def test_equal_content_laws_share_one_entry(self):
+        clear_lattice_cache()
+        spec = BRANCH_SPECS["X"]
+        first = _anchor(spec, uniform_law(), xor_bsc(0.1), "diag", "V")
+        assert _anchor(spec, uniform_law(), xor_bsc(0.1), "diag", "V") is first
+        assert _law_marginals(uniform_law()) is _law_marginals(uniform_law())
+        assert len(exponents._ANCHORS) == 1
+
+    def test_changed_or_relabelled_channel_gets_its_own_entry(self):
+        clear_lattice_cache()
+        spec = BRANCH_SPECS["XY"]
+        law, w = SKEW_LAW, zeros_channel()
+        bumped = w.w.copy()
+        bumped[1, 0, 0] = np.nextafter(bumped[1, 0, 0], 1.0)
+        relabelled = Channel(w.x_alphabet, w.y_alphabet, Alphabet(2, "Q"), w.w)
+        first = _anchor(spec, law, w, "fresh", "V")
+        for other in (chan(bumped), relabelled):
+            entry = _anchor(spec, law, other, "fresh", "V")
+            assert entry is not first
+            fresh = _anchor_joint(spec, law, other, "fresh")
+            assert entry[1] == _objective_terms(spec, fresh, other, law, "V")
+        assert len(exponents._ANCHORS) == 3
+
+    @pytest.mark.parametrize("weighting", ["V", "P"])
+    def test_alternating_laws_match_fresh_solves(self, weighting):
+        solver = SolverSpec(lattice_denominator=5, divergence_weighting=weighting)
+        w = zeros_channel()
+        laws = (uniform_law(), SKEW_LAW, uniform_law())
+        rates = (RatePair(0.3, 0.6), RatePair(0.9, 0.2))
+
+        def solve(law):
+            return [f(r, w, law, 0.05, solver) for r in rates
+                    for f in (expurgated_exponent, baseline_exponent)]
+
+        clear_lattice_cache()
+        memoised = [solve(law) for law in laws]
+        for law, got in zip(laws, memoised):
+            clear_lattice_cache()
+            for a, b in zip(got, solve(law)):
+                _same_result(a, b)
+
+    def test_laws_that_pin_alike_get_their_own_p_weighted_vectors(self):
+        clear_lattice_cache()
+        spec, w, d = BRANCH_SPECS["X"], xor_bsc(0.1), 6
+        solver = SolverSpec(lattice_denominator=d, divergence_weighting="P")
+        laws = (law_of((0.5, 0.5)), law_of((0.52, 0.48)))
+        results = [branch_exponent("X", RatePair(0.4, 0.4), w, law, solver=solver)
+                   for law in laws]
+        (cache,) = lattice._CACHE.values()
+        assert len(cache.values) == 2
+        first, second = cache.values.values()
+        assert not np.array_equal(first, second)
+        for law, got in zip(laws, results):
+            lm = _law_marginals(law)
+            shared = minimize_branch(cache, 0.4, 0.4, 0.0, lm, w.w, "P")
+            clear_lattice_cache()
+            _same_result(got, branch_exponent("X", RatePair(0.4, 0.4), w, law,
+                                              solver=solver))
+            alone = cache_from_counts(spec, cache.sizes, d, cache.counts)
+            own = minimize_branch(alone, 0.4, 0.4, 0.0, lm, w.w, "P")
+            assert shared[0] == own[0] and shared[2] == own[2]
+            assert np.array_equal(shared[1], own[1])
+
+    def test_value_vectors_count_against_the_byte_budget(self, monkeypatch):
+        clear_lattice_cache()
+        law, spec = uniform_law(), BRANCH_SPECS["XY"]
+        lm = _law_marginals(law)
+        cache = get_cache(spec, _branch_sizes(spec, law, xor_bsc(0.1)), 4, lm)
+        bare = cache.nbytes
+        minimize_branch(cache, 0.4, 0.4, 0.0, lm, xor_bsc(0.1).w)
+        assert cache.nbytes == bare + 8 * cache.total
+        monkeypatch.setattr(lattice, "LATTICE_BYTES", cache.nbytes)
+        minimize_branch(cache, 0.4, 0.4, 0.0, lm, xor_bsc(0.2).w)
+        assert len(cache.values) == 1
+        assert cache.nbytes <= lattice.LATTICE_BYTES
+
+    def test_clear_empties_every_memo(self):
+        expurgated_exponent(RatePair(0.4, 0.4), xor_bsc(0.1), uniform_law(),
+                            solver=D4)
+        assert exponents._ANCHORS and lattice._CACHE
+        clear_lattice_cache()
+        assert not any(lattice._MEMOS)
+        assert not exponents._ANCHORS and not exponents._LAW_MARGINALS
 
 
 class TestPentagonAndRegion:

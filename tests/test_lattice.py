@@ -6,10 +6,11 @@ passes the float pin test of the evaluation,
 ``abs(count / d - p) <= 0.5 / d``.  The pinned cache must hold exactly that
 ordered subsequence, with the same per-type quantities, and minimizing over
 it must give the same value, argmin and feasibility flag as minimizing over
-a cache of all compositions.
+the rows of a cache of all compositions that the test's own filter keeps.
 """
 
 import math
+import sys
 import tracemalloc
 from itertools import product
 
@@ -30,6 +31,7 @@ from macexp.exponents import _branch_sizes, _law_marginals
 from macexp.lattice import (
     BASELINE_SPECS,
     BRANCH_SPECS,
+    LatticeCache,
     admissible_counts,
     cache_from_counts,
     clear_lattice_cache,
@@ -142,11 +144,11 @@ class TestPinnedEnumeration:
         whole = cache_from_counts(spec, sizes, d, full)
         for q, values in whole.quantities.items():
             assert np.array_equal(pinned.quantities[q], values[keep])
-        for s, values in whole.marginals.items():
-            assert np.array_equal(pinned.marginals[s], values[keep])
+        filtered = LatticeCache(spec, sizes, d, full[keep],
+                                {q: v[keep] for q, v in whole.quantities.items()})
         for weighting in ("V", "P"):
             got = minimize_branch(pinned, rx, ry, delta, lm, w.w, weighting)
-            want = minimize_branch(whole, rx, ry, delta, lm, w.w, weighting)
+            want = minimize_branch(filtered, rx, ry, delta, lm, w.w, weighting)
             assert got[0] == want[0]
             assert got[2] == want[2]
             if want[1] is None:
@@ -185,6 +187,35 @@ class TestLinearTerm:
             rows = np.sort(rng.choice(counts.shape[0], 17_249, replace=False))
             assert np.array_equal(lattice._linear_term(counts[rows], w),
                                   full[rows])
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("weighting", ["V", "P"])
+    def test_chunks_and_threads_do_not_change_the_minimum(self, monkeypatch,
+                                                          weighting):
+        # many chunks filled and scanned by more threads than cores, with
+        # frequent thread switches, against one single-threaded chunk
+        clear_lattice_cache()
+        law, spec, d = law_of((0.4, 0.6)), BRANCH_SPECS["XY"], 5
+        w = chan([[[0.9, 0.1], [0.0, 1.0]], [[0.3, 0.7], [0.5, 0.5]]])
+        lm = _law_marginals(law)
+        sizes = _branch_sizes(spec, law, w)
+        whole = get_cache(spec, sizes, d, lm)
+        want = minimize_branch(whole, 1.0, 0.9, 0.05, lm, w.w, weighting)
+        split = cache_from_counts(spec, sizes, d, whole.counts)
+        monkeypatch.setattr(lattice, "_EVAL_CHUNK", 250)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = minimize_branch(split, 1.0, 0.9, 0.05, lm, w.w, weighting,
+                                  threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert whole.total > 40 * 250
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+        (vector,) = split.values.values()
+        assert np.array_equal(vector, next(iter(whole.values.values())))
 
 
 class TestCacheSharing:

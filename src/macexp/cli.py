@@ -20,7 +20,6 @@ import os
 import sys
 
 from .codebooks import (
-    audit_confusability,
     expurgate,
     packing_reports,
     single_user_packing_check,
@@ -180,7 +179,7 @@ def cmd_expurgate(args) -> int:
     pair = load_codebook(args.codebook)
     result = expurgate(pair, args.delta)
     save_json(args.out, codebook_to_dict(result.final))
-    audit = audit_confusability(result.final, pair.rates, args.delta)
+    audit = result.audit
     report = {
         "kind": "expurgation_report",
         "target_delta": args.delta,

@@ -15,16 +15,18 @@ family's packing exponent and c its delta coefficient; reports carry the
 exact tallies as fractions plus the smallest delta that would satisfy each
 family.  ``expurgate`` halves the higher-rate book four times (one family
 per stage, worst offenders dropped) which trades a factor 16 in size for
-per-pair guarantees; ``audit_confusability`` then re-checks every realized
-competitor type against the rate-constraint family used by the exponent
-minimization.
+per-pair guarantees, then audits the final books from their own tallies:
+``audit_confusability`` re-checks every realized competitor type against
+the rate-constraint family used by the exponent minimization.
 
-A tally counts the wrong-word patterns of each message pair in one block
-and stores each distinct type once.  Each distinct type is evaluated once
-per family: all of a family's types form one ``JointBatch``, whose scratch
-memory is bounded per chunk of rows (``probability.ENTROPY_CELLS``).  Its
-values equal those of one ``JointDist`` per type bit for bit, so reports,
-kept words and audits are identical to a type-by-type evaluation.
+A tally is a set of arrays: a family's distinct count rows in ascending
+order, and one (message pair, type, count) entry per type a pair realizes.
+Totals, peaks and per-pair needs are reductions over the entries.  The
+count rows are stacked per chunk of message pairs, and all of a family's
+types form one ``JointBatch``; both bound their scratch memory by
+``probability.ENTROPY_CELLS`` entries.  Batch values equal those of one
+``JointDist`` per type bit for bit, so reports, kept words and audits are
+identical to a type-by-type evaluation.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,11 +48,11 @@ from .exponents import (
     confusability_checks,
     family_exponents,
 )
-from .probability import Alphabet, JointBatch
+from .probability import ENTROPY_CELLS, Alphabet, JointBatch
 from .typeclasses import (
     SymbolSequence,
     TypeVector,
-    empirical_type,
+    distinct_rows,
     sample_conditional_type_class,
 )
 
@@ -104,8 +107,7 @@ class CodebookPair:
                                    (self.y_book, self.p_uy, "y_book")):
             if target.n != n:
                 raise ValidationError(f"target type for {name} has wrong blocklength")
-            rows = {row.tobytes() for row in book}
-            if len(rows) != book.shape[0]:
+            if len(distinct_rows(book)[0]) != book.shape[0]:
                 raise ValidationError(f"{name} has duplicate codewords")
             su = self.u_alphabet.size
             s2 = target.counts.size // su
@@ -212,95 +214,114 @@ def generate_codebooks(p_ux: TypeVector, p_uy: TypeVector, u_seq: SymbolSequence
                         p_ux.axes[1], p_uy.axes[1], p_ux, p_uy)
 
 
-def _tally(u: np.ndarray, su: int, books, rows, competitors) -> dict:
-    """dict true-word indices -> dict type-key -> pattern count.
+class Tally(NamedTuple):
+    """Wrong-word pattern counts of every true-word tuple, by joint type.
 
-    ``books`` holds one (book, alphabet size) pair per true word and
-    ``rows`` the indices each book may use.  Each wrong word copies the
-    true book named by its position in ``competitors`` and skips that
-    book's true index.  A key counts the cells of (U, true words, wrong
-    words) in C order.  Each true-word tuple counts the types of all its
-    wrong-word tuples (later competitors varying fastest) in one block, and
-    every distinct key is stored once across the whole tally.
+    ``types`` holds the distinct count rows, one cell per (U, true words,
+    wrong words) symbol tuple in C order, in ascending order.  Entry e says
+    that true-word tuple ``tuples[pair[e]]`` realizes ``types[type[e]]``
+    in ``count[e]`` wrong-word patterns; each (tuple, type) appears once,
+    in ascending (pair, type) order.
     """
+
+    types: np.ndarray
+    tuples: list[tuple[int, ...]]
+    pair: np.ndarray
+    type: np.ndarray
+    count: np.ndarray
+
+
+def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
+    """Tally of every tuple of one word per book, in ``product`` order.
+
+    ``books`` holds one (book, alphabet size) pair per true word.  Each
+    wrong word copies the true book named by its position in
+    ``competitors`` and skips that book's true word; later competitors vary
+    fastest.  Count rows are stacked per chunk of true-word tuples, the
+    chunk's scratch arrays holding at most ENTROPY_CELLS entries each.
+    """
+    n = u.size
     sizes = [s for _, s in books] + [books[c][1] for c in competitors]
     # a symbol's place value in the C-order cell index is the product of
     # the sizes of the axes after it
     place = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
     cells = su * math.prod(sizes)
+    m = [book.shape[0] for book, _ in books]
     true = [book * p for (book, _), p in zip(books, place)]
     wrong = [books[c][0] * p for c, p in zip(competitors, place[len(books):])]
-    wrong_rows = [np.asarray(rows[c], dtype=np.int64) for c in competitors]
+    # row i of others[c]: the words of competitor c's book other than word i
+    others = [np.nonzero(~np.eye(m[c], dtype=bool))[1].reshape(m[c], -1)
+              for c in competitors]
+    k = math.prod(m[c] - 1 for c in competitors)
     base = u * math.prod(sizes)
-    canon: dict[tuple, tuple] = {}
-    out: dict[tuple, dict[tuple, int]] = {}
-    for idx in product(*rows):
+    dtype = np.min_scalar_type(n)
+    tuples = list(product(*map(range, m)))
+    # every index and count below is at most the number of count rows
+    entry_dtype = np.min_scalar_type(len(tuples) * max(k, 1))
+    step = max(1, ENTROPY_CELLS // (max(k, 1) * max(cells, n)))
+    # the distinct types found so far; a chunk's types wait in ``pending``
+    # until they outnumber the table, then both are merged and every
+    # entry's type index is remapped
+    table = np.zeros((0, cells), dtype=dtype)
+    pending, entries = [], []
+    stacked = 0
+    for lo in range(0, len(tuples), step):
+        idx = np.unravel_index(np.arange(lo, min(lo + step, len(tuples))), m)
         block = base + sum(t[i] for t, i in zip(true, idx))
-        for c, w, r in zip(competitors, wrong, wrong_rows):
-            block = block[..., None, :] + w[r[r != idx[c]]]
-        block = block.reshape(-1, u.size)
-        k = block.shape[0]
-        block += cells * np.arange(k)[:, None]
-        cnt = np.bincount(block.ravel(), minlength=k * cells).reshape(k, cells)
-        d: dict[tuple, int] = {}
-        for key in map(tuple, cnt.tolist()):
-            d[key] = d.get(key, 0) + 1
-        out[idx] = {canon.setdefault(key, key): count
-                    for key, count in d.items()}
-    return out
+        for c, w, o in zip(competitors, wrong, others):
+            add = w[o[idx[c]]]
+            block = block[..., None, :] + add.reshape(
+                add.shape[:1] + (1,) * (block.ndim - 2) + add.shape[1:])
+        rows = block.shape[0] * k
+        block = block.reshape(rows, n) + cells * np.arange(rows)[:, None]
+        cnt = np.bincount(block.ravel(), minlength=rows * cells) \
+            .reshape(rows, cells).astype(dtype)
+        types, local = distinct_rows(cnt)
+        key, count = np.unique(
+            np.repeat(np.arange(len(idx[0])), k) * len(types) + local,
+            return_counts=True)
+        tup, typ = np.divmod(key, len(types))
+        pending.append(types)
+        entries.append(np.stack([lo + tup, stacked + typ, count])
+                       .astype(entry_dtype))
+        stacked += len(types)
+        if stacked > 2 * len(table) or lo + step >= len(tuples):
+            table, inverse = distinct_rows(np.concatenate([table] + pending))
+            for e in entries:
+                e[1] = inverse[e[1]]
+            pending, stacked = [], len(table)
+    pairs, type_ids, counts = np.concatenate(entries, axis=1)
+    return Tally(table, tuples, pairs, type_ids, counts)
 
 
-def _tally_family(pair: CodebookPair, family: str, x_rows, y_rows):
-    """dict (i, j) -> dict type-key -> pattern count, competitor indices
-    drawn from the same row sets."""
+def _tally_family(pair: CodebookPair, family: str) -> Tally:
+    """Tally of every message pair (i, j) against the family's wrong words."""
     return _tally(pair.u_seq, pair.u_alphabet.size,
                   ((pair.x_book, pair.x_alphabet.size),
-                   (pair.y_book, pair.y_alphabet.size)), (x_rows, y_rows),
+                   (pair.y_book, pair.y_alphabet.size)),
                   [0 if c == "X~" else 1 for c in PACKING_FAMILIES[family][0]])
 
 
-def _family_axes(pair: CodebookPair, family: str) -> tuple[Alphabet, ...]:
-    by_label = {"U": pair.u_alphabet, "X": pair.x_alphabet, "Y": pair.y_alphabet,
-                "X~": pair.x_alphabet, "Y~": pair.y_alphabet}
-    return tuple(by_label[lab].relabel(lab)
-                 for lab in ("U", "X", "Y") + PACKING_FAMILIES[family][0])
+def _family_batch(pair: CodebookPair, family: str, tally: Tally) -> JointBatch:
+    """The joints of a family's types over (U, X, Y) and its wrong words."""
+    size = {"U": pair.u_alphabet.size, "X": pair.x_alphabet.size,
+            "Y": pair.y_alphabet.size}
+    labels = ("U", "X", "Y") + PACKING_FAMILIES[family][0]
+    shape = tuple(size[lab[0]] for lab in labels)
+    return JointBatch.from_counts(labels, tally.types.reshape((-1,) + shape),
+                                  pair.n)
 
 
-def _type_values(tally, axes: tuple[Alphabet, ...], n: int, value
-                 ) -> dict[tuple, float]:
-    """``value(batch)`` of every type a tally realizes, all distinct types
-    evaluated in one JointBatch."""
-    keys = list(dict.fromkeys(key for counts in tally.values() for key in counts))
-    return dict(zip(keys, value(_type_batch(keys, axes, n)).tolist()))
+def _type_counts(tally: Tally) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Each type's key, its count summed over all true-word tuples and its
+    largest count for any one tuple."""
+    totals, peaks = np.zeros((2, len(tally.types)), dtype=np.int64)
+    np.add.at(totals, tally.type, tally.count)
+    np.maximum.at(peaks, tally.type, tally.count)
+    return list(map(tuple, tally.types.tolist())), totals, peaks
 
 
-def _type_batch(keys, axes: tuple[Alphabet, ...], n: int) -> JointBatch:
-    """The joints ``TypeVector(axes, key, n).to_joint()`` of flat count keys."""
-    counts = np.asarray(keys, dtype=np.int64).reshape(
-        (len(keys),) + tuple(a.size for a in axes))
-    return JointBatch.from_counts(tuple(a.label for a in axes), counts, n)
-
-
-def _family_exponents(pair: CodebookPair, family: str, tally, rates: RatePair
-                      ) -> dict[tuple, float]:
-    return _type_values(tally, _family_axes(pair, family), pair.n,
-                        lambda batch: family_exponents(batch, family, rates))
-
-
-def _totals_and_peaks(tally) -> tuple[dict[tuple, int], dict[tuple, int]]:
-    """Per type, the count summed over all true words and its largest
-    count for any one choice of true words."""
-    totals: dict[tuple, int] = {}
-    peaks: dict[tuple, int] = {}
-    for counts in tally.values():
-        for key, cnt in counts.items():
-            totals[key] = totals.get(key, 0) + cnt
-            if cnt > peaks.get(key, 0):
-                peaks[key] = cnt
-    return totals, peaks
-
-
-def _need(log2_lhs: float, f: float, n: int, offset: float, coeff: int) -> float:
+def _need(log2_lhs, f, n: int, offset: float, coeff: int):
     """Smallest delta with 2^log2_lhs <= 2^(-n (f - offset - coeff delta))."""
     return (log2_lhs + n * (f - offset)) / (n * coeff)
 
@@ -336,17 +357,18 @@ class PackingReport:
                    for rep in self.families.values())
 
 
-def _entries(counts: dict, denom: int, values: dict, n: int, offset: float,
-             coeff: int, worst: float) -> tuple[float, tuple[TypeTallyEntry, ...]]:
-    """Entries for lhs = count / denom in key order, and the largest need
-    among them and ``worst``."""
+def _entries(keys: list[tuple], counts: np.ndarray, denom: int,
+             values: np.ndarray, n: int, offset: float, coeff: int,
+             worst: float) -> tuple[float, tuple[TypeTallyEntry, ...]]:
+    """Entries for lhs = count / denom of each type key, and the largest
+    need among them and ``worst``."""
     entries = []
-    for key, cnt in sorted(counts.items()):
+    for key, cnt, f in zip(keys, counts.tolist(), values.tolist()):
         lhs = Fraction(cnt, denom)
         need = _need(math.log2(lhs.numerator) - math.log2(lhs.denominator),
-                     values[key], n, offset, coeff)
+                     f, n, offset, coeff)
         worst = max(worst, need)
-        entries.append(TypeTallyEntry(key, cnt, lhs, values[key], need))
+        entries.append(TypeTallyEntry(key, cnt, lhs, f, need))
     return worst, tuple(entries)
 
 
@@ -362,15 +384,16 @@ def packing_reports(pair: CodebookPair) -> tuple[PackingReport, PackingReport]:
     avg: dict[str, FamilyReport] = {}
     peak: dict[str, FamilyReport] = {}
     for family in FAMILY_ORDER:
-        tally = _tally_family(pair, family, range(pair.m_x), range(pair.m_y))
-        f_of = _family_exponents(pair, family, tally, rates)
-        totals, peaks = _totals_and_peaks(tally)
+        tally = _tally_family(pair, family)
+        f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
+        keys, totals, peaks = _type_counts(tally)
         del tally  # hold one family's tally at a time
         coeff = AVG_DELTA_COEFF[family]
         avg[family] = FamilyReport(family, coeff, 0.0, *_entries(
-            totals, pair.m_x * pair.m_y, f_of, pair.n, 0.0, coeff, -math.inf))
+            keys, totals, pair.m_x * pair.m_y, f_of, pair.n, 0.0, coeff,
+            -math.inf))
         peak[family] = FamilyReport(family, coeff, offset, *_entries(
-            peaks, 1, f_of, pair.n, offset, coeff, -math.inf))
+            keys, peaks, 1, f_of, pair.n, offset, coeff, -math.inf))
     return (PackingReport(pair.n, rates, "average", avg),
             PackingReport(pair.n, rates, "per_pair_max", peak))
 
@@ -381,109 +404,6 @@ class StageReport:
     book: str
     kept: tuple[int, ...]
     threshold_score: float
-
-
-@dataclass(frozen=True)
-class ExpurgationResult:
-    final: CodebookPair
-    kept_x: tuple[int, ...]
-    kept_y: tuple[int, ...]
-    expurgated_book: str
-    stages: tuple[StageReport, ...]
-    achieved_delta: dict[str, float]
-    target_delta: float
-    original_sizes: tuple[int, int]
-    product_ok: bool
-
-
-def _worst_pair_need(counts: dict, f_of: dict, n: int, offset: float,
-                     coeff: int) -> float:
-    """Smallest delta validating one message pair's per-pair bounds."""
-    worst = 0.0
-    for key, cnt in counts.items():
-        worst = max(worst, _need(math.log2(cnt), f_of[key], n, offset, coeff))
-    return worst
-
-
-def _pair_needs(pair: CodebookPair, tallies: dict, f_of: dict,
-                rates: RatePair) -> dict[str, dict[tuple, float]]:
-    """Per family, each message pair's worst per-pair need at min-rate
-    offset."""
-    return {family: {ij: _worst_pair_need(counts, f_of[family], pair.n,
-                                          rates.lower, PAIR_DELTA_COEFF[family])
-                     for ij, counts in tallies[family].items()}
-            for family in FAMILY_ORDER}
-
-
-def _achieved_deltas(needs: dict) -> dict[str, float]:
-    """Smallest delta validating every per-pair bound of each family."""
-    return {family: max(needs[family].values(), default=0.0)
-            for family in FAMILY_ORDER}
-
-
-def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
-    """Halve one book four times, once per packing family.
-
-    The book whose own rate is larger is the one expurgated (ties fall to
-    the Y book): the surviving per-pair bounds then carry the smaller
-    rate as their offset, which is the tighter of the two choices.
-    Scoring is deterministic: a word's score in a family is the largest
-    delta needed to validate any per-pair bound it participates in, with
-    competitor tallies taken over the original books; the best-scoring
-    ceil(M/2) words survive each stage (ties keep lower indices).  Rates
-    and offsets refer to the original sizes throughout.  Returns the final
-    books, stage logs, and the delta each family actually achieves.
-    """
-    check_delta(delta)
-    rates = pair.rates
-    full_x = tuple(range(pair.m_x))
-    full_y = tuple(range(pair.m_y))
-    # The exponent of a type depends only on the type and the original
-    # rates, and the kept rows realize a subset of the full rows' types, so
-    # one exponent table per family serves every stage.
-    tallies = {f: _tally_family(pair, f, full_x, full_y) for f in FAMILY_ORDER}
-    f_of = {f: _family_exponents(pair, f, tallies[f], rates) for f in FAMILY_ORDER}
-    needs = _pair_needs(pair, tallies, f_of, rates)
-    start = _achieved_deltas(needs)
-    base = dict(final=pair, kept_x=full_x, kept_y=full_y,
-                target_delta=delta, original_sizes=(pair.m_x, pair.m_y))
-    if max(start.values()) <= delta:
-        return ExpurgationResult(stages=(), achieved_delta=start,
-                                 expurgated_book="none", product_ok=True, **base)
-
-    score_y = rates.rx <= rates.ry
-    book = "Y" if score_y else "X"
-    if (pair.m_y if score_y else pair.m_x) < 2:
-        return ExpurgationResult(stages=(), achieved_delta=start,
-                                 expurgated_book=book, product_ok=True, **base)
-
-    order = (("pair", "triple_x", "triple_y", "quad") if score_y
-             else ("pair", "triple_y", "triple_x", "quad"))
-    active = list(range(pair.m_y if score_y else pair.m_x))
-    others = full_x if score_y else full_y
-    stages = []
-    for family in order:
-        need = needs[family]
-        scores = [max(need[(o, w) if score_y else (w, o)] for o in others)
-                  for w in active]
-        keep_count = (len(active) + 1) // 2
-        ranking = np.argsort(np.asarray(scores), kind="stable")
-        kept = sorted(active[t] for t in ranking[:keep_count])
-        stages.append(StageReport(family, book, tuple(kept),
-                                  float(scores[ranking[keep_count - 1]])))
-        active = kept
-
-    kept_x = full_x if score_y else tuple(active)
-    kept_y = tuple(active) if score_y else full_y
-    final = pair.restrict(kept_x, kept_y)
-    kept_tallies = {f: _tally_family(pair, f, kept_x, kept_y) for f in FAMILY_ORDER}
-    achieved = _achieved_deltas(_pair_needs(pair, kept_tallies, f_of, rates))
-    product_ok = 16 * len(kept_x) * len(kept_y) >= pair.m_x * pair.m_y
-    return ExpurgationResult(final=final, kept_x=kept_x, kept_y=kept_y,
-                             expurgated_book=book, stages=tuple(stages),
-                             achieved_delta=achieved, target_delta=delta,
-                             original_sizes=(pair.m_x, pair.m_y),
-                             product_ok=product_ok)
 
 
 @dataclass(frozen=True)
@@ -503,6 +423,112 @@ class AuditReport:
     violations: tuple[AuditViolation, ...]
 
 
+@dataclass(frozen=True)
+class ExpurgationResult:
+    final: CodebookPair
+    kept_x: tuple[int, ...]
+    kept_y: tuple[int, ...]
+    expurgated_book: str
+    stages: tuple[StageReport, ...]
+    achieved_delta: dict[str, float]
+    target_delta: float
+    original_sizes: tuple[int, int]
+    product_ok: bool
+    audit: AuditReport            # of the final books at the original rates
+
+
+def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
+                rates: RatePair) -> np.ndarray:
+    """(m_x, m_y) grid of each message pair's smallest delta validating its
+    per-pair bounds of the family (0.0 without patterns), with exponents
+    and the min-rate offset taken at ``rates``."""
+    f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
+    # math.log2, as the average entries use: np.log2 can differ in the last bit
+    log2 = np.array([-math.inf] + [math.log2(c) for c in
+                                   range(1, tally.count.max(initial=0) + 1)])
+    need = _need(log2[tally.count], f_of[tally.type], pair.n, rates.lower,
+                 PAIR_DELTA_COEFF[family])
+    worst = np.zeros(len(tally.tuples))
+    np.maximum.at(worst, tally.pair, need)
+    return worst.reshape(pair.m_x, pair.m_y)
+
+
+def _audit(pair: CodebookPair, tallies: dict[str, Tally], rates: RatePair,
+           delta: float, law: InputLaw | None = None) -> AuditReport:
+    """Check each family's realized types once each; a violation's example
+    is the first message pair realizing its type."""
+    if law is None:
+        law = pair.input_law()
+    violations = []
+    for family, tally in tallies.items():
+        first = np.full(len(tally.types), len(tally.tuples))
+        np.minimum.at(first, tally.type, tally.pair)
+        checks = confusability_checks(_family_batch(pair, family, tally), law,
+                                      rates, delta)
+        for r, c in zip(*np.nonzero(checks.violated)):
+            violations.append(AuditViolation(
+                family, tally.tuples[first[r]], checks.names[c],
+                float(checks.lhs[r, c]), checks.rhs[c]))
+    return AuditReport(not violations,
+                       {f: int(t.count.sum()) for f, t in tallies.items()},
+                       {f: len(t.types) for f, t in tallies.items()},
+                       tuple(violations))
+
+
+def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
+    """Halve one book four times, once per packing family.
+
+    The book whose own rate is larger is the one expurgated (ties fall to
+    the Y book): the surviving per-pair bounds then carry the smaller
+    rate as their offset, which is the tighter of the two choices.
+    Scoring is deterministic: a word's score in a family is the largest
+    delta needed to validate any per-pair bound it participates in, with
+    competitor tallies taken over the original books; the best-scoring
+    ceil(M/2) words survive each stage (ties keep lower indices).  Rates
+    and offsets refer to the original sizes throughout.  Returns the final
+    books, stage logs, the delta each family actually achieves, and the
+    audit of the final books at ``delta`` (as ``audit_confusability``).
+    """
+    check_delta(delta)
+    rates = pair.rates
+    tallies = {f: _tally_family(pair, f) for f in FAMILY_ORDER}
+    needs = {f: _pair_needs(pair, f, tallies[f], rates) for f in FAMILY_ORDER}
+    achieved = {f: float(needs[f].max()) for f in FAMILY_ORDER}
+    score_y = rates.rx <= rates.ry
+    book = ("none" if max(achieved.values()) <= delta
+            else "Y" if score_y else "X")
+    final, stages = pair, []
+    kept_x, kept_y = tuple(range(pair.m_x)), tuple(range(pair.m_y))
+    if book != "none" and (pair.m_y if score_y else pair.m_x) >= 2:
+        del tallies  # hold one set of tallies at a time
+        order = (("pair", "triple_x", "triple_y", "quad") if score_y
+                 else ("pair", "triple_y", "triple_x", "quad"))
+        active = list(kept_y if score_y else kept_x)
+        for family in order:
+            # rows: the other book's words, columns: the expurgated book's
+            grid = needs[family] if score_y else needs[family].T
+            scores = grid[:, active].max(axis=0)
+            keep_count = (len(active) + 1) // 2
+            ranking = np.argsort(scores, kind="stable")
+            kept = sorted(active[t] for t in ranking[:keep_count])
+            stages.append(StageReport(family, book, tuple(kept),
+                                      float(scores[ranking[keep_count - 1]])))
+            active = kept
+        kept_x, kept_y = ((kept_x, tuple(active)) if score_y
+                          else (tuple(active), kept_y))
+        final = pair.restrict(kept_x, kept_y)
+        # a type's values do not depend on the batch it is evaluated in
+        tallies = {f: _tally_family(final, f) for f in FAMILY_ORDER}
+        achieved = {f: float(_pair_needs(final, f, tallies[f], rates).max())
+                    for f in FAMILY_ORDER}
+    return ExpurgationResult(
+        final=final, kept_x=kept_x, kept_y=kept_y, expurgated_book=book,
+        stages=tuple(stages), achieved_delta=achieved, target_delta=delta,
+        original_sizes=(pair.m_x, pair.m_y),
+        product_ok=16 * len(kept_x) * len(kept_y) >= pair.m_x * pair.m_y,
+        audit=_audit(final, tallies, rates, delta))
+
+
 def audit_confusability(pair: CodebookPair, rates: RatePair, delta: float,
                         law: InputLaw | None = None) -> AuditReport:
     """Check every realized competitor joint type against the exponent
@@ -513,34 +539,8 @@ def audit_confusability(pair: CodebookPair, rates: RatePair, delta: float,
     construction and any violation is a genuine rate-constraint failure.
     """
     check_delta(delta)
-    if law is None:
-        law = pair.input_law()
-    x_rows = range(pair.m_x)
-    y_rows = range(pair.m_y)
-    violations = []
-    pattern_counts: dict[str, int] = {}
-    distinct: dict[str, int] = {}
-    for family in FAMILY_ORDER:
-        tally = _tally_family(pair, family, x_rows, y_rows)
-        axes = _family_axes(pair, family)
-        reps: dict[tuple, tuple] = {}
-        total = 0
-        for ij, d in tally.items():
-            for key, cnt in d.items():
-                total += cnt
-                if key not in reps:
-                    reps[key] = ij
-        pattern_counts[family] = total
-        distinct[family] = len(reps)
-        keys = sorted(reps)
-        checks = confusability_checks(_type_batch(keys, axes, pair.n), law,
-                                      rates, delta)
-        for r, c in zip(*np.nonzero(checks.violated)):
-            violations.append(AuditViolation(
-                family, reps[keys[r]], checks.names[c],
-                float(checks.lhs[r, c]), checks.rhs[c]))
-    return AuditReport(len(violations) == 0, pattern_counts, distinct,
-                       tuple(violations))
+    return _audit(pair, {f: _tally_family(pair, f) for f in FAMILY_ORDER},
+                  rates, delta, law)
 
 
 @dataclass(frozen=True)
@@ -572,13 +572,12 @@ def single_user_packing_check(u_seq: SymbolSequence, book: np.ndarray,
     if m < 1 or n != u.size:
         raise ValidationError("book shape does not match the shared sequence")
     rate = math.log2(m) / n
-    tally = _tally(u, u_seq.alphabet.size, ((book, alphabet.size),),
-                   (range(m),), (0,))
-    axes = (u_seq.alphabet.relabel("U"), alphabet.relabel("X"),
-            alphabet.relabel("X~"))
-    info = _type_values(tally, axes, n, lambda batch: batch.per_chunk(
-        lambda chunk: chunk.conditional_mutual_information(("X",), ("X~",), ("U",))))
-    totals, peaks = _totals_and_peaks(tally)
-    avg_worst, entries = _entries(totals, m, info, n, rate, 2, 0.0)
-    peak_worst, _ = _entries(peaks, 1, info, n, 2 * rate, 3, 0.0)
+    su, s = u_seq.alphabet.size, alphabet.size
+    tally = _tally(u, su, ((book, s),), (0,))
+    info = JointBatch.from_counts(
+        ("U", "X", "X~"), tally.types.reshape(-1, su, s, s), n).per_chunk(
+        lambda chunk: chunk.conditional_mutual_information(("X",), ("X~",), ("U",)))
+    keys, totals, peaks = _type_counts(tally)
+    avg_worst, entries = _entries(keys, totals, m, info, n, rate, 2, 0.0)
+    peak_worst, _ = _entries(keys, peaks, 1, info, n, 2 * rate, 3, 0.0)
     return SingleUserReport(n, rate, avg_worst, peak_worst, entries)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScaleGuardError, ValidationError
-from .typeclasses import MAX_ENUM_CELLS, MAX_ENUM_DENOM, xlogx_table
+from .typeclasses import xlogx_table
 
 # Slack for the equivocation comparison alpha(true) >= alpha(competitor).
 # Symmetric candidates (competitor identical to the true pair) produce the
@@ -561,17 +561,14 @@ def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
     admissible counts agree share one cache; the oldest caches are dropped
     to keep every cache held, with its value vectors, within
     ``LATTICE_BYTES``."""
+    if d > 255:
+        raise ScaleGuardError(
+            f"branch {spec.name}: denominator {d} exceeds 255, the largest "
+            "count a lattice row stores")
     pins = admissible_counts(spec, d, law_marginals)
     key = (spec.name, sizes, d, pins)
     if key in _CACHE:
         return _CACHE[key]
-
-    cells = int(np.prod(sizes))
-    if cells > MAX_ENUM_CELLS or d > MAX_ENUM_DENOM:
-        raise ScaleGuardError(
-            f"branch {spec.name}: lattice over {cells} cells at denominator {d} "
-            f"exceeds the enumeration guard ({MAX_ENUM_CELLS} cells, {MAX_ENUM_DENOM})"
-        )
 
     counts = pinned_compositions(spec, sizes, d, pins)
     stored, _ = _row_bytes(spec, sizes, d)

@@ -34,7 +34,7 @@ import numpy as np
 from .codebooks import CodebookPair
 from .errors import ScaleGuardError, ValidationError
 from .probability import Channel
-from .typeclasses import xlogx_table
+from .typeclasses import distinct_rows, xlogx_table
 
 TIE_TOL = 1e-12
 MAX_EXACT_OUTPUTS = 1 << 22
@@ -195,21 +195,6 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValidationError(f"{name} must be >= {least}")
 
 
-def _distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of z and the index of each row among them.
-
-    Sorting on the columns keeps any row length exact, where a base-|Z|
-    integer code of the row would overflow int64 beyond |Z|^n = 2^63.
-    """
-    order = np.lexsort(z.T)
-    ordered = z[order]
-    first = np.ones(z.shape[0], dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(z.shape[0], dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
 def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
                   ) -> ErrorEstimate:
     """Monte Carlo error estimate under uniform messages.
@@ -240,7 +225,7 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
         r = rng.random((b, n, 1))
         z_all = np.minimum((r >= cdf).sum(axis=-1), sz - 1)
         del rows, cdf, r
-        distinct, inverse = _distinct_rows(z_all)
+        distinct, inverse = distinct_rows(z_all)
         keys = [row.tobytes() for row in distinct.astype(key_type)]
         decoded = np.fromiter((memo.get(k, -2) for k in keys), np.int64,
                               len(keys))

@@ -200,6 +200,22 @@ def xlogx_table(n: int) -> np.ndarray:
     return table
 
 
+def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of z in ascending lexicographic order (first column
+    most significant) and the index of each row among them.
+
+    Sorting on the columns keeps any row length exact, where a mixed-radix
+    integer code of the row would overflow int64 for long rows.
+    """
+    order = np.lexsort(z.T[::-1])
+    ordered = z[order]
+    first = np.ones(z.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(z.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def type_class_size(t: TypeVector) -> int:
     """Number of aligned symbol arrangements with exactly this composition
     (an exact big-int multinomial coefficient)."""

@@ -77,3 +77,18 @@ def binary_codebooks(n: int, m_x: int, m_y: int, seed: int,
     p_uy = TypeVector((u_alph, y_alph),
                       np.asarray([[n - y_ones, y_ones]], dtype=np.int64), n)
     return generate_codebooks(p_ux, p_uy, u_seq, m_x, m_y, seed)
+
+
+def mixed_pair():
+    """Books over a two-symbol u with a ternary X and a binary Y alphabet.
+
+    With |X| != |Y| and |U| = 2, a tally that swaps the X and Y sizes or
+    the order of the competitor axes produces different type keys.
+    """
+    u_alph, x_alph, y_alph = Alphabet(2, "U"), Alphabet(3, "X"), Alphabet(2, "Y")
+    u_seq = SymbolSequence(u_alph, (0, 1, 1, 0, 0, 1, 0, 1))
+    p_ux = TypeVector((u_alph, x_alph),
+                      np.asarray([[2, 1, 1], [1, 1, 2]], dtype=np.int64), 8)
+    p_uy = TypeVector((u_alph, y_alph),
+                      np.asarray([[2, 2], [1, 3]], dtype=np.int64), 8)
+    return generate_codebooks(p_ux, p_uy, u_seq, 6, 4, rng=5)

@@ -7,6 +7,7 @@ golden CSV; every value in it was verified against the exhaustive
 enumeration oracle when first frozen.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from helpers import (
     adder_channel,
     binary_codebooks,
     identity_channel,
+    mixed_pair,
     uniform_law,
     xor_bsc,
 )
@@ -47,6 +49,43 @@ rx,ry,value,branch,source,baseline_value,baseline_branch
 1.0,1.0,0.0,X,anchor_diag,0.0,X
 """
 
+# Exit code and SHA-256 of stdout and of each output file of codebook
+# commands on the 8x8 binary books, the |U| = 2, ternary-X books of
+# ``mixed_pair`` and 24x24 binary books at n = 12, whose reports show a
+# last-bit change in any need.  Recorded from the dict-of-dicts tally; every
+# later tally must reproduce them byte for byte.
+GOLDEN_CODEBOOK = {
+    ("books.json", "verify-packing", "0.05"): (3, {
+        "stdout": "b9c845fdeadeacde786a2b37c46ce75e850aa2ea5567f67cf84969568d54677e",
+        "--out": "b3915a79681e317faef313e3f6ba2dfbf9ef95dc41c7d2422f65b7e4b6a266d8"}),
+    ("books.json", "expurgate", "0.0"): (3, {
+        "stdout": "fba8119f1d24607566851ebc6414ae10d16b98309236617b782990e5f1b3c3f9",
+        "--out": "b2eeec6d6662acb8159c5699c7575c6d13cf192cbeb3d20a15cab667dfdd2e3d",
+        "--report": "5be1d97c8315af642cfcd4a4c410546944dd0b5a59a70078350b7528a1376431"}),
+    ("books.json", "expurgate", "0.1"): (0, {
+        "stdout": "e79bbcbe11012bbfedf43630211749860e5c21bcb39ce9e49d8905768a104de0",
+        "--out": "b2eeec6d6662acb8159c5699c7575c6d13cf192cbeb3d20a15cab667dfdd2e3d",
+        "--report": "6839444af326f5a850df726d46f145bb1939839782b19d54995e3c1e0d1338a7"}),
+    ("mixed.json", "verify-packing", "0.05"): (3, {
+        "stdout": "93c98c651e47c9ed539d4efb59c6819357274100f88399c31180e93c07362cfa",
+        "--out": "dccbe285bab6bf109682c796a2dafe34f09ab8e857d0b86b30550cfbd3652646"}),
+    ("mixed.json", "expurgate", "0.1"): (3, {
+        "stdout": "22a88ee3cfd42d8cd3c0f9da13798f056c8f02da421882c1d5bbf2e2b00a5fcc",
+        "--out": "7b73eee0f819f4931d8b06810cc77c95618542d68fdc691676e1f926f55839c4",
+        "--report": "74edcd23006c8f8dc4f29618d8e0bb2ca852b612a50c57b282b95a68392cb569"}),
+    ("mixed.json", "expurgate", "1.0"): (0, {
+        "stdout": "f7f8aaaed0dc336b0cc723e520c2794eb38dba354558128c6e226defc90065f8",
+        "--out": "1c41540fa3744479c9e8ccd4c27761f43c635ac154851e888687b8f08a8c36e1",
+        "--report": "d19682d432bbbb0622363edf0ab459c76c642f6d9b399a95bceeffaec6a68cf8"}),
+    ("big.json", "verify-packing", "0.05"): (3, {
+        "stdout": "896d789e185902026d79aa8b7582f1badf47315786b840ca394eb33579bb6fae",
+        "--out": "1f4e6a24bf085b01249cecf2ed11116df59cfe8f6b1d91706bf7c9472d784d74"}),
+    ("big.json", "expurgate", "0.1"): (0, {
+        "stdout": "a6bba4da591c9759e6f6fb2855c9e4efdc447de31879881b351f8f1192c9e8e6",
+        "--out": "372584eb71529e3d1e9c12a2ab079a3c540cf60a8575b457220696e6706e37da",
+        "--report": "4967fcb5c85636499422d14cc75da6a0ee8a4ab7b60c16bc3143c34de363257c"}),
+}
+
 SIM_CSV = ("n,m_x,m_y,rate_x,rate_y,trials,error,stderr,bound,exponent,branch\n"
            "6,2,2,0.16666666666666666,0.16666666666666666,0,0.0,0.0,"
            "0.5358867312681466,0.2,X\n")
@@ -63,6 +102,9 @@ def workdir(tmp_path_factory):
               codebook_to_dict(binary_codebooks(8, 8, 8, seed=20240817)))
     save_json(d / "clean.json",
               codebook_to_dict(binary_codebooks(6, 2, 2, seed=0)))
+    save_json(d / "mixed.json", codebook_to_dict(mixed_pair()))
+    save_json(d / "big.json",
+              codebook_to_dict(binary_codebooks(12, 24, 24, seed=20240817)))
     return d
 
 
@@ -208,6 +250,23 @@ class TestVerifyPackingCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCodebookGoldens:
+    @pytest.mark.parametrize("case", list(GOLDEN_CODEBOOK))
+    def test_outputs_match_the_recorded_bytes(self, workdir, capsys, case):
+        book, command, delta = case
+        want_exit, want = GOLDEN_CODEBOOK[case]
+        argv = [command, "--codebook", str(workdir / book), "--delta", delta]
+        paths = {flag: workdir / f"golden{flag[1:]}.json"
+                 for flag in want if flag != "stdout"}
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        capsys.readouterr()
+        assert main(argv) == want_exit
+        got = {flag: path.read_bytes() for flag, path in paths.items()}
+        got["stdout"] = capsys.readouterr().out.encode()
+        assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == want
 
 
 class TestExpurgateCommand:
@@ -360,7 +419,10 @@ class TestErrorHandling:
     def test_scale_guard_refusal_exits_three(self, workdir):
         argv = ["exponent", "--channel", str(workdir / "chan.json"),
                 "--law", str(workdir / "law.json"), "--rx", "0.4",
-                "--ry", "0.4", "--denominator", "13"]
+                "--ry", "0.4", "--denominator", "13", "--branch", "XY"]
+        assert main(argv) == 3
+        # lattice rows store counts as uint8
+        argv[-3:] = ["256", "--branch", "X"]
         assert main(argv) == 3
         argv = ["simulate", "--codebook", str(workdir / "books.json"),
                 "--channel", str(workdir / "iden.json"), "--exact",

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import tally_oracle as to
-from helpers import binary_codebooks
+import macexp.codebooks as codebooks
+from helpers import binary_codebooks, mixed_pair
 from macexp import Alphabet, TypeVector
 from macexp.codebooks import (
     AVG_DELTA_COEFF,
@@ -26,7 +27,9 @@ from macexp.codebooks import (
     packing_reports,
     single_user_packing_check,
 )
+from macexp.cli import main
 from macexp.errors import ConstructionError, ValidationError
+from macexp.fileio import codebook_to_dict, save_json
 from macexp.typeclasses import SymbolSequence, empirical_type
 
 
@@ -42,21 +45,6 @@ def tiny_pair(x_word=(0, 0, 1, 1), y_word=(0, 0, 1, 1)) -> CodebookPair:
                       np.asarray([[n - sum(y_word), sum(y_word)]], dtype=np.int64), n)
     return CodebookPair(np.zeros(n, dtype=np.int64), xw, yw,
                         u_alph, x_alph, y_alph, p_ux, p_uy)
-
-
-def mixed_pair() -> CodebookPair:
-    """Books over a two-symbol u with a ternary X and a binary Y alphabet.
-
-    With |X| != |Y| and |U| = 2, a tally that swaps the X and Y sizes or
-    the order of the competitor axes produces different type keys.
-    """
-    u_alph, x_alph, y_alph = Alphabet(2, "U"), Alphabet(3, "X"), Alphabet(2, "Y")
-    u_seq = SymbolSequence(u_alph, (0, 1, 1, 0, 0, 1, 0, 1))
-    p_ux = TypeVector((u_alph, x_alph),
-                      np.asarray([[2, 1, 1], [1, 1, 2]], dtype=np.int64), 8)
-    p_uy = TypeVector((u_alph, y_alph),
-                      np.asarray([[2, 2], [1, 3]], dtype=np.int64), 8)
-    return generate_codebooks(p_ux, p_uy, u_seq, 6, 4, rng=5)
 
 
 class TestGeneration:
@@ -124,9 +112,21 @@ class TestGeneration:
                          pair.x_alphabet, pair.y_alphabet, pair.p_ux, pair.p_uy)
 
 
+def as_dicts(tally, x_rows, y_rows) -> dict:
+    """A tally in the oracle's form: dict (i, j) -> dict type-key -> count,
+    with (i, j) the rows of the original books."""
+    keys = [tuple(row) for row in tally.types.tolist()]
+    out = {(x_rows[i], y_rows[j]): {} for i, j in tally.tuples}
+    for p, t, c in zip(tally.pair.tolist(), tally.type.tolist(),
+                       tally.count.tolist()):
+        i, j = tally.tuples[p]
+        out[(x_rows[i], y_rows[j])][keys[t]] = c
+    return out
+
+
 class TestBlockTally:
-    """Block tallies equal the tally_oracle recount in keys, counts and both
-    dict orders (true-word pairs, then types by first occurrence)."""
+    """Block tallies equal the tally_oracle recount in keys, counts and the
+    order of message pairs."""
 
     CASES = (
         (binary_codebooks(8, 5, 4, seed=11), None, None),
@@ -141,19 +141,36 @@ class TestBlockTally:
     def test_matches_oracle_in_order(self, case, family):
         pair, x_rows, y_rows = self.CASES[case]
         want, _ = to.recount(pair, family, x_rows, y_rows)
-        got = _tally_family(pair, family,
-                            range(pair.m_x) if x_rows is None else x_rows,
-                            range(pair.m_y) if y_rows is None else y_rows)
+        x_rows = range(pair.m_x) if x_rows is None else x_rows
+        y_rows = range(pair.m_y) if y_rows is None else y_rows
+        got = as_dicts(_tally_family(pair.restrict(x_rows, y_rows), family),
+                       x_rows, y_rows)
         assert list(got) == list(want)
-        for ij, counts in want.items():
-            assert list(got[ij].items()) == list(counts.items())
+        assert got == want
 
-    def test_each_distinct_type_is_stored_once(self):
+    def test_types_are_distinct_and_ascending(self):
         pair = mixed_pair()
         for family in FAMILY_ORDER:
-            tally = _tally_family(pair, family, range(pair.m_x), range(pair.m_y))
-            keys = [key for counts in tally.values() for key in counts]
-            assert len({id(key) for key in keys}) == len(set(keys))
+            tally = _tally_family(pair, family)
+            keys = [tuple(row) for row in tally.types.tolist()]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            entries = list(zip(tally.pair.tolist(), tally.type.tolist()))
+            assert len(set(entries)) == len(entries)
+
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_chunks_do_not_change_the_tally(self, monkeypatch, budget):
+        # a few true-word tuples per chunk against one chunk for all of them
+        for pair in (mixed_pair(), binary_codebooks(8, 8, 8, seed=20240817)):
+            for family in FAMILY_ORDER:
+                monkeypatch.setattr(codebooks, "ENTROPY_CELLS", 1 << 40)
+                whole = _tally_family(pair, family)
+                monkeypatch.setattr(codebooks, "ENTROPY_CELLS", budget)
+                split = _tally_family(pair, family)
+                assert split.tuples == whole.tuples
+                for got, want in zip(split, whole):
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want)
 
 
 class TestPackingAverages:
@@ -347,6 +364,34 @@ class TestExpurgate:
             for fam in FAMILY_ORDER:
                 assert res.achieved_delta[fam] == pytest.approx(
                     oracle[fam], abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 10.0])
+    def test_audit_matches_a_fresh_audit_of_the_final_books(self, delta):
+        # staged, skipped (generous target) and single-word pass-through
+        for pair in (binary_codebooks(8, 8, 8, seed=20240817), mixed_pair(),
+                     tiny_pair()):
+            res = expurgate(pair, delta)
+            assert res.audit == audit_confusability(res.final, pair.rates,
+                                                    delta)
+
+    def test_tally_counts_per_command(self, monkeypatch, tmp_path):
+        calls = []
+        tally = codebooks._tally
+
+        def counted(*args):
+            calls.append(args)
+            return tally(*args)
+
+        monkeypatch.setattr(codebooks, "_tally", counted)
+        pair = binary_codebooks(8, 8, 8, seed=20240817)
+        res = expurgate(pair, 0.1)
+        assert len(res.stages) == 4
+        assert len(calls) == 8
+        calls.clear()
+        save_json(tmp_path / "books.json", codebook_to_dict(pair))
+        assert main(["verify-packing", "--codebook",
+                     str(tmp_path / "books.json"), "--delta", "1.0"]) == 0
+        assert len(calls) == 6
 
     def test_final_books_pass_their_own_audit(self):
         pair = binary_codebooks(8, 8, 8, seed=63)

@@ -21,7 +21,6 @@ from macexp import (
     JointDist,
     Pentagon,
     RatePair,
-    ScaleGuardError,
     SolverSpec,
     ValidationError,
     baseline_branch_exponent,
@@ -426,11 +425,27 @@ class TestBranchExponents:
             branch_exponent("Z", RatePair(0.1, 0.1), xor_bsc(0.1),
                             uniform_law(), solver=D4)
 
-    def test_large_output_alphabet_guarded(self):
-        # branch XY over (U,X,Y,X~,Y~,Z) with |Z|=4 exceeds the cell guard
-        with pytest.raises(ScaleGuardError):
-            branch_exponent("XY", RatePair(0.5, 0.5), identity_channel(),
-                            uniform_law(), solver=D4)
+    def test_large_output_alphabet_runs(self):
+        # branch XY over (U,X,Y,X~,Y~,Z) with |Z|=4: 128 cells, within bytes
+        clear_lattice_cache()
+        res = branch_exponent("XY", RatePair(0.5, 0.5), identity_channel(),
+                              uniform_law(), solver=D4)
+        assert res.branch == "XY" and res.value >= 0.0
+        assert [c.total for c in lattice._CACHE.values()] == [14_112]
+
+    def test_time_sharing_law_solves(self):
+        # |U| = 2 gives 64 cells; the pinned lattice holds 64 rows at d = 4
+        law = InputLaw.from_components([0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]],
+                                       [[0.5, 0.5], [1.0, 0.0]])
+        rates = RatePair(0.4, 0.4)
+        clear_lattice_cache()
+        res = branch_exponent("XY", rates, xor_bsc(0.1), law, solver=D4)
+        assert [c.total for c in lattice._CACHE.values()] == [64]
+        assert math.isfinite(res.value)
+        rep = branch_objective("XY", res.argmin, rates, xor_bsc(0.1), law,
+                               marginal_tol=0.5 / 4)
+        assert rep.feasible
+        assert abs(rep.value - res.value) <= 1e-9
 
 
 class TestExponentResultContracts:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -219,20 +218,21 @@ class Tally(NamedTuple):
 
     ``types`` holds the distinct count rows, one cell per (U, true words,
     wrong words) symbol tuple in C order, in ascending order.  Entry e says
-    that true-word tuple ``tuples[pair[e]]`` realizes ``types[type[e]]``
-    in ``count[e]`` wrong-word patterns; each (tuple, type) appears once,
-    in ascending (pair, type) order.
+    that the true-word tuple ``np.unravel_index(pair[e], m)``, of one word
+    per book of sizes ``m``, realizes ``types[type[e]]`` in ``count[e]``
+    wrong-word patterns; each (tuple, type) appears once, in ascending
+    (pair, type) order.
     """
 
     types: np.ndarray
-    tuples: list[tuple[int, ...]]
+    m: tuple[int, ...]
     pair: np.ndarray
     type: np.ndarray
     count: np.ndarray
 
 
 def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
-    """Tally of every tuple of one word per book, in ``product`` order.
+    """Tally of every tuple of one word per book, in C order.
 
     ``books`` holds one (book, alphabet size) pair per true word.  Each
     wrong word copies the true book named by its position in
@@ -246,7 +246,7 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     # the sizes of the axes after it
     place = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
     cells = su * math.prod(sizes)
-    m = [book.shape[0] for book, _ in books]
+    m = tuple(book.shape[0] for book, _ in books)
     true = [book * p for (book, _), p in zip(books, place)]
     wrong = [books[c][0] * p for c, p in zip(competitors, place[len(books):])]
     # row i of others[c]: the words of competitor c's book other than word i
@@ -255,9 +255,9 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     k = math.prod(m[c] - 1 for c in competitors)
     base = u * math.prod(sizes)
     dtype = np.min_scalar_type(n)
-    tuples = list(product(*map(range, m)))
+    n_tuples = math.prod(m)
     # every index and count below is at most the number of count rows
-    entry_dtype = np.min_scalar_type(len(tuples) * max(k, 1))
+    entry_dtype = np.min_scalar_type(n_tuples * max(k, 1))
     step = max(1, ENTROPY_CELLS // (max(k, 1) * max(cells, n)))
     # the distinct types found so far; a chunk's types wait in ``pending``
     # until they outnumber the table, then both are merged and every
@@ -265,8 +265,8 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     table = np.zeros((0, cells), dtype=dtype)
     pending, entries = [], []
     stacked = 0
-    for lo in range(0, len(tuples), step):
-        idx = np.unravel_index(np.arange(lo, min(lo + step, len(tuples))), m)
+    for lo in range(0, n_tuples, step):
+        idx = np.unravel_index(np.arange(lo, min(lo + step, n_tuples)), m)
         block = base + sum(t[i] for t, i in zip(true, idx))
         for c, w, o in zip(competitors, wrong, others):
             add = w[o[idx[c]]]
@@ -285,13 +285,13 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
         entries.append(np.stack([lo + tup, stacked + typ, count])
                        .astype(entry_dtype))
         stacked += len(types)
-        if stacked > 2 * len(table) or lo + step >= len(tuples):
+        if stacked > 2 * len(table) or lo + step >= n_tuples:
             table, inverse = distinct_rows(np.concatenate([table] + pending))
             for e in entries:
                 e[1] = inverse[e[1]]
             pending, stacked = [], len(table)
     pairs, type_ids, counts = np.concatenate(entries, axis=1)
-    return Tally(table, tuples, pairs, type_ids, counts)
+    return Tally(table, m, pairs, type_ids, counts)
 
 
 def _tally_family(pair: CodebookPair, family: str) -> Tally:
@@ -448,7 +448,7 @@ def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
                                    range(1, tally.count.max(initial=0) + 1)])
     need = _need(log2[tally.count], f_of[tally.type], pair.n, rates.lower,
                  PAIR_DELTA_COEFF[family])
-    worst = np.zeros(len(tally.tuples))
+    worst = np.zeros(math.prod(tally.m))
     np.maximum.at(worst, tally.pair, need)
     return worst.reshape(pair.m_x, pair.m_y)
 
@@ -461,14 +461,14 @@ def _audit(pair: CodebookPair, tallies: dict[str, Tally], rates: RatePair,
         law = pair.input_law()
     violations = []
     for family, tally in tallies.items():
-        first = np.full(len(tally.types), len(tally.tuples))
+        first = np.full(len(tally.types), math.prod(tally.m))
         np.minimum.at(first, tally.type, tally.pair)
         checks = confusability_checks(_family_batch(pair, family, tally), law,
                                       rates, delta)
         for r, c in zip(*np.nonzero(checks.violated)):
             violations.append(AuditViolation(
-                family, tally.tuples[first[r]], checks.names[c],
-                float(checks.lhs[r, c]), checks.rhs[c]))
+                family, tuple(map(int, np.unravel_index(first[r], tally.m))),
+                checks.names[c], float(checks.lhs[r, c]), checks.rhs[c]))
     return AuditReport(not violations,
                        {f: int(t.count.sum()) for f, t in tallies.items()},
                        {f: len(t.types) for f, t in tallies.items()},

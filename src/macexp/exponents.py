@@ -46,6 +46,7 @@ from .lattice import (
     memo,
     memoised,
     minimize_branch,
+    plan_lattice,
 )
 from .probability import (
     EQ_TOL,
@@ -656,6 +657,12 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
                           feasible_empty=False, source=best_src)
 
 
+def _plan_all(specs: dict, p: InputLaw, w: Channel, d: int) -> None:
+    """Refuse before building any lattice when one of them would be."""
+    for spec in specs.values():
+        plan_lattice(spec, _branch_sizes(spec, p, w), d, _law_marginals(p))
+
+
 def branch_exponent(branch: str, rates: RatePair, w: Channel, p: InputLaw,
                     delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                     threads: int = 1) -> ExponentResult:
@@ -670,6 +677,7 @@ def expurgated_exponent(rates: RatePair, w: Channel, p: InputLaw,
                         delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                         threads: int = 1) -> ExponentResult:
     """min over the three branches; ties resolve X, then Y, then XY."""
+    _plan_all(BRANCH_SPECS, p, w, solver.lattice_denominator)
     best = None
     for name in ("X", "Y", "XY"):
         res = branch_exponent(name, rates, w, p, delta, solver, threads)
@@ -694,6 +702,7 @@ def baseline_exponent(rates: RatePair, w: Channel, p: InputLaw,
                       delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                       threads: int = 1) -> ExponentResult:
     """Relaxed reference exponent; never exceeds the expurgated value."""
+    _plan_all(BASELINE_SPECS, p, w, solver.lattice_denominator)
     best = None
     for name in ("X", "Y", "XY"):
         res = baseline_branch_exponent(name, rates, w, p, delta, solver, threads)

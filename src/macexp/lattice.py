@@ -415,7 +415,9 @@ class _PinnedPlan:
     cell, plus the running total).  ``steps[k][i, v]`` is the state reached
     from state ``i`` of level k by giving cell k the count v, or -1 when a
     marginal cell exceeds its largest admissible count or closes on an
-    inadmissible one; ``ways[k][i]`` counts the completions of state i.
+    inadmissible one; ``ways[k][i]`` counts the completions of state i,
+    capped at ``budget + 1`` so the int64 sums cannot wrap: a build of more
+    rows than the budget has bytes is refused anyway.
     """
 
     def __init__(self, spec: BranchSpec, sizes, d: int, pins, budget: int):
@@ -467,7 +469,7 @@ class _PinnedPlan:
         self.ways = [np.ones(states.shape[0], dtype=np.int64)]
         for step in reversed(self.steps):
             nxt = np.append(self.ways[0], 0)          # index -1 has no ways
-            self.ways.insert(0, nxt[step].sum(axis=1))
+            self.ways.insert(0, np.minimum(nxt[step].sum(axis=1), budget + 1))
 
     @property
     def rows(self) -> int:
@@ -488,25 +490,6 @@ class _PinnedPlan:
             state = step[state[parent], value]
             rows = grown
         return rows
-
-
-def pinned_compositions(spec: BranchSpec, sizes: tuple[int, ...], d: int,
-                        pins) -> np.ndarray:
-    """Rows of ``compositions_array(cells, d)`` whose pinned marginal counts
-    are all in ``pins`` (see ``admissible_counts``), in the same order.
-
-    Raises ``ScaleGuardError`` when the rows, at the bytes a cache stores
-    per row plus the enumeration scratch, would exceed ``LATTICE_BYTES``;
-    the count is exact and is known before the rows are allocated.
-    """
-    plan = _PinnedPlan(spec, sizes, d, pins, LATTICE_BYTES)
-    stored, scratch = _row_bytes(spec, sizes, d)
-    if plan.rows * (stored + scratch) > LATTICE_BYTES:
-        raise ScaleGuardError(
-            f"branch {spec.name}: {plan.rows} pinned types at denominator {d} "
-            f"need about {plan.rows * (stored + scratch)} bytes, over the "
-            f"lattice budget of {LATTICE_BYTES}")
-    return plan.enumerate()
 
 
 def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
@@ -554,6 +537,35 @@ def _make_room(extra: int, keep: LatticeCache | None = None) -> None:
         keep.values.clear()
 
 
+def plan_lattice(spec: BranchSpec, sizes: tuple[int, ...], d: int,
+                 law_marginals: dict) -> tuple[tuple, _PinnedPlan | None]:
+    """The cache key of one branch's lattice and the plan of its rows, or
+    None when that cache is held.
+
+    The rows are those of ``compositions_array(cells, d)`` whose pinned
+    marginal counts are all admissible (see ``admissible_counts``), in the
+    same order.  Raises ``ScaleGuardError`` when they, at the bytes a cache
+    stores per row plus the enumeration scratch, would exceed
+    ``LATTICE_BYTES``; the count is known before any row is allocated, so
+    callers that need several lattices plan them all before building any.
+    """
+    if d > 255:
+        raise ScaleGuardError(
+            f"branch {spec.name}: denominator {d} exceeds 255, the largest "
+            "count a lattice row stores")
+    key = (spec.name, sizes, d, admissible_counts(spec, d, law_marginals))
+    if key in _CACHE:
+        return key, None
+    plan = _PinnedPlan(spec, sizes, d, key[3], LATTICE_BYTES)
+    stored, scratch = _row_bytes(spec, sizes, d)
+    if plan.rows * (stored + scratch) > LATTICE_BYTES:
+        rows = plan.rows if plan.rows <= LATTICE_BYTES else f"over {LATTICE_BYTES}"
+        raise ScaleGuardError(
+            f"branch {spec.name}: {rows} pinned types at denominator {d} "
+            f"need over {LATTICE_BYTES} bytes, the lattice budget")
+    return key, plan
+
+
 def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
               law_marginals: dict) -> LatticeCache:
     """The cached lattice of one branch at denominator d, holding the types
@@ -561,16 +573,11 @@ def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
     admissible counts agree share one cache; the oldest caches are dropped
     to keep every cache held, with its value vectors, within
     ``LATTICE_BYTES``."""
-    if d > 255:
-        raise ScaleGuardError(
-            f"branch {spec.name}: denominator {d} exceeds 255, the largest "
-            "count a lattice row stores")
-    pins = admissible_counts(spec, d, law_marginals)
-    key = (spec.name, sizes, d, pins)
-    if key in _CACHE:
+    key, plan = plan_lattice(spec, sizes, d, law_marginals)
+    if plan is None:
         return _CACHE[key]
 
-    counts = pinned_compositions(spec, sizes, d, pins)
+    counts = plan.enumerate()
     stored, _ = _row_bytes(spec, sizes, d)
     _make_room(counts.shape[0] * stored)
     cache = cache_from_counts(spec, sizes, d, counts)

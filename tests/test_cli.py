@@ -27,6 +27,7 @@ from helpers import (
     xor_bsc,
 )
 import macexp
+from macexp import lattice
 from macexp.cli import main
 from macexp.fileio import (
     channel_to_dict,
@@ -421,6 +422,11 @@ class TestErrorHandling:
                 "--law", str(workdir / "law.json"), "--rx", "0.4",
                 "--ry", "0.4", "--denominator", "13", "--branch", "XY"]
         assert main(argv) == 3
+        # every branch is checked before the X and Y lattices are built
+        lattice.clear_lattice_cache()
+        argv[-1] = "all"
+        assert main(argv) == 3
+        assert not [key for key in lattice._CACHE if key[2] == 13]
         # lattice rows store counts as uint8
         argv[-3:] = ["256", "--branch", "X"]
         assert main(argv) == 3

@@ -116,10 +116,10 @@ def as_dicts(tally, x_rows, y_rows) -> dict:
     """A tally in the oracle's form: dict (i, j) -> dict type-key -> count,
     with (i, j) the rows of the original books."""
     keys = [tuple(row) for row in tally.types.tolist()]
-    out = {(x_rows[i], y_rows[j]): {} for i, j in tally.tuples}
+    out = {(x_rows[i], y_rows[j]): {} for i, j in np.ndindex(tally.m)}
     for p, t, c in zip(tally.pair.tolist(), tally.type.tolist(),
                        tally.count.tolist()):
-        i, j = tally.tuples[p]
+        i, j = np.unravel_index(p, tally.m)
         out[(x_rows[i], y_rows[j])][keys[t]] = c
     return out
 
@@ -166,7 +166,7 @@ class TestBlockTally:
                 whole = _tally_family(pair, family)
                 monkeypatch.setattr(codebooks, "ENTROPY_CELLS", budget)
                 split = _tally_family(pair, family)
-                assert split.tuples == whole.tuples
+                assert split.m == whole.m
                 for got, want in zip(split, whole):
                     if isinstance(want, np.ndarray):
                         assert got.dtype == want.dtype

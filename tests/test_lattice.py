@@ -24,6 +24,7 @@ from macexp import (
     RatePair,
     ScaleGuardError,
     SolverSpec,
+    baseline_branch_exponent,
     branch_exponent,
 )
 from macexp import lattice
@@ -39,7 +40,7 @@ from macexp.lattice import (
     minimize_branch,
 )
 from macexp.typeclasses import MAX_ENUM_CELLS, compositions_array
-from helpers import chan, uniform_law, xor_bsc
+from helpers import chan, identity_channel, uniform_law, xor_bsc
 
 SPECS = {**BRANCH_SPECS, **{s.name: s for s in BASELINE_SPECS.values()}}
 
@@ -275,6 +276,16 @@ class TestByteGuard:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_row_counts_past_int64_are_refused(self):
+        # baseline XY over (U,X,Y,Z) with |Z| = 4 at d = 254 has about 2e20
+        # pinned rows, more than an int64 holds, while each step of the
+        # dynamic program stays within the budget
+        with pytest.raises(ScaleGuardError,
+                           match=f"over {lattice.LATTICE_BYTES} pinned types"):
+            baseline_branch_exponent("XY", RatePair(0.4, 0.4),
+                                     identity_channel(), uniform_law(),
+                                     solver=SolverSpec(lattice_denominator=254))
 
     # 100 bytes stop the dynamic program's first step; 150,000 bytes let it
     # finish and stop the 904 rows of branch XY at d = 4

@@ -12,27 +12,29 @@ patterns occur:
 
 A tally is compared against 2^(-n (F - offset - c * delta)) where F is the
 family's packing exponent and c its delta coefficient; reports carry the
-exact tallies as fractions plus the smallest delta that would satisfy each
-family.  ``expurgate`` halves the higher-rate book four times (one family
-per stage, worst offenders dropped) which trades a factor 16 in size for
-per-pair guarantees, then audits the final books from their own tallies:
-``audit_confusability`` re-checks every realized competitor type against
-the rate-constraint family used by the exponent minimization.
+smallest delta that would satisfy each family, and each type's tally, as
+an exact fraction, on demand.  ``expurgate`` halves the higher-rate book
+four times (one family per stage, worst offenders dropped) which trades a
+factor 16 in size for per-pair guarantees, then audits the final books
+from their own tallies: ``audit_confusability`` re-checks every realized
+competitor type against the rate-constraint family used by the exponent
+minimization.
 
 A tally is a set of arrays: a family's distinct count rows in ascending
 order, and one (message pair, type, count) entry per type a pair realizes.
-Totals, peaks and per-pair needs are reductions over the entries.  The
-count rows are stacked per chunk of message pairs, and all of a family's
-types form one ``JointBatch``; both bound their scratch memory by
-``probability.ENTROPY_CELLS`` entries.  Batch values equal those of one
-``JointDist`` per type bit for bit, so reports, kept words and audits are
-identical to a type-by-type evaluation.
+Totals, peaks and needs are reductions over the entries.  Types are
+found by int64 code words of the count rows, per chunk of message pairs,
+and all of a family's types form one ``JointBatch``; both bound their
+scratch memory by ``probability.ENTROPY_CELLS`` entries.  Batch values
+equal those of one ``JointDist`` per type bit for bit, and needs those of
+the exact fractions, so reports, kept words and audits are identical to a
+type-by-type evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -217,7 +219,8 @@ class Tally(NamedTuple):
     """Wrong-word pattern counts of every true-word tuple, by joint type.
 
     ``types`` holds the distinct count rows, one cell per (U, true words,
-    wrong words) symbol tuple in C order, in ascending order.  Entry e says
+    wrong words) symbol tuple in C order, in ascending order, as a
+    C-contiguous array of the smallest dtype that holds n.  Entry e says
     that the true-word tuple ``np.unravel_index(pair[e], m)``, of one word
     per book of sizes ``m``, realizes ``types[type[e]]`` in ``count[e]``
     wrong-word patterns; each (tuple, type) appears once, in ascending
@@ -231,14 +234,34 @@ class Tally(NamedTuple):
     count: np.ndarray
 
 
+def _code_places(n: int, cells: int) -> np.ndarray:
+    """(W, cells) place values that code a count row as W int64 words.
+
+    Word w holds a run of consecutive cells as radix-(n+1) digits, first
+    cell most significant, as many cells as every such code fits in int64.
+    Counts of a type of n symbols are digits, so summing a row's places
+    over its symbols gives its code, and ascending codes are ascending
+    count rows in lexicographic order.
+    """
+    radix, per_word = n + 1, 1
+    while radix ** (per_word + 1) <= 1 << 63:
+        per_word += 1
+    place = np.zeros((-(-cells // per_word), cells), dtype=np.int64)
+    for c in range(cells):
+        w = c // per_word
+        place[w, c] = radix ** (min(cells, (w + 1) * per_word) - 1 - c)
+    return place
+
+
 def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     """Tally of every tuple of one word per book, in C order.
 
     ``books`` holds one (book, alphabet size) pair per true word.  Each
     wrong word copies the true book named by its position in
     ``competitors`` and skips that book's true word; later competitors vary
-    fastest.  Count rows are stacked per chunk of true-word tuples, the
-    chunk's scratch arrays holding at most ENTROPY_CELLS entries each.
+    fastest.  Types are found per chunk of true-word tuples by their code
+    words (``_code_places``), the chunk's scratch arrays holding at most
+    ENTROPY_CELLS entries each, and decoded to count rows at the end.
     """
     n = u.size
     sizes = [s for _, s in books] + [books[c][1] for c in competitors]
@@ -246,6 +269,7 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     # the sizes of the axes after it
     place = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
     cells = su * math.prod(sizes)
+    code = _code_places(n, cells)
     m = tuple(book.shape[0] for book, _ in books)
     true = [book * p for (book, _), p in zip(books, place)]
     wrong = [books[c][0] * p for c, p in zip(competitors, place[len(books):])]
@@ -258,11 +282,11 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     n_tuples = math.prod(m)
     # every index and count below is at most the number of count rows
     entry_dtype = np.min_scalar_type(n_tuples * max(k, 1))
-    step = max(1, ENTROPY_CELLS // (max(k, 1) * max(cells, n)))
-    # the distinct types found so far; a chunk's types wait in ``pending``
+    step = max(1, ENTROPY_CELLS // (max(k, 1) * max(n, len(code))))
+    # the distinct codes found so far; a chunk's codes wait in ``pending``
     # until they outnumber the table, then both are merged and every
     # entry's type index is remapped
-    table = np.zeros((0, cells), dtype=dtype)
+    table = np.zeros((0, len(code)), dtype=np.int64)
     pending, entries = [], []
     stacked = 0
     for lo in range(0, n_tuples, step):
@@ -272,11 +296,9 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
             add = w[o[idx[c]]]
             block = block[..., None, :] + add.reshape(
                 add.shape[:1] + (1,) * (block.ndim - 2) + add.shape[1:])
-        rows = block.shape[0] * k
-        block = block.reshape(rows, n) + cells * np.arange(rows)[:, None]
-        cnt = np.bincount(block.ravel(), minlength=rows * cells) \
-            .reshape(rows, cells).astype(dtype)
-        types, local = distinct_rows(cnt)
+        block = block.reshape(-1, n)
+        types, local = distinct_rows(
+            np.stack([p[block].sum(axis=1) for p in code], axis=1))
         key, count = np.unique(
             np.repeat(np.arange(len(idx[0])), k) * len(types) + local,
             return_counts=True)
@@ -291,7 +313,12 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
                 e[1] = inverse[e[1]]
             pending, stacked = [], len(table)
     pairs, type_ids, counts = np.concatenate(entries, axis=1)
-    return Tally(table, m, pairs, type_ids, counts)
+    # C order, as batch values depend on the memory layout of the rows;
+    # each cell has one nonzero place, in its own word
+    types = np.empty((len(table), cells), dtype=dtype)
+    for c, (w, p) in enumerate(zip(code.argmax(axis=0), code.max(axis=0))):
+        types[:, c] = table[:, w] // p % (n + 1)
+    return Tally(types, m, pairs, type_ids, counts)
 
 
 def _tally_family(pair: CodebookPair, family: str) -> Tally:
@@ -312,18 +339,26 @@ def _family_batch(pair: CodebookPair, family: str, tally: Tally) -> JointBatch:
                                   pair.n)
 
 
-def _type_counts(tally: Tally) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """Each type's key, its count summed over all true-word tuples and its
-    largest count for any one tuple."""
-    totals, peaks = np.zeros((2, len(tally.types)), dtype=np.int64)
-    np.add.at(totals, tally.type, tally.count)
+def _type_counts(tally: Tally) -> tuple[np.ndarray, np.ndarray]:
+    """Each type's count summed over all true-word tuples and its largest
+    count for any one tuple."""
+    # float sums are exact: a tally holds far fewer than 2^53 patterns
+    totals = np.bincount(tally.type, tally.count, len(tally.types))
+    peaks = np.zeros(len(tally.types), dtype=np.int64)
     np.maximum.at(peaks, tally.type, tally.count)
-    return list(map(tuple, tally.types.tolist())), totals, peaks
+    return totals.astype(np.int64), peaks
 
 
 def _need(log2_lhs, f, n: int, offset: float, coeff: int):
     """Smallest delta with 2^log2_lhs <= 2^(-n (f - offset - coeff delta))."""
     return (log2_lhs + n * (f - offset)) / (n * coeff)
+
+
+def _log2(v: np.ndarray) -> np.ndarray:
+    """math.log2 of each positive integer, taken once per distinct value;
+    np.log2 can differ in the last bit."""
+    distinct, inverse = np.unique(v, return_inverse=True)
+    return np.array([math.log2(x) for x in distinct.tolist()])[inverse]
 
 
 @dataclass(frozen=True)
@@ -335,13 +370,56 @@ class TypeTallyEntry:
     need_delta: float
 
 
+@dataclass(frozen=True, eq=False)
+class TypeNeeds:
+    """One packing check per type, as arrays in ascending type order: the
+    count rows, the tallies (lhs = counts / denom), the exponents and the
+    smallest delta each type needs.  ``entries`` builds the same check as
+    one object per type; equality and hashing go by those entries."""
+
+    types: np.ndarray
+    counts: np.ndarray
+    denom: int
+    f_values: np.ndarray
+    needs: np.ndarray
+
+    @classmethod
+    def of(cls, types, counts, denom: int, f_values, n: int, offset: float,
+           coeff: int) -> "TypeNeeds":
+        # the reduced fraction's logs, as math.log2 of a Fraction's terms
+        g = np.gcd(counts, denom)
+        return cls(types, counts, denom, f_values,
+                   _need(_log2(counts // g) - _log2(denom // g), f_values, n,
+                         offset, coeff))
+
+    def worst(self, floor: float) -> float:
+        return float(self.needs.max(initial=floor))
+
+    def entries(self) -> tuple[TypeTallyEntry, ...]:
+        return tuple(TypeTallyEntry(tuple(key), cnt, Fraction(cnt, self.denom),
+                                    f, need)
+                     for key, cnt, f, need in zip(
+                         self.types.tolist(), self.counts.tolist(),
+                         self.f_values.tolist(), self.needs.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TypeNeeds) and self.entries() == other.entries()
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
+
+
 @dataclass(frozen=True)
 class FamilyReport:
     family: str
     delta_coeff: int
     rate_offset: float
     worst_need_delta: float
-    entries: tuple[TypeTallyEntry, ...]
+    table: TypeNeeds = field(repr=False)
+
+    @property
+    def entries(self) -> tuple[TypeTallyEntry, ...]:
+        return self.table.entries()
 
 
 @dataclass(frozen=True)
@@ -355,21 +433,6 @@ class PackingReport:
         check_delta(delta)
         return all(rep.worst_need_delta <= delta + tol
                    for rep in self.families.values())
-
-
-def _entries(keys: list[tuple], counts: np.ndarray, denom: int,
-             values: np.ndarray, n: int, offset: float, coeff: int,
-             worst: float) -> tuple[float, tuple[TypeTallyEntry, ...]]:
-    """Entries for lhs = count / denom of each type key, and the largest
-    need among them and ``worst``."""
-    entries = []
-    for key, cnt, f in zip(keys, counts.tolist(), values.tolist()):
-        lhs = Fraction(cnt, denom)
-        need = _need(math.log2(lhs.numerator) - math.log2(lhs.denominator),
-                     f, n, offset, coeff)
-        worst = max(worst, need)
-        entries.append(TypeTallyEntry(key, cnt, lhs, f, need))
-    return worst, tuple(entries)
 
 
 def packing_reports(pair: CodebookPair) -> tuple[PackingReport, PackingReport]:
@@ -386,14 +449,15 @@ def packing_reports(pair: CodebookPair) -> tuple[PackingReport, PackingReport]:
     for family in FAMILY_ORDER:
         tally = _tally_family(pair, family)
         f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
-        keys, totals, peaks = _type_counts(tally)
-        del tally  # hold one family's tally at a time
+        totals, peaks = _type_counts(tally)
         coeff = AVG_DELTA_COEFF[family]
-        avg[family] = FamilyReport(family, coeff, 0.0, *_entries(
-            keys, totals, pair.m_x * pair.m_y, f_of, pair.n, 0.0, coeff,
-            -math.inf))
-        peak[family] = FamilyReport(family, coeff, offset, *_entries(
-            keys, peaks, 1, f_of, pair.n, offset, coeff, -math.inf))
+        for reports, counts, denom, off in (
+                (avg, totals, pair.m_x * pair.m_y, 0.0), (peak, peaks, 1, offset)):
+            table = TypeNeeds.of(tally.types, counts, denom, f_of, pair.n, off,
+                                 coeff)
+            reports[family] = FamilyReport(family, coeff, off,
+                                           table.worst(-math.inf), table)
+        del tally  # hold one family's tally at a time
     return (PackingReport(pair.n, rates, "average", avg),
             PackingReport(pair.n, rates, "per_pair_max", peak))
 
@@ -549,7 +613,11 @@ class SingleUserReport:
     rate: float
     avg_worst_need_delta: float
     per_word_worst_need_delta: float
-    avg_entries: tuple[TypeTallyEntry, ...]
+    avg: TypeNeeds = field(repr=False)
+
+    @property
+    def avg_entries(self) -> tuple[TypeTallyEntry, ...]:
+        return self.avg.entries()
 
     def satisfied(self, delta: float, tol: float = 1e-12) -> bool:
         check_delta(delta)
@@ -571,13 +639,15 @@ def single_user_packing_check(u_seq: SymbolSequence, book: np.ndarray,
     u = u_seq.array()
     if m < 1 or n != u.size:
         raise ValidationError("book shape does not match the shared sequence")
+    if book.min() < 0 or book.max() >= alphabet.size:
+        raise ValidationError("book contains symbols outside its alphabet")
     rate = math.log2(m) / n
     su, s = u_seq.alphabet.size, alphabet.size
     tally = _tally(u, su, ((book, s),), (0,))
     info = JointBatch.from_counts(
         ("U", "X", "X~"), tally.types.reshape(-1, su, s, s), n).per_chunk(
         lambda chunk: chunk.conditional_mutual_information(("X",), ("X~",), ("U",)))
-    keys, totals, peaks = _type_counts(tally)
-    avg_worst, entries = _entries(keys, totals, m, info, n, rate, 2, 0.0)
-    peak_worst, _ = _entries(keys, peaks, 1, info, n, 2 * rate, 3, 0.0)
-    return SingleUserReport(n, rate, avg_worst, peak_worst, entries)
+    totals, peaks = _type_counts(tally)
+    avg = TypeNeeds.of(tally.types, totals, m, info, n, rate, 2)
+    peak = TypeNeeds.of(tally.types, peaks, 1, info, n, 2 * rate, 3)
+    return SingleUserReport(n, rate, avg.worst(0.0), peak.worst(0.0), avg)

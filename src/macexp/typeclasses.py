@@ -204,8 +204,9 @@ def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of z in ascending lexicographic order (first column
     most significant) and the index of each row among them.
 
-    Sorting on the columns keeps any row length exact, where a mixed-radix
-    integer code of the row would overflow int64 for long rows.
+    Rows of any length and integer dtype sort exactly on their columns:
+    the decoder passes output words, and the codebook tally passes count
+    rows already packed into int64 code words.
     """
     order = np.lexsort(z.T[::-1])
     ordered = z[order]

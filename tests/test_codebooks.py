@@ -112,6 +112,18 @@ class TestGeneration:
                          pair.x_alphabet, pair.y_alphabet, pair.p_ux, pair.p_uy)
 
 
+def ternary_pair() -> CodebookPair:
+    """Books over a two-symbol u with ternary X and Y alphabets: at n = 6
+    the quad family's 2 * 3^4 = 162 cells take 8 int64 code words."""
+    u_alph, x_alph, y_alph = Alphabet(2, "U"), Alphabet(3, "X"), Alphabet(3, "Y")
+    u_seq = SymbolSequence(u_alph, (0, 1, 0, 1, 0, 1))
+    p_ux = TypeVector((u_alph, x_alph),
+                      np.asarray([[1, 1, 1], [1, 1, 1]], dtype=np.int64), 6)
+    p_uy = TypeVector((u_alph, y_alph),
+                      np.asarray([[2, 1, 0], [0, 1, 2]], dtype=np.int64), 6)
+    return generate_codebooks(p_ux, p_uy, u_seq, 3, 3, rng=7)
+
+
 def as_dicts(tally, x_rows, y_rows) -> dict:
     """A tally in the oracle's form: dict (i, j) -> dict type-key -> count,
     with (i, j) the rows of the original books."""
@@ -171,6 +183,112 @@ class TestBlockTally:
                     if isinstance(want, np.ndarray):
                         assert got.dtype == want.dtype
                         assert np.array_equal(got, want)
+
+
+class TestCodeWords:
+    """Count rows are keyed by int64 code words of radix n + 1; tallies at
+    the dtype and word-capacity boundaries equal the tally_oracle recount
+    in dtype, order and counts."""
+
+    @staticmethod
+    def check(pair, family, dtype, words):
+        cells = math.prod(to._sizes(pair, family))
+        assert len(codebooks._code_places(pair.n, cells)) == words
+        tally = _tally_family(pair, family)
+        assert tally.types.dtype == dtype
+        assert tally.types.flags.c_contiguous
+        keys = [tuple(row) for row in tally.types.tolist()]
+        assert keys == sorted(set(keys))
+        order = tally.pair.astype(np.int64) * len(keys) + tally.type
+        assert np.all(np.diff(order) > 0)
+        want, _ = to.recount(pair, family)
+        got = as_dicts(tally, range(pair.m_x), range(pair.m_y))
+        assert list(got) == list(want)
+        assert got == want
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_count_dtype_follows_the_blocklength(self, n, dtype):
+        # radix 256 and 257 both hold 7 cells a word: 4, 8 and 16 cells
+        pair = binary_codebooks(n, 2, 2, seed=n)
+        for family, words in zip(FAMILY_ORDER, (1, 2, 2, 3)):
+            self.check(pair, family, dtype, words)
+
+    @pytest.mark.parametrize("n, words", [(14, 1), (15, 2)])
+    def test_one_word_full_and_one_cell_past(self, n, words):
+        # 15^16 <= 2^63 < 16^16: the quad family's 16 cells fill one word
+        # at n = 14 and spill one cell into a second word at n = 15
+        self.check(binary_codebooks(n, 3, 3, seed=n), "quad", np.uint8, words)
+
+    def test_many_words(self, monkeypatch):
+        pair = ternary_pair()
+        for family, words in zip(FAMILY_ORDER, (1, 3, 3, 8)):
+            self.check(pair, family, np.uint8, words)
+            whole = _tally_family(pair, family)
+            monkeypatch.setattr(codebooks, "ENTROPY_CELLS", 1)
+            split = _tally_family(pair, family)
+            monkeypatch.undo()
+            for got, want in zip(split, whole):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, cells", [(6, 162), (14, 16), (15, 16),
+                                          (255, 16), (256, 16)])
+    def test_every_code_fits_in_int64(self, n, cells):
+        place = codebooks._code_places(n, cells)
+        assert np.array_equal((place > 0).sum(axis=0), np.ones(cells))
+        # a row's largest code puts all n counts on its first cell
+        assert n * int(place.max()) < 1 << 63
+        full = int((place[0] > 0).sum())
+        assert (n + 1) ** full <= 1 << 63
+        assert full == cells or (n + 1) ** (full + 1) > 1 << 63
+
+
+class TestReportArrays:
+    """Reports hold per-type arrays; their entries are built on demand and
+    match the exact-fraction need of every type bit for bit."""
+
+    PAIRS = (binary_codebooks(8, 8, 8, seed=20240817), mixed_pair(),
+             binary_codebooks(12, 24, 24, seed=20240817))
+
+    def test_worst_need_is_the_largest_entry_need(self):
+        reduced = 0
+        for pair in self.PAIRS:
+            for rep in packing_reports(pair):
+                for fam in FAMILY_ORDER:
+                    report = rep.families[fam]
+                    entries = report.entries
+                    worst = max((e.need_delta for e in entries),
+                                default=-math.inf)
+                    assert report.worst_need_delta.hex() == worst.hex()
+                    for e in entries:
+                        log2_lhs = (math.log2(e.lhs.numerator)
+                                    - math.log2(e.lhs.denominator))
+                        need = codebooks._need(log2_lhs, e.f_value, pair.n,
+                                               report.rate_offset,
+                                               report.delta_coeff)
+                        assert e.need_delta.hex() == need.hex()
+                        reduced += e.lhs.denominator < pair.m_x * pair.m_y
+        # some averages reduce: gcd(total, m_x m_y) > 1
+        assert reduced
+        pair = self.PAIRS[2]
+        u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
+        rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
+        worst = max([0.0] + [e.need_delta for e in rep.avg_entries])
+        assert rep.avg_worst_need_delta.hex() == worst.hex()
+
+    def test_cli_builds_no_per_type_objects(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a per-type object was built")
+
+        monkeypatch.setattr(codebooks, "TypeTallyEntry", refuse)
+        monkeypatch.setattr(codebooks, "Fraction", refuse)
+        books = tmp_path / "books.json"
+        save_json(books, codebook_to_dict(self.PAIRS[0]))
+        assert main(["verify-packing", "--codebook", str(books),
+                     "--delta", "1.0"]) == 0
+        assert main(["expurgate", "--codebook", str(books), "--delta", "0.1",
+                     "--out", str(tmp_path / "kept.json")]) == 0
+        with pytest.raises(AssertionError, match="per-type object"):
+            packing_reports(self.PAIRS[0])[0].families["pair"].entries
 
 
 class TestPackingAverages:
@@ -466,3 +584,13 @@ class TestSingleUserPacking:
             assert rep.per_word_worst_need_delta == pytest.approx(pw, abs=1e-12)
             assert rep.rate == pytest.approx(rate, abs=1e-15)
             assert rep.satisfied(max(aw, pw))
+
+    @pytest.mark.parametrize("symbol", [2, -1])
+    def test_symbols_outside_the_alphabet_are_refused(self, symbol):
+        pair = binary_codebooks(6, 3, 1, seed=3)
+        u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
+        book = pair.x_book.copy()
+        book[1, 2] = symbol
+        with pytest.raises(ValidationError,
+                           match="book contains symbols outside its alphabet"):
+            single_user_packing_check(u_seq, book, pair.x_alphabet)

@@ -12,13 +12,13 @@ patterns occur:
 
 A tally is compared against 2^(-n (F - offset - c * delta)) where F is the
 family's packing exponent and c its delta coefficient; reports carry the
-smallest delta that would satisfy each family, and each type's tally, as
-an exact fraction, on demand.  ``expurgate`` halves the higher-rate book
-four times (one family per stage, worst offenders dropped) which trades a
-factor 16 in size for per-pair guarantees, then audits the final books
-from their own tallies: ``audit_confusability`` re-checks every realized
-competitor type against the rate-constraint family used by the exponent
-minimization.
+smallest delta that would satisfy each family, and each type's tally,
+exact as an integer count over one denominator.  ``expurgate`` halves the
+higher-rate book four times (one family per stage, worst offenders
+dropped) which trades a factor 16 in size for per-pair guarantees, then
+audits the final books from their own tallies: ``audit_confusability``
+re-checks every realized competitor type against the rate-constraint
+family used by the exponent minimization.
 
 A tally is a set of arrays: a family's distinct count rows in ascending
 order, and one (message pair, type, count) entry per type a pair realizes.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -313,7 +312,6 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
                 e[1] = inverse[e[1]]
             pending, stacked = [], len(table)
     pairs, type_ids, counts = np.concatenate(entries, axis=1)
-    # C order, as batch values depend on the memory layout of the rows;
     # each cell has one nonzero place, in its own word
     types = np.empty((len(table), cells), dtype=dtype)
     for c, (w, p) in enumerate(zip(code.argmax(axis=0), code.max(axis=0))):
@@ -361,21 +359,12 @@ def _log2(v: np.ndarray) -> np.ndarray:
     return np.array([math.log2(x) for x in distinct.tolist()])[inverse]
 
 
-@dataclass(frozen=True)
-class TypeTallyEntry:
-    key: tuple
-    count: int
-    lhs: Fraction
-    f_value: float
-    need_delta: float
-
-
 @dataclass(frozen=True, eq=False)
 class TypeNeeds:
     """One packing check per type, as arrays in ascending type order: the
-    count rows, the tallies (lhs = counts / denom), the exponents and the
-    smallest delta each type needs.  ``entries`` builds the same check as
-    one object per type; equality and hashing go by those entries."""
+    count rows, the tallies (lhs = counts / denom, exact), the exponents
+    and the smallest delta each type needs.  Equality and hashing go by
+    the arrays' contents."""
 
     types: np.ndarray
     counts: np.ndarray
@@ -395,18 +384,17 @@ class TypeNeeds:
     def worst(self, floor: float) -> float:
         return float(self.needs.max(initial=floor))
 
-    def entries(self) -> tuple[TypeTallyEntry, ...]:
-        return tuple(TypeTallyEntry(tuple(key), cnt, Fraction(cnt, self.denom),
-                                    f, need)
-                     for key, cnt, f, need in zip(
-                         self.types.tolist(), self.counts.tolist(),
-                         self.f_values.tolist(), self.needs.tolist()))
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, TypeNeeds) and self.entries() == other.entries()
+        return (isinstance(other, TypeNeeds) and self.denom == other.denom
+                and all(np.array_equal(a, b) for a, b in zip(
+                    (self.types, self.counts, self.f_values, self.needs),
+                    (other.types, other.counts, other.f_values, other.needs))))
 
     def __hash__(self) -> int:
-        return hash(self.entries())
+        # the integer arrays in one dtype: equal contents hash alike
+        return hash((self.denom, self.types.shape,
+                     self.types.astype(np.int64).tobytes(),
+                     self.counts.astype(np.int64).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -416,10 +404,6 @@ class FamilyReport:
     rate_offset: float
     worst_need_delta: float
     table: TypeNeeds = field(repr=False)
-
-    @property
-    def entries(self) -> tuple[TypeTallyEntry, ...]:
-        return self.table.entries()
 
 
 @dataclass(frozen=True)
@@ -507,7 +491,7 @@ def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
     per-pair bounds of the family (0.0 without patterns), with exponents
     and the min-rate offset taken at ``rates``."""
     f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
-    # math.log2, as the average entries use: np.log2 can differ in the last bit
+    # math.log2, as the average needs use: np.log2 can differ in the last bit
     log2 = np.array([-math.inf] + [math.log2(c) for c in
                                    range(1, tally.count.max(initial=0) + 1)])
     need = _need(log2[tally.count], f_of[tally.type], pair.n, rates.lower,
@@ -614,10 +598,6 @@ class SingleUserReport:
     avg_worst_need_delta: float
     per_word_worst_need_delta: float
     avg: TypeNeeds = field(repr=False)
-
-    @property
-    def avg_entries(self) -> tuple[TypeTallyEntry, ...]:
-        return self.avg.entries()
 
     def satisfied(self, delta: float, tol: float = 1e-12) -> bool:
         check_delta(delta)

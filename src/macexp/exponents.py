@@ -476,26 +476,17 @@ def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> Joint
     axes.
     """
     labels = spec.labels
-    u_ax, x_ax, y_ax = p.joint.axes
     _, px, py = p.conditionals()
     arr = _place(p.joint.probs, ("U", "X", "Y"), labels).astype(np.float64)
-    axes = {lab: None for lab in labels}
-    axes["U"], axes["X"], axes["Y"] = u_ax, x_ax, y_ax
-    if "X~" in labels:
-        axes["X~"] = x_ax.relabel("X~")
-        if kind == "diag":
-            arr = arr * _place(np.eye(x_ax.size), ("X", "X~"), labels)
-        else:
-            arr = arr * _place(px, ("U", "X~"), labels)
-    if "Y~" in labels:
-        axes["Y~"] = y_ax.relabel("Y~")
-        if kind == "diag":
-            arr = arr * _place(np.eye(y_ax.size), ("Y", "Y~"), labels)
-        else:
-            arr = arr * _place(py, ("U", "Y~"), labels)
-    axes["Z"] = w.z_alphabet.relabel("Z")
+    for wrong, cond in (("X~", px), ("Y~", py)):
+        if wrong in labels:
+            if kind == "diag":
+                cond = _place(np.eye(cond.shape[1]), (wrong[0], wrong), labels)
+            else:
+                cond = _place(cond, ("U", wrong), labels)
+            arr = arr * cond
     arr = arr * _place(w.w, ("X", "Y", "Z"), labels)
-    return JointDist(tuple(axes[lab] for lab in labels), arr)
+    return JointDist(_branch_axes(spec, p, w), arr)
 
 
 # Content-keyed memos: the command line loads fresh law and channel objects
@@ -530,26 +521,22 @@ def _anchor(spec: BranchSpec, p: InputLaw, w: Channel, kind: str,
                     compute)
 
 
-def _branch_sizes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[int, ...]:
+def _branch_axes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[Alphabet, ...]:
+    """The branch's axes: the law's alphabets, wrong words as copies of
+    the true ones, and the channel's output."""
     if p.x_size() != w.x_alphabet.size or p.y_size() != w.y_alphabet.size:
         raise ValidationError("input law and channel alphabets disagree")
-    by_label = {
-        "U": p.u_size(), "X": p.x_size(), "Y": p.y_size(),
-        "X~": p.x_size(), "Y~": p.y_size(), "Z": w.z_alphabet.size,
-    }
-    return tuple(by_label[lab] for lab in spec.labels)
-
-
-def _counts_to_joint(spec: BranchSpec, counts: np.ndarray, sizes, d: int,
-                     p: InputLaw, w: Channel) -> JointDist:
     u_ax, x_ax, y_ax = p.joint.axes
     by_label = {
         "U": u_ax, "X": x_ax, "Y": y_ax,
         "X~": x_ax.relabel("X~"), "Y~": y_ax.relabel("Y~"),
         "Z": w.z_alphabet.relabel("Z"),
     }
-    axes = tuple(by_label[lab] for lab in spec.labels)
-    return JointDist(axes, counts.astype(np.float64).reshape(sizes) / d)
+    return tuple(by_label[lab] for lab in spec.labels)
+
+
+def _branch_sizes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[int, ...]:
+    return tuple(a.size for a in _branch_axes(spec, p, w))
 
 
 def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
@@ -616,7 +603,8 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
                   delta: float, solver: SolverSpec, anchor_kinds,
                   threads: int = 1) -> ExponentResult:
     check_delta(delta)
-    sizes = _branch_sizes(spec, p, w)
+    axes = _branch_axes(spec, p, w)
+    sizes = tuple(a.size for a in axes)
     d = solver.lattice_denominator
     lm = _law_marginals(p)
     cache = get_cache(spec, sizes, d, lm)
@@ -626,9 +614,8 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
     )
     candidates: list[tuple[float, str, JointDist]] = []
     if argmin_counts is not None:
-        candidates.append(
-            (val, "lattice", _counts_to_joint(spec, argmin_counts, sizes, d, p, w))
-        )
+        candidates.append((val, "lattice", JointDist(
+            axes, argmin_counts.astype(np.float64).reshape(sizes) / d)))
     elif any_feas:
         # feasible points exist but every objective is infinite
         candidates.append((math.inf, "lattice", None))
@@ -657,10 +644,21 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
                           feasible_empty=False, source=best_src)
 
 
-def _plan_all(specs: dict, p: InputLaw, w: Channel, d: int) -> None:
-    """Refuse before building any lattice when one of them would be."""
+def _least_branch(specs: dict, solve, rates: RatePair, w: Channel,
+                  p: InputLaw, delta: float, solver: SolverSpec,
+                  threads: int) -> ExponentResult:
+    """min of ``solve`` over the three branches; ties resolve X, then Y,
+    then XY.  Every branch's lattice is planned first, so one that is
+    refused stops the call before any is built."""
     for spec in specs.values():
-        plan_lattice(spec, _branch_sizes(spec, p, w), d, _law_marginals(p))
+        plan_lattice(spec, _branch_sizes(spec, p, w),
+                     solver.lattice_denominator, _law_marginals(p))
+    best = None
+    for name in ("X", "Y", "XY"):
+        res = solve(name, rates, w, p, delta, solver, threads)
+        if best is None or res.value < best.value:
+            best = res
+    return best
 
 
 def branch_exponent(branch: str, rates: RatePair, w: Channel, p: InputLaw,
@@ -677,13 +675,8 @@ def expurgated_exponent(rates: RatePair, w: Channel, p: InputLaw,
                         delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                         threads: int = 1) -> ExponentResult:
     """min over the three branches; ties resolve X, then Y, then XY."""
-    _plan_all(BRANCH_SPECS, p, w, solver.lattice_denominator)
-    best = None
-    for name in ("X", "Y", "XY"):
-        res = branch_exponent(name, rates, w, p, delta, solver, threads)
-        if best is None or res.value < best.value:
-            best = res
-    return best
+    return _least_branch(BRANCH_SPECS, branch_exponent, rates, w, p, delta,
+                         solver, threads)
 
 
 def baseline_branch_exponent(branch: str, rates: RatePair, w: Channel,
@@ -702,13 +695,8 @@ def baseline_exponent(rates: RatePair, w: Channel, p: InputLaw,
                       delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                       threads: int = 1) -> ExponentResult:
     """Relaxed reference exponent; never exceeds the expurgated value."""
-    _plan_all(BASELINE_SPECS, p, w, solver.lattice_denominator)
-    best = None
-    for name in ("X", "Y", "XY"):
-        res = baseline_branch_exponent(name, rates, w, p, delta, solver, threads)
-        if best is None or res.value < best.value:
-            best = res
-    return best
+    return _least_branch(BASELINE_SPECS, baseline_branch_exponent, rates, w, p,
+                         delta, solver, threads)
 
 
 @dataclass(frozen=True)

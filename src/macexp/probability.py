@@ -186,7 +186,8 @@ class JointBatch:
 
     def __init__(self, labels, probs) -> None:
         self.labels = tuple(labels)
-        self.probs = np.asarray(probs, dtype=np.float64)
+        # C order: a row's sums, and so its last bits, follow the layout
+        self.probs = np.ascontiguousarray(probs, dtype=np.float64)
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError(f"duplicate axis labels {self.labels}")
         if self.probs.ndim != len(self.labels) + 1:
@@ -199,6 +200,7 @@ class JointBatch:
     @classmethod
     def from_counts(cls, labels, counts: np.ndarray, n: int) -> "JointBatch":
         """Rows ``counts / n`` renormalised as ``TypeVector.to_joint`` does."""
+        counts = np.ascontiguousarray(counts)
         cells = math.prod(counts.shape[1:])
         flat = _clean_rows((counts / n).reshape(len(counts), cells))
         return cls(labels, flat.reshape(counts.shape))

@@ -7,10 +7,9 @@ flattened count tensor, and ``compositions_array`` matches the generator
 order row for row; the exponent solver's marginal-pinned lattice is an
 ordered subsequence of it.
 
-Joint-type enumeration is protected by desk-scale guards: at most
-``MAX_ENUM_CELLS`` cells and denominator at most ``MAX_ENUM_DENOM``.
-Larger requests raise ``ScaleGuardError`` instead of thrashing; callers
-who know what they are doing can pass explicit overrides.
+Type enumeration has one size rule: a request whose rows, at one byte
+per cell, would exceed ``ENUM_BYTES`` raises ``ScaleGuardError`` before
+anything is built.
 """
 
 from __future__ import annotations
@@ -24,8 +23,10 @@ import numpy as np
 from .errors import ConstructionError, ScaleGuardError, ValidationError
 from .probability import Alphabet, JointDist
 
-MAX_ENUM_CELLS = 32
-MAX_ENUM_DENOM = 12
+# Rows x cells of one enumeration, at one byte a count.  compositions_array
+# holds about three times this while it builds, and a caller that converts
+# the rows to float64 eight bytes a count.
+ENUM_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -110,18 +111,13 @@ def empirical_type(seqs) -> TypeVector:
     return TypeVector(axes, flat.reshape(shape), n)
 
 
-def _check_enum_scale(num_cells: int, n: int, max_cells, max_denom) -> None:
-    max_cells = MAX_ENUM_CELLS if max_cells is None else max_cells
-    max_denom = MAX_ENUM_DENOM if max_denom is None else max_denom
-    if num_cells > max_cells:
+def _check_enum_bytes(num_cells: int, n: int) -> None:
+    rows = compositions_count(num_cells, n)
+    if rows * num_cells > ENUM_BYTES:
         raise ScaleGuardError(
-            f"joint type enumeration over {num_cells} cells exceeds the "
-            f"guard ({max_cells}); pass max_cells to override"
-        )
-    if n > max_denom:
-        raise ScaleGuardError(
-            f"type denominator {n} exceeds the guard ({max_denom}); "
-            "pass max_denom to override"
+            f"enumerating {rows} types over {num_cells} cells at denominator "
+            f"{n} needs {rows * num_cells} bytes, over the {ENUM_BYTES}-byte "
+            "enumeration budget"
         )
 
 
@@ -134,7 +130,7 @@ def _compositions(num_cells: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_types(n: int, axes, max_cells=None, max_denom=None) -> Iterator[TypeVector]:
+def enumerate_types(n: int, axes) -> Iterator[TypeVector]:
     """Lazily yield every type with denominator n over the product alphabet.
 
     Order is ascending lexicographic in the flattened count tensor, so the
@@ -146,17 +142,15 @@ def enumerate_types(n: int, axes, max_cells=None, max_denom=None) -> Iterator[Ty
         raise ValidationError("enumerate_types: n must be >= 1")
     shape = tuple(a.size for a in axes)
     num_cells = int(np.prod(shape))
-    _check_enum_scale(num_cells, n, max_cells, max_denom)
+    _check_enum_bytes(num_cells, n)
     for flat in _compositions(num_cells, n):
         counts = np.asarray(flat, dtype=np.int64).reshape(shape)
         yield TypeVector(axes, counts, n)
 
 
-def enumerate_lattice(denominator: int, axes, max_cells=None, max_denom=None
-                      ) -> Iterator[JointDist]:
+def enumerate_lattice(denominator: int, axes) -> Iterator[JointDist]:
     """Rational-grid joint distributions: every type / denominator."""
-    for t in enumerate_types(denominator, axes, max_cells=max_cells,
-                             max_denom=max_denom):
+    for t in enumerate_types(denominator, axes):
         yield t.to_joint()
 
 
@@ -171,6 +165,7 @@ def compositions_array(num_cells: int, total: int) -> np.ndarray:
     """
     if total > 255:
         raise ValidationError("compositions_array: total too large for uint8")
+    _check_enum_bytes(num_cells, total)
     if num_cells == 1:
         return np.asarray([[total]], dtype=np.uint8)
     # prev[t] holds all compositions of t into c cells, starting at c=1
@@ -208,7 +203,9 @@ def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the decoder passes output words, and the codebook tally passes count
     rows already packed into int64 code words.
     """
-    order = np.lexsort(z.T[::-1])
+    # equal rows share their index, so the unstable sort's tie order is moot
+    order = (np.argsort(z[:, 0]) if z.shape[1] == 1
+             else np.lexsort(z.T[::-1]))
     ordered = z[order]
     first = np.ones(z.shape[0], dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)

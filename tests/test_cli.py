@@ -27,7 +27,7 @@ from helpers import (
     xor_bsc,
 )
 import macexp
-from macexp import lattice
+from macexp import lattice, typeclasses
 from macexp.cli import main
 from macexp.fileio import (
     channel_to_dict,
@@ -434,6 +434,17 @@ class TestErrorHandling:
                 "--channel", str(workdir / "iden.json"), "--exact",
                 "--max-outputs", "100"]
         assert main(argv) == 3
+
+    def test_region_grid_over_the_enumeration_budget_exits_three(
+            self, workdir, capsys, monkeypatch):
+        # the adder's binary simplex at --u-grid 8 has 9 rows x 2 cells
+        monkeypatch.setattr(typeclasses, "ENUM_BYTES", 17)
+        out = workdir / "refused_region.json"
+        argv = ["region", "--channel", str(workdir / "adder.json"),
+                "--rx", "0.7", "--ry", "0.7", "--out", str(out)]
+        assert main(argv) == 3
+        assert "18 bytes, over the 17-byte" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pinned_lattice_byte_guard_exits_three(self, workdir, capsys):
         # branch XY at d = 12 has 22,901,128 pinned types, refused by bytes

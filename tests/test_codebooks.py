@@ -5,6 +5,7 @@ every pattern with plain dictionaries over symbol tuples and recomposes the
 family exponents from grouped entropies.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -122,6 +123,19 @@ def ternary_pair() -> CodebookPair:
     p_uy = TypeVector((u_alph, y_alph),
                       np.asarray([[2, 1, 0], [0, 1, 2]], dtype=np.int64), 6)
     return generate_codebooks(p_ux, p_uy, u_seq, 3, 3, rng=7)
+
+
+def lhs_map(table) -> dict:
+    """A report table's tallies as the oracle keeps them: count-row key ->
+    exact fraction counts / denom."""
+    return {tuple(key): Fraction(c, table.denom)
+            for key, c in zip(table.types.tolist(), table.counts.tolist())}
+
+
+def count_map(table) -> dict:
+    """A report table's counts by count-row key."""
+    return {tuple(key): c
+            for key, c in zip(table.types.tolist(), table.counts.tolist())}
 
 
 def as_dicts(tally, x_rows, y_rows) -> dict:
@@ -243,8 +257,8 @@ class TestCodeWords:
 
 
 class TestReportArrays:
-    """Reports hold per-type arrays; their entries are built on demand and
-    match the exact-fraction need of every type bit for bit."""
+    """Reports hold per-type arrays; every need matches the exact-fraction
+    need of its type bit for bit, and reports compare by their arrays."""
 
     PAIRS = (binary_codebooks(8, 8, 8, seed=20240817), mixed_pair(),
              binary_codebooks(12, 24, 24, seed=20240817))
@@ -255,40 +269,60 @@ class TestReportArrays:
             for rep in packing_reports(pair):
                 for fam in FAMILY_ORDER:
                     report = rep.families[fam]
-                    entries = report.entries
-                    worst = max((e.need_delta for e in entries),
-                                default=-math.inf)
+                    table = report.table
+                    worst = max(table.needs.tolist(), default=-math.inf)
                     assert report.worst_need_delta.hex() == worst.hex()
-                    for e in entries:
-                        log2_lhs = (math.log2(e.lhs.numerator)
-                                    - math.log2(e.lhs.denominator))
-                        need = codebooks._need(log2_lhs, e.f_value, pair.n,
+                    for count, f, got in zip(table.counts.tolist(),
+                                             table.f_values.tolist(),
+                                             table.needs.tolist()):
+                        lhs = Fraction(count, table.denom)
+                        log2_lhs = (math.log2(lhs.numerator)
+                                    - math.log2(lhs.denominator))
+                        need = codebooks._need(log2_lhs, f, pair.n,
                                                report.rate_offset,
                                                report.delta_coeff)
-                        assert e.need_delta.hex() == need.hex()
-                        reduced += e.lhs.denominator < pair.m_x * pair.m_y
+                        assert got.hex() == need.hex()
+                        reduced += lhs.denominator < pair.m_x * pair.m_y
         # some averages reduce: gcd(total, m_x m_y) > 1
         assert reduced
         pair = self.PAIRS[2]
         u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
         rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
-        worst = max([0.0] + [e.need_delta for e in rep.avg_entries])
+        worst = max([0.0] + rep.avg.needs.tolist())
         assert rep.avg_worst_need_delta.hex() == worst.hex()
 
-    def test_cli_builds_no_per_type_objects(self, monkeypatch, tmp_path):
-        def refuse(*args):
-            raise AssertionError("a per-type object was built")
+    def test_reports_of_one_pair_compare_and_hash_equal(self):
+        pair = self.PAIRS[0]
+        first, again = packing_reports(pair), packing_reports(pair)
+        for a, b in zip(first, again):
+            for fam in FAMILY_ORDER:
+                ra, rb = a.families[fam], b.families[fam]
+                assert ra.table is not rb.table
+                assert ra == rb and hash(ra) == hash(rb)
+        u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
+        single = [single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
+                  for _ in range(2)]
+        assert single[0] == single[1] and hash(single[0]) == hash(single[1])
+        # the same contents in another dtype
+        table = first[0].families["quad"].table
+        wide = dataclasses.replace(table, types=table.types.astype(np.int64))
+        assert wide == table and hash(wide) == hash(table)
 
-        monkeypatch.setattr(codebooks, "TypeTallyEntry", refuse)
-        monkeypatch.setattr(codebooks, "Fraction", refuse)
-        books = tmp_path / "books.json"
-        save_json(books, codebook_to_dict(self.PAIRS[0]))
-        assert main(["verify-packing", "--codebook", str(books),
-                     "--delta", "1.0"]) == 0
-        assert main(["expurgate", "--codebook", str(books), "--delta", "0.1",
-                     "--out", str(tmp_path / "kept.json")]) == 0
-        with pytest.raises(AssertionError, match="per-type object"):
-            packing_reports(self.PAIRS[0])[0].families["pair"].entries
+    def test_reports_whose_tables_differ_are_unequal(self):
+        avg, peak = packing_reports(self.PAIRS[0])
+        other = packing_reports(binary_codebooks(8, 8, 8, seed=7))[0]
+        for fam in FAMILY_ORDER:
+            assert avg.families[fam].table != peak.families[fam].table
+            assert avg.families[fam] != other.families[fam]
+        rep = avg.families["triple_x"]
+        table = rep.table
+        for name in ("types", "counts", "f_values", "needs"):
+            changed = getattr(table, name).copy()
+            changed[-1] += 1
+            other = dataclasses.replace(table, **{name: changed})
+            assert other != table
+            assert dataclasses.replace(rep, table=other) != rep
+        assert dataclasses.replace(table, denom=table.denom + 1) != table
 
 
 class TestPackingAverages:
@@ -303,10 +337,9 @@ class TestPackingAverages:
 
     def test_single_words_leave_competitor_families_empty(self):
         rep = packing_reports(tiny_pair())[0]
-        assert len(rep.families["pair"].entries) == 1
-        assert rep.families["pair"].entries[0].lhs == Fraction(1)
+        assert lhs_map(rep.families["pair"].table) == {(2, 0, 0, 2): 1}
         for fam in ("triple_x", "triple_y", "quad"):
-            assert rep.families[fam].entries == ()
+            assert lhs_map(rep.families[fam].table) == {}
             assert rep.families[fam].worst_need_delta == -math.inf
 
     def test_fully_dependent_single_words_need_half_a_bit(self):
@@ -318,13 +351,14 @@ class TestPackingAverages:
     def test_pair_family_lhs_sums_to_one(self):
         pair = binary_codebooks(8, 4, 4, seed=12)
         rep = packing_reports(pair)[0]
-        assert sum(e.lhs for e in rep.families["pair"].entries) == Fraction(1)
+        assert sum(lhs_map(rep.families["pair"].table).values()) == 1
 
     def test_entries_are_sorted_by_key(self):
         pair = binary_codebooks(8, 4, 4, seed=13)
         rep = packing_reports(pair)[0]
         for fam in FAMILY_ORDER:
-            keys = [e.key for e in rep.families[fam].entries]
+            keys = [tuple(key) for key in
+                    rep.families[fam].table.types.tolist()]
             assert keys == sorted(keys)
 
     def test_matches_independent_recount(self):
@@ -333,10 +367,10 @@ class TestPackingAverages:
             rep = packing_reports(pair)[0]
             oracle = to.average_needs(pair)
             for fam in FAMILY_ORDER:
-                worst, lhs_map = oracle[fam]
+                worst, want = oracle[fam]
                 assert rep.families[fam].worst_need_delta == pytest.approx(
                     worst, abs=1e-12)
-                assert {e.key: e.lhs for e in rep.families[fam].entries} == lhs_map
+                assert lhs_map(rep.families[fam].table) == want
 
     def test_entry_exponents_match_recomposition(self):
         pair = binary_codebooks(8, 4, 4, seed=24)
@@ -344,9 +378,10 @@ class TestPackingAverages:
         r = pair.rates
         for fam in FAMILY_ORDER:
             _, counters = to.recount(pair, fam)
-            for e in rep.families[fam].entries:
-                want = to.family_exponent(counters[e.key], fam, r.rx, r.ry)
-                assert e.f_value == pytest.approx(want, abs=1e-12)
+            table = rep.families[fam].table
+            for key, f in zip(table.types.tolist(), table.f_values.tolist()):
+                want = to.family_exponent(counters[tuple(key)], fam, r.rx, r.ry)
+                assert f == pytest.approx(want, abs=1e-12)
 
 
 class TestPerPairMaxima:
@@ -361,16 +396,16 @@ class TestPerPairMaxima:
 
     def test_single_words_have_unit_peaks(self):
         rep = packing_reports(tiny_pair())[1]
-        assert [e.count for e in rep.families["pair"].entries] == [1]
+        assert rep.families["pair"].table.counts.tolist() == [1]
 
     def test_peaks_never_exceed_average_totals(self):
         pair = binary_codebooks(8, 4, 4, seed=14)
         avg = packing_reports(pair)[0]
         ppm = packing_reports(pair)[1]
         for fam in FAMILY_ORDER:
-            totals = {e.key: e.count for e in avg.families[fam].entries}
-            for e in ppm.families[fam].entries:
-                assert e.count <= totals[e.key]
+            totals = count_map(avg.families[fam].table)
+            for key, count in count_map(ppm.families[fam].table).items():
+                assert count <= totals[key]
 
     def test_matches_independent_recount(self):
         pairs = [binary_codebooks(8, 4, 4, seed=s) for s in (31, 32)]
@@ -381,7 +416,7 @@ class TestPerPairMaxima:
                 worst, peaks = oracle[fam]
                 assert rep.families[fam].worst_need_delta == pytest.approx(
                     worst, abs=1e-12)
-                assert {e.key: e.count for e in rep.families[fam].entries} == peaks
+                assert count_map(rep.families[fam].table) == peaks
 
 
 class TestExpurgate:
@@ -468,10 +503,10 @@ class TestExpurgate:
         before = packing_reports(pair)[0]
         after = packing_reports(res.final)[0]
         for fam in FAMILY_ORDER:
-            source = {e.key: e.lhs for e in before.families[fam].entries}
-            for e in after.families[fam].entries:
-                assert e.key in source
-                assert e.lhs <= 16 * source[e.key]
+            source = lhs_map(before.families[fam].table)
+            for key, lhs in lhs_map(after.families[fam].table).items():
+                assert key in source
+                assert lhs <= 16 * source[key]
 
     def test_achieved_deltas_match_independent_recount(self):
         pairs = [binary_codebooks(8, 8, 8, seed=s) for s in (61, 62)]
@@ -557,7 +592,7 @@ class TestSingleUserPacking:
         pair = binary_codebooks(6, 1, 1, seed=2)
         u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
         rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
-        assert rep.avg_entries == ()
+        assert len(rep.avg.counts) == 0
         assert rep.avg_worst_need_delta == 0.0
         assert rep.per_word_worst_need_delta == 0.0
         assert rep.satisfied(0.0)
@@ -566,7 +601,7 @@ class TestSingleUserPacking:
         pair = binary_codebooks(8, 6, 1, seed=3)
         u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
         rep = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
-        assert sum(e.count for e in rep.avg_entries) == 6 * 5
+        assert rep.avg.counts.sum() == 6 * 5
 
     def test_matches_independent_recount(self):
         binary = binary_codebooks(10, 8, 1, seed=4)

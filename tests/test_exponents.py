@@ -327,6 +327,37 @@ class TestBatchedEvaluator:
             assert (row / 12).sum() != 1.0
             assert np.count_nonzero(row) >= 8
 
+    def test_values_do_not_depend_on_memory_layout(self):
+        # F-ordered and non-contiguous views of C-ordered rows, for both
+        # constructors: every marginal entropy and exponent is bit-identical
+        rows = np.random.default_rng(14).multinomial(
+            12, np.full(16, 1 / 16), size=2000).astype(np.uint8)
+        shape = (-1, 1, 2, 2, 2, 2)
+        keeps = [keep for size in range(1, 6)
+                 for keep in combinations(QUAD_LABELS, size)]
+
+        def values(batch):
+            return np.concatenate(
+                [batch.entropy(keep) for keep in keeps]
+                + [family_exponents(batch, "quad", RatePair(0.25, 0.5))])
+
+        strided = rows.reshape(shape)[::3]
+        cases = [
+            (rows.reshape(shape), np.asfortranarray(rows).reshape(shape)),
+            (rows.reshape(shape),
+             np.moveaxis(np.ascontiguousarray(
+                 np.moveaxis(rows.reshape(shape), 0, -1)), -1, 0)),
+            (np.ascontiguousarray(strided), strided),
+        ]
+        for c_order, other in cases:
+            assert not other.flags.c_contiguous
+            want = values(JointBatch.from_counts(QUAD_LABELS, c_order, 12))
+            got = values(JointBatch.from_counts(QUAD_LABELS, other, 12))
+            assert np.array_equal(got, want)
+            want = values(JointBatch(QUAD_LABELS, c_order / 12))
+            got = values(JointBatch(QUAD_LABELS, other / 12))
+            assert np.array_equal(got, want)
+
     def test_empty_batch_gives_no_values(self):
         batch = JointBatch.from_counts(
             QUAD_LABELS, np.zeros((0, 1, 2, 2, 2, 2), dtype=np.int64), 12)

@@ -39,23 +39,25 @@ from macexp.lattice import (
     get_cache,
     minimize_branch,
 )
-from macexp.typeclasses import MAX_ENUM_CELLS, compositions_array
+from macexp.typeclasses import compositions_array
 from helpers import chan, identity_channel, uniform_law, xor_bsc
 
 SPECS = {**BRANCH_SPECS, **{s.name: s for s in BASELINE_SPECS.values()}}
 
 # largest full enumeration a reference builds
 REFERENCE_ROWS = 60_000
+# most cells of a checked branch
+MAX_CELLS = 32
 
 
 def _shapes(spec):
-    """(|U|, |X|, |Y|, |Z|, d) with the branch inside the cell guard and the
-    full enumeration small enough for a reference."""
+    """(|U|, |X|, |Y|, |Z|, d) with the branch over at most MAX_CELLS cells
+    and the full enumeration small enough for a reference."""
     out = []
     for u, x, y, z in product((1, 2), (2, 3), (2, 3), (2, 3)):
         by_label = {"U": u, "X": x, "Y": y, "X~": x, "Y~": y, "Z": z}
         cells = math.prod(by_label[lab] for lab in spec.labels)
-        if cells > MAX_ENUM_CELLS:
+        if cells > MAX_CELLS:
             continue
         out += [(u, x, y, z, d) for d in range(2, 7)
                 if math.comb(d + cells - 1, cells - 1) <= REFERENCE_ROWS]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import macexp.typeclasses as typeclasses
 from macexp import (
     Alphabet,
     ScaleGuardError,
@@ -20,6 +21,7 @@ from macexp import (
     sample_conditional_type_class,
     type_class_size,
 )
+from macexp.typeclasses import compositions_array, distinct_rows
 
 
 def _axes(*sizes, labels="XYZAB"):
@@ -216,14 +218,41 @@ class TestEnumerateLattice:
 
 
 class TestScaleGuards:
-    def test_too_many_cells_refused(self):
-        with pytest.raises(ScaleGuardError):
-            next(enumerate_types(2, _axes(3, 3, 2, 3)))
+    """One byte budget, rows x cells, refuses every enumeration before it
+    builds anything."""
 
-    def test_too_fine_denominator_refused(self):
+    def test_enumerate_types_refuses_over_budget(self, monkeypatch):
+        # 15 rows x 2 cells at d = 14, one byte over a budget of 29
+        monkeypatch.setattr(typeclasses, "ENUM_BYTES", 29)
+        with pytest.raises(ScaleGuardError, match="15 types over 2 cells"):
+            next(enumerate_types(14, _axes(2)))
         with pytest.raises(ScaleGuardError):
-            next(enumerate_types(13, _axes(2)))
+            next(enumerate_lattice(14, _axes(2)))
+        assert len(list(enumerate_types(13, _axes(2)))) == 14
 
-    def test_explicit_override_allows_more(self):
-        got = list(enumerate_types(13, _axes(2), max_denom=13))
-        assert len(got) == 14
+    def test_compositions_array_refuses_over_budget(self, monkeypatch):
+        monkeypatch.setattr(typeclasses, "ENUM_BYTES", 29)
+        with pytest.raises(ScaleGuardError, match="30 bytes"):
+            compositions_array(2, 14)
+        assert compositions_array(2, 13).shape == (14, 2)
+
+    def test_formerly_refused_requests_run(self):
+        # denominator 13 on one binary axis, and 54 cells at d = 2
+        assert len(list(enumerate_types(13, _axes(2)))) == 14
+        assert len(list(enumerate_types(2, _axes(3, 3, 2, 3)))) == 1485
+        assert compositions_array(54, 2).shape == (1485, 54)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_matches_numpy_unique(self, cols):
+        rng = np.random.default_rng(cols)
+        for z in (rng.integers(-5, 6, size=(500, cols)),
+                  np.sort(rng.integers(0, 1 << 40, size=(300, cols)), axis=0),
+                  np.repeat(rng.integers(0, 3, size=(7, cols)), 40, axis=0),
+                  np.zeros((0, cols), dtype=np.int64)):
+            rows, inverse = distinct_rows(z)
+            want, want_inverse = np.unique(z, axis=0, return_inverse=True)
+            assert np.array_equal(rows, want)
+            assert np.array_equal(inverse, want_inverse.ravel())
+            assert np.array_equal(rows[inverse], z)

@@ -39,14 +39,15 @@ from .lattice import (
     ZERO_SNAP,
     BranchSpec,
     MITerm,
-    RateConstraint,
     clamp_offset_value,
     constraint_rhs,
     get_cache,
+    marginal_cells,
     memo,
     memoised,
     minimize_branch,
     plan_lattice,
+    present_constraints,
 )
 from .probability import (
     EQ_TOL,
@@ -54,8 +55,6 @@ from .probability import (
     Channel,
     JointBatch,
     JointDist,
-    conditional_entropy,
-    conditional_mutual_information,
     joint_from_law_and_channel,
     marginalize,
 )
@@ -205,35 +204,22 @@ PACKING_FAMILIES = {
 _CONSTRAINTS_BY_NAME = {c.name: c for c in CONFUSABILITY_CONSTRAINTS}
 
 
-def _mi_value(v: JointDist, t: MITerm) -> float:
-    return conditional_mutual_information(v, t.a, t.b, t.c)
-
-
-def _constraint_lhs(v: JointDist, c: RateConstraint) -> float:
-    return sum(_mi_value(v, t) for t in c.terms)
-
-
-def _batch_lhs(batch: JointBatch, c: RateConstraint) -> np.ndarray:
-    """``_constraint_lhs`` of every row, in the same order of operations."""
-    return sum(batch.conditional_mutual_information(t.a, t.b, t.c)
-               for t in c.terms)
+def _mi_sum(batch: JointBatch, terms: tuple[MITerm, ...]) -> np.ndarray:
+    """The sum of the conditional mutual informations ``terms`` at every
+    row, added in term order."""
+    return sum(batch.conditional_mutual_information(t.a, t.b, t.c) for t in terms)
 
 
 def family_exponents(batch: JointBatch, family: str, rates: RatePair
                      ) -> np.ndarray:
     """Packing exponent of one family at every joint of a batch carrying its
-    axes, equal to ``family_exponent`` of each row."""
+    axes."""
     _, constraint, offsets = PACKING_FAMILIES[family]
     c = _CONSTRAINTS_BY_NAME[constraint]
-    value = batch.per_chunk(lambda chunk: _batch_lhs(chunk, c))
+    value = batch.per_chunk(lambda chunk: _mi_sum(chunk, c.terms))
     for rate in offsets:
         value -= getattr(rates, rate)
     return value
-
-
-def family_exponent(v: JointDist, family: str, rates: RatePair) -> float:
-    """Packing exponent of one family at a joint carrying its axes."""
-    return float(family_exponents(JointBatch.of(v), family, rates)[0])
 
 
 def packing_exponents(v: JointDist, rates: RatePair) -> PackingExponents:
@@ -241,12 +227,14 @@ def packing_exponents(v: JointDist, rates: RatePair) -> PackingExponents:
     need = {"U", "X", "Y", "X~", "Y~"}
     if not need.issubset(set(v.labels)):
         raise ValidationError(f"packing_exponents: joint must carry axes {sorted(need)}")
-    return PackingExponents(*(family_exponent(v, f, rates) for f in PACKING_FAMILIES))
+    batch = JointBatch.of(v)
+    return PackingExponents(*(float(family_exponents(batch, f, rates)[0])
+                              for f in PACKING_FAMILIES))
 
 
 def pair_equivocation(v: JointDist) -> float:
     """H(X,Y | Z,U): the decoder's score for the pair carried by (X, Y)."""
-    return conditional_entropy(v, ("X", "Y"), ("Z", "U"))
+    return float(JointBatch.of(v).conditional_entropy(("X", "Y"), ("Z", "U"))[0])
 
 
 @dataclass(frozen=True)
@@ -256,34 +244,35 @@ class ConstraintViolation:
     rhs: float
 
 
-def _pin_gaps(v: JointDist, p: InputLaw, pins) -> tuple[tuple[str, float], ...]:
-    """Each pinned marginal's largest deviation from the input law."""
-    return tuple(
-        (f"marginal_{'_'.join(subset)}",
-         float(np.abs(marginalize(v, subset).probs.ravel()
-                      - p.marginal_flat(base)).max()))
-        for subset, base in pins)
+def _check_lhs(batch: JointBatch, p: InputLaw, pins, constraints) -> np.ndarray:
+    """(N, checks) left sides at every row: for each pin (marginal axes,
+    input-law axes) the marginal's largest deviation from the law, then
+    each rate constraint's sum of mutual informations."""
+    law = _law_marginals(p)
+    gaps = [np.abs(batch.marginal(subset) - law[base]).max(axis=1)
+            for subset, base in pins]
+    return np.stack(gaps + [_mi_sum(batch, c.terms) for c in constraints], axis=1)
 
 
-def _broken(gaps, lhs, rates: RatePair, delta: float,
-            tol: float) -> list[ConstraintViolation]:
-    """Pin gaps over ``tol`` and (constraint, left side) pairs over their
-    right side at these rates."""
-    violations = [ConstraintViolation(name, gap, tol)
-                  for name, gap in gaps if gap > tol]
-    for c, value in lhs:
-        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
-        if not value <= rhs + RATE_TOL:
-            violations.append(ConstraintViolation(c.name, value, rhs))
-    return violations
+def _verdict(lhs: np.ndarray, n_pins: int, constraints, rates: RatePair,
+             delta: float, tol: float) -> tuple[tuple[float, ...], np.ndarray]:
+    """Each check's right side at these rates, and where the left sides from
+    ``_check_lhs`` break it: pin gaps over ``tol``, constraints over rhs + RATE_TOL."""
+    rate_rhs = tuple(constraint_rhs(c.offset, rates.rx, rates.ry, delta)
+                     for c in constraints)
+    bound = np.array((tol,) * n_pins + tuple(r + RATE_TOL for r in rate_rhs))
+    return (tol,) * n_pins + rate_rhs, ~(lhs <= bound)
 
 
-def _violations(v: JointDist, p: InputLaw, pins, constraints, rates: RatePair,
-                delta: float, tol: float) -> list[ConstraintViolation]:
-    """Marginal pins off by more than ``tol`` and rate constraints broken."""
-    return _broken(_pin_gaps(v, p, pins),
-                   [(c, _constraint_lhs(v, c)) for c in constraints],
-                   rates, delta, tol)
+def _check_names(pins, constraints) -> tuple[str, ...]:
+    return tuple([f"marginal_{'_'.join(subset)}" for subset, _ in pins]
+                 + [c.name for c in constraints])
+
+
+def _violations(names, lhs, rhs, broken) -> list[ConstraintViolation]:
+    """The checks one row breaks, with both sides."""
+    return [ConstraintViolation(name, value, bound)
+            for name, value, bound, bad in zip(names, lhs, rhs, broken) if bad]
 
 
 @dataclass(frozen=True)
@@ -305,30 +294,11 @@ def confusability_checks(batch: JointBatch, p: InputLaw, rates: RatePair,
     labels = set(batch.labels)
     if not {"U", "X", "Y"}.issubset(labels):
         raise ValidationError("confusability check needs axes (U, X, Y)")
-    pins = [(("U", "X"), ("U", "X")), (("U", "Y"), ("U", "Y"))]
-    if "X~" in labels:
-        pins.append((("U", "X~"), ("U", "X")))
-    if "Y~" in labels:
-        pins.append((("U", "Y~"), ("U", "Y")))
-    present = [c for c in CONFUSABILITY_CONSTRAINTS
-               if all(set(t.a + t.b + t.c) <= labels for t in c.terms)]
-    wants = [p.marginal_flat(base) for _, base in pins]
-
-    def lhs_of(chunk: JointBatch) -> np.ndarray:
-        gaps = [np.abs(chunk.marginal(subset) - want).max(axis=1)
-                for (subset, _), want in zip(pins, wants)]
-        return np.stack(gaps + [_batch_lhs(chunk, c) for c in present], axis=1)
-
-    lhs = batch.per_chunk(lhs_of)
-    rhs = tuple([tol] * len(pins) + [constraint_rhs(c.offset, rates.rx, rates.ry,
-                                                    delta) for c in present])
-    violated = np.empty(lhs.shape, dtype=bool)
-    violated[:, :len(pins)] = lhs[:, :len(pins)] > tol
-    violated[:, len(pins):] = ~(lhs[:, len(pins):]
-                                <= np.asarray(rhs[len(pins):]) + RATE_TOL)
-    names = tuple([f"marginal_{'_'.join(subset)}" for subset, _ in pins]
-                  + [c.name for c in present])
-    return ConfusabilityChecks(names, lhs, rhs, violated)
+    pins = [(("U", a), ("U", a[0])) for a in ("X", "Y", "X~", "Y~") if a in labels]
+    present = present_constraints(labels)
+    lhs = batch.per_chunk(lambda chunk: _check_lhs(chunk, p, pins, present))
+    rhs, violated = _verdict(lhs, len(pins), present, rates, delta, tol)
+    return ConfusabilityChecks(_check_names(pins, present), lhs, rhs, violated)
 
 
 def confusability_feasible(v: JointDist, p: InputLaw, rates: RatePair,
@@ -342,10 +312,8 @@ def confusability_feasible(v: JointDist, p: InputLaw, rates: RatePair,
     input law.  Returns (feasible, violations).
     """
     checks = confusability_checks(JointBatch.of(v), p, rates, delta, tol)
-    violations = [ConstraintViolation(name, float(lhs), rhs)
-                  for name, lhs, rhs, bad in zip(checks.names, checks.lhs[0],
-                                                 checks.rhs, checks.violated[0])
-                  if bad]
+    violations = _violations(checks.names, checks.lhs[0].tolist(), checks.rhs,
+                             checks.violated[0])
     return (len(violations) == 0), violations
 
 
@@ -364,14 +332,13 @@ def _divergence_term(v: JointDist, w: Channel, p: InputLaw | None,
     vm = marginalize(v, ("U", "X", "Y", "Z"))
     probs = vm.probs  # axes (U, X, Y, Z) in branch label order
     if weighting == "V":
-        lin = 0.0
         mask = probs > 0.0
         wb = np.broadcast_to(w.w[None], probs.shape)
         if np.any(wb[mask] == 0.0):
             return math.inf
         lin = float((probs[mask] * -np.log2(wb[mask])).sum())
-        h = conditional_entropy(vm, ("Z",), ("U", "X", "Y"))
-        return lin - h
+        h = JointBatch.of(vm).conditional_entropy(("Z",), ("U", "X", "Y"))[0]
+        return lin - float(h)
     # weighting == "P": conditioning weights come from the law, the kernel
     # from V; zero-mass V cells contribute nothing (free conditional).
     law = p.joint.probs
@@ -398,8 +365,7 @@ def _divergence_term(v: JointDist, w: Channel, p: InputLaw | None,
 class _ObjectiveTerms:
     """The parts of one branch objective at one joint that no rate changes."""
 
-    pin_gaps: tuple[tuple[str, float], ...]
-    lhs: tuple[tuple[RateConstraint, float], ...]
+    lhs: tuple[float, ...]      # ``_check_lhs`` of the branch's pins and constraints
     alpha_diff: float | None    # equivocation of true minus competitor pair
     divergence: float
     mi_xy: float
@@ -408,19 +374,21 @@ class _ObjectiveTerms:
 
 def _objective_terms(spec: BranchSpec, v: JointDist, w: Channel, p: InputLaw,
                      weighting: str) -> _ObjectiveTerms:
+    batch = JointBatch.of(v)
     alpha_diff = None
     if spec.alpha_competitor is not None:
-        alpha_diff = (pair_equivocation(v)
-                      - conditional_entropy(v, spec.alpha_competitor, ("Z", "U")))
+        alpha_diff = pair_equivocation(v) - float(
+            batch.conditional_entropy(spec.alpha_competitor, ("Z", "U"))[0])
+    mi_xy = float(batch.conditional_mutual_information(("X",), ("Y",), ("U",))[0])
     # every term is a divergence or mutual information, hence >= 0; clamp
     # away the ulp-scale negatives float cancellation can leave behind
     return _ObjectiveTerms(
-        pin_gaps=_pin_gaps(v, p, spec.marginal_eq),
-        lhs=tuple((c, _constraint_lhs(v, c)) for c in spec.constraints),
+        lhs=tuple(_check_lhs(batch, p, spec.marginal_eq,
+                             spec.constraints)[0].tolist()),
         alpha_diff=alpha_diff,
         divergence=max(0.0, _divergence_term(v, w, p, weighting)),
-        mi_xy=max(0.0, conditional_mutual_information(v, ("X",), ("Y",), ("U",))),
-        clamp_base=sum(_mi_value(v, t) for t in spec.clamp_terms),
+        mi_xy=max(0.0, mi_xy),
+        clamp_base=float(_mi_sum(batch, spec.clamp_terms)[0]),
     )
 
 
@@ -428,7 +396,10 @@ def _objective_report(spec: BranchSpec, terms: _ObjectiveTerms,
                       rates: RatePair, delta: float,
                       marginal_tol: float) -> ObjectiveReport:
     """The objective and feasibility at these rates from its terms."""
-    violations = _broken(terms.pin_gaps, terms.lhs, rates, delta, marginal_tol)
+    rhs, broken = _verdict(np.array(terms.lhs), len(spec.marginal_eq),
+                           spec.constraints, rates, delta, marginal_tol)
+    violations = _violations(_check_names(spec.marginal_eq, spec.constraints),
+                             terms.lhs, rhs, broken)
     diff = terms.alpha_diff
     if diff is not None and not diff >= -ALPHA_TOL:
         violations.append(ConstraintViolation("equivocation_order", diff, -ALPHA_TOL))
@@ -552,18 +523,12 @@ def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
     d = solver.lattice_denominator
     sizes = start.probs.shape
     cells = int(np.prod(sizes))
-    rows = []
-    for subset, _ in spec.marginal_eq:
-        keep = tuple(i for i, lab in enumerate(spec.labels) if lab in subset)
-        reduced = int(np.prod([sizes[i] for i in keep]))
-        mat = np.zeros((reduced, cells))
-        for flat in range(cells):
-            multi = np.unravel_index(flat, sizes)
-            r = np.ravel_multi_index(tuple(multi[i] for i in keep),
-                                     tuple(sizes[i] for i in keep))
-            mat[r, flat] = 1.0
-        rows.append(mat)
-    a_mat = np.concatenate(rows, axis=0)
+    # one 0/1 row per pinned marginal cell; the last cell of the joint adds
+    # to the last marginal cell, so the largest index counts the rows
+    hits = [marginal_cells(spec.labels, sizes, subset)
+            for subset, _ in spec.marginal_eq]
+    a_mat = np.concatenate([(hit == np.arange(hit.max() + 1)[:, None])
+                            .astype(np.float64) for hit in hits])
     projector = np.eye(cells) - np.linalg.pinv(a_mat) @ a_mat
 
     step = 1.0 / (4.0 * d)
@@ -720,14 +685,19 @@ class Pentagon:
                 and rates.rx + rates.ry <= self.i_xy)
 
 
+def _pentagons(batch: JointBatch) -> np.ndarray:
+    """(N, 3) rate ceilings I(X;Z|YU), I(Y;Z|XU), I(XY;Z|U) of every
+    (U, X, Y, Z) joint of a batch."""
+    return batch.per_chunk(lambda chunk: np.stack([
+        chunk.conditional_mutual_information(("X",), ("Z",), ("Y", "U")),
+        chunk.conditional_mutual_information(("Y",), ("Z",), ("X", "U")),
+        chunk.conditional_mutual_information(("X", "Y"), ("Z",), ("U",))], axis=1))
+
+
 def capacity_pentagon(p: InputLaw, w: Channel) -> Pentagon:
     """Rate ceilings of one input law: I(X;Z|YU), I(Y;Z|XU), I(XY;Z|U)."""
     joint = joint_from_law_and_channel(p.joint, w)
-    return Pentagon(
-        i_x=conditional_mutual_information(joint, ("X",), ("Z",), ("Y", "U")),
-        i_y=conditional_mutual_information(joint, ("Y",), ("Z",), ("X", "U")),
-        i_xy=conditional_mutual_information(joint, ("X", "Y"), ("Z",), ("U",)),
-    )
+    return Pentagon(*_pentagons(JointBatch.of(joint))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -736,10 +706,6 @@ class RegionWitness:
     pentagon: Pentagon | None
     input_law: InputLaw | None
     u_grid: int
-
-
-def _simplex_grid(size: int, denom: int) -> np.ndarray:
-    return compositions_array(size, denom).astype(np.float64) / denom
 
 
 def region_contains(rates: RatePair, w: Channel, u_grid: int = 8) -> RegionWitness:
@@ -757,33 +723,28 @@ def region_contains(rates: RatePair, w: Channel, u_grid: int = 8) -> RegionWitne
             or rates.rx + rates.ry > math.log2(sx) + math.log2(sy)):
         return RegionWitness(False, None, None, u_grid)
 
-    gx = _simplex_grid(sx, u_grid)
-    gy = _simplex_grid(sy, u_grid)
-    atoms = []
-    vals = []
-    for i in range(gx.shape[0]):
-        for j in range(gy.shape[0]):
-            law = InputLaw.from_components([1.0], gx[i:i + 1], gy[j:j + 1])
-            pent = capacity_pentagon(law, w)
-            atoms.append((i, j))
-            vals.append((pent.i_x, pent.i_y, pent.i_xy))
-    vals = np.asarray(vals)
+    # the sender distributions and the atom weights on the 1/u_grid grid
+    gx, gy, weights = (compositions_array(size, u_grid) / u_grid
+                       for size in (sx, sy, 4))
+    # atom k = i |gy| + j is the law gx[i] x gy[j] with a single u, and its
+    # joint with the channel, each renormalised as InputLaw and JointDist do
+    laws = JointBatch.renormalised(("U", "X", "Y"), (
+        gx[:, None, :, None] * gy[None, :, None, :]).reshape(-1, 1, sx, sy))
+    vals = laws.per_chunk(lambda chunk: _pentagons(JointBatch.renormalised(
+        ("U", "X", "Y", "Z"), chunk.probs[..., None] * w.w)))
 
-    # only Pareto-maximal atoms can matter in a dominating mixture
-    keep = []
-    for k in range(vals.shape[0]):
-        dominated = False
-        for m in range(vals.shape[0]):
-            if m == k:
-                continue
-            if np.all(vals[m] >= vals[k]) and np.any(vals[m] > vals[k]):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(k)
+    # only Pareto-maximal atoms can matter in a dominating mixture: drop
+    # each atom that another is no smaller than anywhere and larger than
+    # somewhere, comparing all atoms against a block of them at a time
+    dominated = np.zeros(len(vals), dtype=bool)
+    block = max(1, (1 << 20) // len(vals))
+    for lo in range(0, len(vals), block):
+        m, k = vals[:, None], vals[None, lo:lo + block]
+        dominated[lo:lo + block] = ((m >= k).all(axis=2)
+                                    & (m > k).any(axis=2)).any(axis=0)
+    keep = np.flatnonzero(~dominated)
     pvals = vals[keep]
 
-    weights = compositions_array(4, u_grid).astype(np.float64) / u_grid
     target = np.asarray([rates.rx, rates.ry, rates.rx + rates.ry])
     for combo in combinations_with_replacement(range(len(keep)), 4):
         mix = weights @ pvals[list(combo)]
@@ -791,11 +752,8 @@ def region_contains(rates: RatePair, w: Channel, u_grid: int = 8) -> RegionWitne
         if not ok.any():
             continue
         wsel = weights[int(np.argmax(ok))]
-        support = [(float(wsel[s]), atoms[keep[combo[s]]])
-                   for s in range(4) if wsel[s] > 0.0]
-        pu = [m for m, _ in support]
-        px = [gx[a[0]] for _, a in support]
-        py = [gy[a[1]] for _, a in support]
-        law = InputLaw.from_components(pu, np.asarray(px), np.asarray(py))
+        used = wsel > 0.0
+        i, j = np.divmod(keep[np.asarray(combo)[used]], len(gy))
+        law = InputLaw.from_components(wsel[used], gx[i], gy[j])
         return RegionWitness(True, capacity_pentagon(law, w), law, u_grid)
     return RegionWitness(False, None, None, u_grid)

@@ -69,10 +69,15 @@ _EVAL_CHUNK = 1 << 18
 
 # Memory bound of the lattice layer: the caches held at once with their
 # value vectors, and the projected rows x bytes of one build (stored arrays
-# plus enumeration scratch) or of one step of its dynamic program.  Branch
-# XY on binary alphabets needs about 0.5 GB at d=10 (2,605,984 pinned rows)
-# and would need about 4 GB at d=12 (22,901,128), which is refused.
+# plus enumeration scratch, and one chunk of marginal sums) or of one step
+# of its dynamic program.  Branch XY on binary alphabets needs about 0.5 GB
+# at d=10 (2,605,984 pinned rows) and would need about 4 GB at d=12
+# (22,901,128), which is refused.
 LATTICE_BYTES = 1 << 30
+
+# Int64 marginal sums one ``cache_from_counts`` chunk holds: the build's
+# scratch next to its stored rows.
+SUM_BYTES = 1 << 21
 
 # OpenBLAS computes the last (rows mod 4) rows of a gemv call, and the rows
 # at its thread splits, with a different kernel whose last bit can differ.
@@ -111,18 +116,19 @@ class BranchSpec:
     alpha_competitor: tuple[str, ...] | None
 
 
+_RHS = {
+    "min3": lambda rx, ry, m, delta: m + 3 * delta,
+    "rx_min4": lambda rx, ry, m, delta: rx + m + 4 * delta,
+    "ry_min4": lambda rx, ry, m, delta: ry + m + 4 * delta,
+    "rxy_min5": lambda rx, ry, m, delta: rx + ry + m + 5 * delta,
+    "rx3": lambda rx, ry, m, delta: rx + 3 * delta,
+    "ry3": lambda rx, ry, m, delta: ry + 3 * delta,
+    "rxy3": lambda rx, ry, m, delta: rx + ry + 3 * delta,
+}
+
+
 def constraint_rhs(offset: str, rx: float, ry: float, delta: float) -> float:
-    m = min(rx, ry)
-    table = {
-        "min3": m + 3 * delta,
-        "rx_min4": rx + m + 4 * delta,
-        "ry_min4": ry + m + 4 * delta,
-        "rxy_min5": rx + ry + m + 5 * delta,
-        "rx3": rx + 3 * delta,
-        "ry3": ry + 3 * delta,
-        "rxy3": rx + ry + 3 * delta,
-    }
-    return table[offset]
+    return _RHS[offset](rx, ry, min(rx, ry), delta)
 
 
 def clamp_offset_value(kind: str, rx: float, ry: float) -> float:
@@ -140,55 +146,6 @@ def _mi(a, b, c=()):
         return (v,) if isinstance(v, str) else tuple(v)
     return MITerm(as_labels(a), as_labels(b), as_labels(c))
 
-
-# Expurgated branches.  Branch X confuses the X codeword only: the
-# competitor axis X~ carries the other codeword, pinned to the same
-# conditional law as X.  Branch Y mirrors it; branch XY confuses both and
-# carries the full ten-inequality constraint set realized joint types of a
-# good code must satisfy.
-BRANCH_X = BranchSpec(
-    name="X",
-    labels=("U", "X", "Y", "X~", "Z"),
-    marginal_eq=(
-        (("U", "X"), ("U", "X")),
-        (("U", "X~"), ("U", "X")),
-        (("U", "Y"), ("U", "Y")),
-    ),
-    constraints=(
-        RateConstraint("pair_xy", (_mi("X", "Y", "U"),), "min3"),
-        RateConstraint("pair_xty", (_mi("X~", "Y", "U"),), "min3"),
-        RateConstraint(
-            "triple_x",
-            (_mi("X", "Y", "U"), _mi("X~", "Y", "U"), _mi("X~", "X", ("U", "Y"))),
-            "rx_min4",
-        ),
-    ),
-    clamp_terms=(_mi("X~", ("X", "Z"), ("Y", "U")), _mi("X~", "Y", "U")),
-    clamp_offset="rx",
-    alpha_competitor=("X~", "Y"),
-)
-
-BRANCH_Y = BranchSpec(
-    name="Y",
-    labels=("U", "X", "Y", "Y~", "Z"),
-    marginal_eq=(
-        (("U", "Y"), ("U", "Y")),
-        (("U", "Y~"), ("U", "Y")),
-        (("U", "X"), ("U", "X")),
-    ),
-    constraints=(
-        RateConstraint("pair_xy", (_mi("X", "Y", "U"),), "min3"),
-        RateConstraint("pair_xyt", (_mi("X", "Y~", "U"),), "min3"),
-        RateConstraint(
-            "triple_y",
-            (_mi("X", "Y", "U"), _mi("X", "Y~", "U"), _mi("Y~", "Y", ("U", "X"))),
-            "ry_min4",
-        ),
-    ),
-    clamp_terms=(_mi("Y~", ("Y", "Z"), ("X", "U")), _mi("X", "Y~", "U")),
-    clamp_offset="ry",
-    alpha_competitor=("X", "Y~"),
-)
 
 # The full constraint family on joint types of (u, x_i, y_j, x_k, y_l).
 CONFUSABILITY_CONSTRAINTS = (
@@ -228,6 +185,49 @@ CONFUSABILITY_CONSTRAINTS = (
     ),
 )
 
+
+def present_constraints(labels) -> tuple[RateConstraint, ...]:
+    """The constraints of the family whose variables are all in ``labels``:
+    those a joint over these axes can be checked against."""
+    labels = set(labels)
+    return tuple(c for c in CONFUSABILITY_CONSTRAINTS
+                 if all(set(t.a + t.b + t.c) <= labels for t in c.terms))
+
+
+# Expurgated branches.  Branch X confuses the X codeword only: the
+# competitor axis X~ carries the other codeword, pinned to the same
+# conditional law as X.  Branch Y mirrors it; branch XY confuses both and
+# carries the full ten-inequality constraint set realized joint types of a
+# good code must satisfy.  Each branch checks the constraints its axes
+# carry, by the rule that checks a realized type.
+BRANCH_X = BranchSpec(
+    name="X",
+    labels=("U", "X", "Y", "X~", "Z"),
+    marginal_eq=(
+        (("U", "X"), ("U", "X")),
+        (("U", "X~"), ("U", "X")),
+        (("U", "Y"), ("U", "Y")),
+    ),
+    constraints=present_constraints(("U", "X", "Y", "X~")),
+    clamp_terms=(_mi("X~", ("X", "Z"), ("Y", "U")), _mi("X~", "Y", "U")),
+    clamp_offset="rx",
+    alpha_competitor=("X~", "Y"),
+)
+
+BRANCH_Y = BranchSpec(
+    name="Y",
+    labels=("U", "X", "Y", "Y~", "Z"),
+    marginal_eq=(
+        (("U", "Y"), ("U", "Y")),
+        (("U", "Y~"), ("U", "Y")),
+        (("U", "X"), ("U", "X")),
+    ),
+    constraints=present_constraints(("U", "X", "Y", "Y~")),
+    clamp_terms=(_mi("Y~", ("Y", "Z"), ("X", "U")), _mi("X", "Y~", "U")),
+    clamp_offset="ry",
+    alpha_competitor=("X", "Y~"),
+)
+
 BRANCH_XY = BranchSpec(
     name="XY",
     labels=("U", "X", "Y", "X~", "Y~", "Z"),
@@ -237,7 +237,7 @@ BRANCH_XY = BranchSpec(
         (("U", "Y"), ("U", "Y")),
         (("U", "Y~"), ("U", "Y")),
     ),
-    constraints=CONFUSABILITY_CONSTRAINTS,
+    constraints=present_constraints(("U", "X", "Y", "X~", "Y~")),
     clamp_terms=(_mi(("X~", "Y~"), ("X", "Y", "Z"), "U"), _mi("X~", "Y~", "U")),
     clamp_offset="rxy",
     alpha_competitor=("X~", "Y~"),
@@ -380,6 +380,15 @@ def _subset_axes(labels, subset) -> tuple[int, ...]:
     return tuple(i for i, l in enumerate(labels) if l in subset)
 
 
+def marginal_cells(labels, sizes, subset) -> np.ndarray:
+    """For each flat cell (C order) of a tensor over ``labels``, the flat
+    index of the cell of its marginal over ``subset`` that it adds to."""
+    keep = _subset_axes(labels, subset)
+    flat = np.indices(sizes).reshape(len(sizes), -1)
+    return np.ravel_multi_index(tuple(flat[i] for i in keep),
+                                tuple(sizes[i] for i in keep))
+
+
 _PINS = memo()
 
 
@@ -407,6 +416,17 @@ def _row_bytes(spec: BranchSpec, sizes, d: int) -> tuple[int, int]:
     return stored, 2 * cells + (d + 1) + 4 * 8
 
 
+def _sum_chunk(spec: BranchSpec, sizes) -> tuple[list, int, int]:
+    """(the label sets whose marginal entropies a cache sums, smallest
+    first; rows of one ``cache_from_counts`` chunk; int64 marginal-sum
+    bytes of one row): a chunk holds at most ``SUM_BYTES`` of sums."""
+    subsets = sorted({s for combo in _branch_combos(spec).values() for s in combo},
+                     key=lambda s: (len(s), sorted(s)))
+    row = 8 * sum(math.prod(sizes[i] for i in _subset_axes(spec.labels, s))
+                  for s in subsets)
+    return subsets, max(1, SUM_BYTES // row), row
+
+
 class _PinnedPlan:
     """Dynamic program over the flat cells in C order for the rows whose
     pinned marginal counts are all admissible.
@@ -422,12 +442,9 @@ class _PinnedPlan:
 
     def __init__(self, spec: BranchSpec, sizes, d: int, pins, budget: int):
         cells = int(np.prod(sizes))
-        flat = np.indices(sizes).reshape(len(sizes), -1)
         hits, allowed = [], []
         for (subset, _), counts in zip(spec.marginal_eq, pins):
-            keep = _subset_axes(spec.labels, subset)
-            hits.append(len(allowed) + np.ravel_multi_index(
-                tuple(flat[i] for i in keep), tuple(sizes[i] for i in keep)))
+            hits.append(len(allowed) + marginal_cells(spec.labels, sizes, subset))
             for ok in counts:
                 row = np.zeros(d + 1, dtype=bool)
                 row[list(ok)] = True
@@ -497,15 +514,14 @@ def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
     """Per-type quantities of the given rows."""
     n_rows = counts.shape[0]
     combos = _branch_combos(spec)
-    subsets = sorted({s for combo in combos.values() for s in combo},
-                     key=lambda s: (len(s), sorted(s)))
 
     table = xlogx_table(d)
 
     quantities = {name: np.empty(n_rows, dtype=np.float64) for name in combos}
 
-    # each chunk's marginal sums take about 1.4 KB per row on branch XY
-    chunk = 1 << 14
+    # integer sums, and float sums along each row, so no value depends on
+    # the chunk a row falls in
+    subsets, chunk, _ = _sum_chunk(spec, sizes)
     for a in range(0, n_rows, chunk):
         b = min(a + chunk, n_rows)
         view = counts[a:b].reshape((b - a,) + sizes)
@@ -558,7 +574,8 @@ def plan_lattice(spec: BranchSpec, sizes: tuple[int, ...], d: int,
         return key, None
     plan = _PinnedPlan(spec, sizes, d, key[3], LATTICE_BYTES)
     stored, scratch = _row_bytes(spec, sizes, d)
-    if plan.rows * (stored + scratch) > LATTICE_BYTES:
+    _, chunk, sums = _sum_chunk(spec, sizes)
+    if plan.rows * (stored + scratch) + min(plan.rows, chunk) * sums > LATTICE_BYTES:
         rows = plan.rows if plan.rows <= LATTICE_BYTES else f"over {LATTICE_BYTES}"
         raise ScaleGuardError(
             f"branch {spec.name}: {rows} pinned types at denominator {d} "

@@ -200,10 +200,15 @@ class JointBatch:
     @classmethod
     def from_counts(cls, labels, counts: np.ndarray, n: int) -> "JointBatch":
         """Rows ``counts / n`` renormalised as ``TypeVector.to_joint`` does."""
-        counts = np.ascontiguousarray(counts)
-        cells = math.prod(counts.shape[1:])
-        flat = _clean_rows((counts / n).reshape(len(counts), cells))
-        return cls(labels, flat.reshape(counts.shape))
+        return cls.renormalised(labels, np.ascontiguousarray(counts) / n)
+
+    @classmethod
+    def renormalised(cls, labels, probs: np.ndarray) -> "JointBatch":
+        """Rows renormalised as a JointDist renormalises its probabilities."""
+        probs = np.ascontiguousarray(probs)
+        cells = math.prod(probs.shape[1:])
+        flat = _clean_rows(probs.reshape(len(probs), cells))
+        return cls(labels, flat.reshape(probs.shape))
 
     @classmethod
     def of(cls, joint: JointDist) -> "JointBatch":

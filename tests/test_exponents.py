@@ -7,7 +7,7 @@ one to within 1e-12; frozen-value comparisons run at 1e-9.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -28,9 +28,11 @@ from macexp import (
     branch_exponent,
     branch_objective,
     capacity_pentagon,
+    conditional_entropy,
     confusability_feasible,
     conditional_mutual_information,
     expurgated_exponent,
+    joint_from_law_and_channel,
     packing_exponents,
     pair_equivocation,
     region_contains,
@@ -43,11 +45,11 @@ from macexp.exponents import (
     _anchor,
     _anchor_joint,
     _branch_sizes,
-    _constraint_lhs,
+    _divergence_term,
     _law_marginals,
     _objective_report,
     _objective_terms,
-    _violations,
+    _ObjectiveTerms,
     confusability_checks,
     family_exponents,
 )
@@ -55,13 +57,15 @@ from macexp.lattice import (
     BASELINE_SPECS,
     BRANCH_SPECS,
     CONFUSABILITY_CONSTRAINTS,
+    RATE_TOL,
     cache_from_counts,
     clear_lattice_cache,
+    constraint_rhs,
     get_cache,
     minimize_branch,
 )
 from macexp.probability import EQ_TOL, JointBatch, entropy, marginalize
-from macexp.typeclasses import TypeVector
+from macexp.typeclasses import TypeVector, compositions_array
 from helpers import (
     adder_channel,
     chan,
@@ -132,6 +136,61 @@ def _five_axis(probs):
     probs = np.asarray(probs, dtype=float)
     axes = tuple(Alphabet(s, l) for s, l in zip(probs.shape, labels))
     return JointDist(axes, probs)
+
+
+# Scalar references: one JointDist at a time through the public measures of
+# ``probability``, in the order of operations the batched evaluator keeps.
+
+def _constraint_lhs(v: JointDist, c) -> float:
+    return sum(conditional_mutual_information(v, t.a, t.b, t.c) for t in c.terms)
+
+
+def _pin_gaps(v: JointDist, p: InputLaw, pins) -> list[float]:
+    return [float(np.abs(marginalize(v, subset).probs.ravel()
+                         - p.marginal_flat(base)).max()) for subset, base in pins]
+
+
+def _violations(v: JointDist, p: InputLaw, pins, constraints, rates: RatePair,
+                delta: float, tol: float) -> list[ConstraintViolation]:
+    """Marginal pins off by more than ``tol`` and rate constraints broken."""
+    violations = [ConstraintViolation(f"marginal_{'_'.join(subset)}", gap, tol)
+                  for (subset, _), gap in zip(pins, _pin_gaps(v, p, pins))
+                  if gap > tol]
+    for c in constraints:
+        value = _constraint_lhs(v, c)
+        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
+        if not value <= rhs + RATE_TOL:
+            violations.append(ConstraintViolation(c.name, value, rhs))
+    return violations
+
+
+def _scalar_terms(spec, v: JointDist, w: Channel, p: InputLaw,
+                  weighting: str) -> _ObjectiveTerms:
+    """``_objective_terms`` of one joint.  Under P weighting the divergence
+    is the package's own scalar loop, which has no batched twin."""
+    alpha_diff = None
+    if spec.alpha_competitor is not None:
+        alpha_diff = (conditional_entropy(v, ("X", "Y"), ("Z", "U"))
+                      - conditional_entropy(v, spec.alpha_competitor, ("Z", "U")))
+    if weighting == "V":
+        vm = marginalize(v, ("U", "X", "Y", "Z"))
+        mask = vm.probs > 0.0
+        wb = np.broadcast_to(w.w[None], vm.probs.shape)
+        divergence = math.inf
+        if not np.any(wb[mask] == 0.0):
+            divergence = (float((vm.probs[mask] * -np.log2(wb[mask])).sum())
+                          - conditional_entropy(vm, ("Z",), ("U", "X", "Y")))
+    else:
+        divergence = _divergence_term(v, w, p, "P")
+    return _ObjectiveTerms(
+        lhs=tuple(_pin_gaps(v, p, spec.marginal_eq)
+                  + [_constraint_lhs(v, c) for c in spec.constraints]),
+        alpha_diff=alpha_diff,
+        divergence=max(0.0, divergence),
+        mi_xy=max(0.0, conditional_mutual_information(v, ("X",), ("Y",), ("U",))),
+        clamp_base=sum(conditional_mutual_information(v, t.a, t.b, t.c)
+                       for t in spec.clamp_terms),
+    )
 
 
 class TestPackingExponents:
@@ -627,9 +686,9 @@ def anchor_cases(draw):
     delta = draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.2))
     # on a boundary: a rate equal to a constraint's left side, or to the
     # clamp's base, with the other rate random or equal
-    terms = _objective_terms(spec, _anchor_joint(spec, law, w, kind), w, law,
-                             weighting)
-    edges = [lhs for _, lhs in terms.lhs] + [terms.clamp_base]
+    joint = _anchor_joint(spec, law, w, kind)
+    edges = ([_constraint_lhs(joint, c) for c in spec.constraints]
+             + [_scalar_terms(spec, joint, w, law, weighting).clamp_base])
     rate = st.floats(0.0, 2.5) | st.sampled_from(edges)
     rx = draw(rate)
     ry = draw(st.just(rx) | rate)
@@ -650,6 +709,7 @@ class TestAnchorMemo:
         assert got.feasible == want.feasible
         assert got == want
         assert np.array_equal(joint.probs, _anchor_joint(spec, law, w, kind).probs)
+        assert terms == _scalar_terms(spec, joint, w, law, weighting)
 
 
 def _same_result(a, b):
@@ -747,6 +807,41 @@ class TestMemoKeys:
         assert not exponents._ANCHORS and not exponents._LAW_MARGINALS
 
 
+def _scalar_region(rates: RatePair, w: Channel, u_grid: int):
+    """``region_contains`` one atom at a time: a JointDist per atom, the
+    public measures of ``probability`` and a pairwise dominance loop.
+    Returns the witness law's probabilities and pentagon, or None."""
+    def ceilings(law):
+        joint = joint_from_law_and_channel(law.joint, w)
+        return [conditional_mutual_information(joint, ("X",), ("Z",), ("Y", "U")),
+                conditional_mutual_information(joint, ("Y",), ("Z",), ("X", "U")),
+                conditional_mutual_information(joint, ("X", "Y"), ("Z",), ("U",))]
+
+    gx, gy = (compositions_array(a.size, u_grid) / u_grid
+              for a in (w.x_alphabet, w.y_alphabet))
+    atoms = [(i, j) for i in range(len(gx)) for j in range(len(gy))]
+    vals = np.asarray([ceilings(InputLaw.from_components([1.0], gx[i:i + 1],
+                                                         gy[j:j + 1]))
+                       for i, j in atoms])
+    keep = [k for k in range(len(atoms))
+            if not any(m != k and np.all(vals[m] >= vals[k])
+                       and np.any(vals[m] > vals[k]) for m in range(len(atoms)))]
+    weights = compositions_array(4, u_grid) / u_grid
+    target = [rates.rx, rates.ry, rates.rx + rates.ry]
+    for combo in combinations_with_replacement(range(len(keep)), 4):
+        ok = np.all(weights @ vals[[keep[c] for c in combo]] >= target, axis=1)
+        if ok.any():
+            wsel = weights[int(np.argmax(ok))]
+            support = [(wsel[s], atoms[keep[combo[s]]]) for s in range(4)
+                       if wsel[s] > 0.0]
+            law = InputLaw.from_components(
+                [m for m, _ in support],
+                np.asarray([gx[i] for _, (i, _) in support]),
+                np.asarray([gy[j] for _, (_, j) in support]))
+            return law.joint.probs, ceilings(law)
+    return None
+
+
 class TestPentagonAndRegion:
     def test_identity_channel_pentagon(self):
         p = capacity_pentagon(uniform_law(), identity_channel())
@@ -794,6 +889,17 @@ class TestPentagonAndRegion:
         pent = witness.pentagon
         assert pent.contains(RatePair(0.7, 0.7))
         assert pent.i_xy >= 1.4 - 1e-9
+
+    # a one-atom witness, a two-atom mixture and a miss
+    @pytest.mark.parametrize("rates", [(0.2, 0.2), (0.05, 0.35), (0.3, 0.1)])
+    def test_ternary_inputs_match_the_scalar_search(self, rates):
+        w = random_channel(np.random.default_rng(3), 3, 3, 2)
+        got = region_contains(RatePair(*rates), w, u_grid=4)
+        want = _scalar_region(RatePair(*rates), w, 4)
+        assert got.found == (want is not None)
+        if want is not None:
+            assert np.array_equal(got.input_law.joint.probs, want[0])
+            assert [got.pentagon.i_x, got.pentagon.i_y, got.pentagon.i_xy] == want[1]
 
     def test_witness_pentagon_reproducible(self):
         w = adder_channel()

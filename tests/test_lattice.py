@@ -220,6 +220,24 @@ class TestChunkedEvaluation:
         (vector,) = split.values.values()
         assert np.array_equal(vector, next(iter(whole.values.values())))
 
+    def test_build_chunks_do_not_change_the_quantities(self, monkeypatch):
+        # a build in chunks of five rows, the last one short, against the
+        # build at the default chunk bytes
+        law = law_of((0.4, 0.6))
+        for spec in SPECS.values():
+            sizes = _branch_sizes(spec, law, xor_bsc(0.1))
+            counts = get_cache(spec, sizes, 5, _law_marginals(law)).counts
+            whole = cache_from_counts(spec, sizes, 5, counts)
+            row = lattice._sum_chunk(spec, sizes)[2]
+            with monkeypatch.context() as mp:
+                mp.setattr(lattice, "SUM_BYTES", 5 * row + 1)
+                assert lattice._sum_chunk(spec, sizes)[1] == 5
+                split = cache_from_counts(spec, sizes, 5, counts)
+            assert counts.shape[0] % 5 and counts.shape[0] > 5
+            assert whole.quantities.keys() == split.quantities.keys()
+            for q, values in whole.quantities.items():
+                assert np.array_equal(split.quantities[q], values)
+
 
 class TestCacheSharing:
     def test_laws_that_pin_alike_share_one_build(self, monkeypatch):

@@ -52,6 +52,7 @@ from .probability import ENTROPY_CELLS, Alphabet, JointBatch
 from .typeclasses import (
     SymbolSequence,
     TypeVector,
+    code_places,
     distinct_rows,
     sample_conditional_type_class,
 )
@@ -233,25 +234,6 @@ class Tally(NamedTuple):
     count: np.ndarray
 
 
-def _code_places(n: int, cells: int) -> np.ndarray:
-    """(W, cells) place values that code a count row as W int64 words.
-
-    Word w holds a run of consecutive cells as radix-(n+1) digits, first
-    cell most significant, as many cells as every such code fits in int64.
-    Counts of a type of n symbols are digits, so summing a row's places
-    over its symbols gives its code, and ascending codes are ascending
-    count rows in lexicographic order.
-    """
-    radix, per_word = n + 1, 1
-    while radix ** (per_word + 1) <= 1 << 63:
-        per_word += 1
-    place = np.zeros((-(-cells // per_word), cells), dtype=np.int64)
-    for c in range(cells):
-        w = c // per_word
-        place[w, c] = radix ** (min(cells, (w + 1) * per_word) - 1 - c)
-    return place
-
-
 def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     """Tally of every tuple of one word per book, in C order.
 
@@ -259,7 +241,7 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     wrong word copies the true book named by its position in
     ``competitors`` and skips that book's true word; later competitors vary
     fastest.  Types are found per chunk of true-word tuples by their code
-    words (``_code_places``), the chunk's scratch arrays holding at most
+    words (``code_places``), the chunk's scratch arrays holding at most
     ENTROPY_CELLS entries each, and decoded to count rows at the end.
     """
     n = u.size
@@ -268,7 +250,7 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     # the sizes of the axes after it
     place = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
     cells = su * math.prod(sizes)
-    code = _code_places(n, cells)
+    code = code_places(n + 1, cells)
     m = tuple(book.shape[0] for book, _ in books)
     true = [book * p for (book, _), p in zip(books, place)]
     wrong = [books[c][0] * p for c, p in zip(competitors, place[len(books):])]

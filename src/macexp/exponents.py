@@ -708,6 +708,27 @@ class RegionWitness:
     u_grid: int
 
 
+def _pareto_front(vals: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of ``vals`` that no other row
+    dominates (no smaller anywhere and larger somewhere); equal rows are
+    all kept.
+
+    A row's dominators all come before it in descending lexicographic
+    order, and a dropped dominator is itself dominated by a kept row, so
+    scanning in that order and comparing each row with the rows kept so
+    far is enough.  Sums are no order: a dominating row's float sum can
+    round equal to the sum of a row it dominates.
+    """
+    front = np.empty_like(vals)
+    kept = []
+    for a in np.lexsort(vals.T[::-1])[::-1]:
+        f, v = front[:len(kept)], vals[a]
+        if not ((f >= v).all(axis=1) & (f > v).any(axis=1)).any():
+            front[len(kept)] = v
+            kept.append(a)
+    return np.sort(np.asarray(kept, dtype=np.intp))
+
+
 def region_contains(rates: RatePair, w: Channel, u_grid: int = 8) -> RegionWitness:
     """Grid search for an input law whose pentagon contains the rate pair.
 
@@ -733,16 +754,8 @@ def region_contains(rates: RatePair, w: Channel, u_grid: int = 8) -> RegionWitne
     vals = laws.per_chunk(lambda chunk: _pentagons(JointBatch.renormalised(
         ("U", "X", "Y", "Z"), chunk.probs[..., None] * w.w)))
 
-    # only Pareto-maximal atoms can matter in a dominating mixture: drop
-    # each atom that another is no smaller than anywhere and larger than
-    # somewhere, comparing all atoms against a block of them at a time
-    dominated = np.zeros(len(vals), dtype=bool)
-    block = max(1, (1 << 20) // len(vals))
-    for lo in range(0, len(vals), block):
-        m, k = vals[:, None], vals[None, lo:lo + block]
-        dominated[lo:lo + block] = ((m >= k).all(axis=2)
-                                    & (m > k).any(axis=2)).any(axis=0)
-    keep = np.flatnonzero(~dominated)
+    # only Pareto-maximal atoms can matter in a dominating mixture
+    keep = _pareto_front(vals)
     pvals = vals[keep]
 
     target = np.asarray([rates.rx, rates.ry, rates.rx + rates.ry])

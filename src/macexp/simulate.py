@@ -11,14 +11,20 @@ Error probability under uniform messages is computed exactly by output
 enumeration for small |Z|^n, or by Monte Carlo with block-indexed seeding
 so estimates are reproducible and independent of block scheduling.
 
-One block scorer serves every decoder: it counts the joint types of a
-block of received sequences against all candidate pairs at once, in
-chunks whose scratch arrays hold at most SCORE_CELLS entries each, and
-decides each chunk before scoring the next.  Monte Carlo scores each
-distinct received sequence of an RNG block once, and remembers up to
-MEMO_ENTRIES decisions across blocks; the exact path generates its outputs
-chunk by chunk and adds their error mass in enumeration order.  The RNG
-draws and the order of every floating-point operation are those of a
+One block scorer serves every decoder.  It counts the joint types of a
+block of received sequences against all candidate pairs with one matrix
+product: a fixed 0/1 matrix that marks where each pair sits in each
+(u, x, y) cell, times the block's one-hot outputs.  The counts are sums of
+0/1 products, exact in any summation order.  It works in chunks whose
+scratch arrays hold at most SCORE_CELLS entries each, and decides each
+chunk before scoring the next.  Monte Carlo packs each received sequence
+into int64 code words of radix |Z| (``typeclasses.code_places``), scores
+each distinct code of an RNG block once, and remembers up to MEMO_ENTRIES
+decisions across blocks in a sorted code table; one sort of the table and
+the block's codes finds both the block's distinct codes and the remembered
+ones.  The exact path generates its outputs chunk by chunk and adds their
+error mass in enumeration order.  The RNG draws, and the floating-point
+operations on scores and error masses in their order, are those of a
 decoder that scores one sequence at a time, so both estimates equal that
 decoder's bit for bit (``tests/decoder_oracle.py`` is such a decoder).
 """
@@ -34,13 +40,14 @@ import numpy as np
 from .codebooks import CodebookPair
 from .errors import ScaleGuardError, ValidationError
 from .probability import Channel
-from .typeclasses import distinct_rows, xlogx_table
+from .typeclasses import code_places, distinct_rows, xlogx_table
 
 TIE_TOL = 1e-12
 MAX_EXACT_OUTPUTS = 1 << 22
 RNG_BLOCK = 4096
-# entries per scratch array of a scored chunk (512 KB of int64); larger
-# chunks raise peak memory without speeding up the scorer
+# entries per scratch array of a scored chunk (512 KB at 8 bytes).  On a
+# 12x12 binary pair at n = 12, chunks 4 times larger score within 2% of the
+# same time and 16 times larger within 11%, at that much more memory
 SCORE_CELLS = 1 << 16
 # decisions remembered across Monte Carlo blocks
 MEMO_ENTRIES = 1 << 16
@@ -73,21 +80,28 @@ class _BlockScorer:
     """Decoder scores of blocks of received sequences for one codebook pair."""
 
     def __init__(self, pair: CodebookPair, sz: int) -> None:
-        self.n = pair.n
+        self.n, self.sz = pair.n, sz
         self.p_count = pair.m_x * pair.m_y
         su, sx, sy = (pair.u_alphabet.size, pair.x_alphabet.size,
                       pair.y_alphabet.size)
-        self.cells = su * sx * sy * sz
+        uxy = su * sx * sy
+        self.cells = uxy * sz
         self.uz_cells = su * sz
-        # (P, n) flat cell index of (u_t, x_t, y_t, 0) for each pair
-        self.pair_cells = (((pair.u_seq * sx + pair.x_book[:, None, :]) * sy
-                            + pair.y_book[None, :, :]) * sz).reshape(-1, pair.n)
+        # (P |U||X||Y|, n) one-hot: row p |U||X||Y| + c marks the positions
+        # where pair p sits in (u, x, y) cell c, so its product with a
+        # sequence's (n, |Z|) output one-hot is pair p's counts in C order
+        cell = ((pair.u_seq * sx + pair.x_book[:, None, :]) * sy
+                + pair.y_book[None, :, :]).reshape(-1, pair.n)
+        self.onehot = np.zeros((self.p_count * uxy, pair.n))
+        self.onehot[np.arange(self.p_count)[:, None] * uxy + cell,
+                    np.arange(pair.n)] = 1.0
         self.u_cells = pair.u_seq * sz
         self.table = xlogx_table(pair.n)
-        # each (B, P, cells) or (B, P, n) array of a chunk stays within
-        # SCORE_CELLS entries
-        self.chunk_rows = max(
-            1, SCORE_CELLS // (self.p_count * max(self.cells, self.n)))
+        # per received sequence: the count tensor's P cells entries, the
+        # output one-hot's n |Z| and the exact path's P n log-likelihoods;
+        # each array of a chunk stays within SCORE_CELLS entries
+        self.chunk_rows = max(1, SCORE_CELLS // max(
+            self.p_count * max(self.cells, pair.n), pair.n * sz))
 
     def score(self, z: np.ndarray):
         """Scores (B, P), winner (B,) and ambiguity (B,) of a (B, n) block.
@@ -96,9 +110,10 @@ class _BlockScorer:
         row minimum; a row is ambiguous when more than one pair is.
         """
         b, p_count = z.shape[0], self.p_count
-        rows = np.arange(b * p_count).reshape(b, p_count, 1) * self.cells
-        idx = rows + self.pair_cells + z[:, None, :]
-        counts = np.bincount(idx.ravel(), minlength=b * p_count * self.cells)
+        outputs = np.zeros((b, self.n, self.sz))
+        np.put_along_axis(outputs, z[:, :, None], 1.0, axis=2)
+        # sums of 0/1 products: exact in any summation order
+        counts = np.matmul(self.onehot, outputs).astype(np.intp)
         xl4 = np.take(self.table, counts.reshape(b * p_count, self.cells)) \
             .sum(axis=1).reshape(b, p_count)
         uz = np.arange(b)[:, None] * self.uz_cells + self.u_cells + z
@@ -202,7 +217,8 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
     Trials are grouped into fixed blocks of RNG_BLOCK, each with its own
     generator seeded from (seed, block index): reruns reproduce exactly,
     and growing the trial count extends the sequence without disturbing
-    earlier trials.  Each distinct received sequence is decoded once.
+    earlier trials.  Each distinct received sequence of a block is decoded
+    once, and remembered decisions are reused in later blocks.
     """
     _check_channel(pair, w)
     _check_count("trials", trials, 1)
@@ -210,8 +226,16 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
     sz = w.z_alphabet.size
     n = pair.n
     scorer = _BlockScorer(pair, sz)
-    key_type = np.min_scalar_type(sz - 1)
-    memo: dict[bytes, int] = {}
+    # (|Z| - 1, P, n) cumulative channel rows of every pair, last symbol
+    # dropped: the rows never decrease, so a uniform r picks symbol
+    # min(#{c : r >= cdf[c]}, |Z| - 1) = #{c < |Z| - 1 : r >= cdf[c]}
+    cdf = np.cumsum(w.w[pair.x_book[:, None, :], pair.y_book[None, :, :], :],
+                    axis=-1).reshape(-1, n, sz)
+    cdf = np.ascontiguousarray(np.moveaxis(cdf[..., :-1], -1, 0))
+    place = code_places(sz, n).T
+    # the memo: distinct code words in ascending order and their decisions
+    table = np.zeros((0, place.shape[1]), dtype=np.int64)
+    known = np.zeros(0, dtype=np.int64)
     errors = 0
     done = 0
     blk = 0
@@ -220,21 +244,22 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
         rng = np.random.default_rng(np.random.SeedSequence((seed, blk)))
         ii = rng.integers(0, pair.m_x, size=b)
         jj = rng.integers(0, pair.m_y, size=b)
-        rows = w.w[pair.x_book[ii], pair.y_book[jj], :]      # (b, n, sz)
-        cdf = np.cumsum(rows, axis=-1)
-        r = rng.random((b, n, 1))
-        z_all = np.minimum((r >= cdf).sum(axis=-1), sz - 1)
-        del rows, cdf, r
-        distinct, inverse = distinct_rows(z_all)
-        keys = [row.tobytes() for row in distinct.astype(key_type)]
-        decoded = np.fromiter((memo.get(k, -2) for k in keys), np.int64,
-                              len(keys))
-        fresh = np.flatnonzero(decoded == -2)
-        decoded[fresh] = scorer.decode(distinct[fresh])
-        for k in fresh[:max(0, MEMO_ENTRIES - len(memo))]:
-            memo[keys[k]] = int(decoded[k])
         truth = ii * pair.m_y + jj
-        errors += int(np.count_nonzero(decoded[inverse] != truth))
+        z_all = (rng.random((b, n)) >= cdf[:, truth]).sum(axis=0)
+        codes, where = distinct_rows(np.concatenate((table, z_all @ place)))
+        seen, inverse = where[:len(table)], where[len(table):]
+        decided = np.full(len(codes), -2, dtype=np.int64)
+        decided[seen] = known
+        fresh = np.flatnonzero(decided == -2)
+        # a row of the block with each code
+        row = np.empty(len(codes), dtype=np.int64)
+        row[inverse] = np.arange(b)
+        decided[fresh] = scorer.decode(z_all[row[fresh]])
+        kept = np.zeros(len(codes), dtype=bool)
+        kept[seen] = True
+        kept[fresh[:max(0, MEMO_ENTRIES - len(table))]] = True
+        table, known = codes[kept], decided[kept]
+        errors += int(np.count_nonzero(decided[inverse] != truth))
         done += b
         blk += 1
     p = errors / trials

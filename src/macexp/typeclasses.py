@@ -24,8 +24,8 @@ from .errors import ConstructionError, ScaleGuardError, ValidationError
 from .probability import Alphabet, JointDist
 
 # Rows x cells of one enumeration, at one byte a count.  compositions_array
-# holds about three times this while it builds, and a caller that converts
-# the rows to float64 eight bytes a count.
+# holds only its result while it builds; a caller that converts the rows to
+# float64 holds eight bytes a count.
 ENUM_BYTES = 1 << 26
 
 
@@ -161,29 +161,41 @@ def compositions_count(num_cells: int, total: int) -> int:
 def compositions_array(num_cells: int, total: int) -> np.ndarray:
     """All compositions of ``total`` into ``num_cells`` parts as a uint8
     matrix, rows in the same ascending lexicographic order as
-    ``enumerate_types``.  Built bottom-up keeping one level at a time.
+    ``enumerate_types``.
+
+    Filled in place, column by column: a run of rows whose earlier columns
+    are fixed holds the compositions of what remains into the later
+    columns.  The first run of each (column, remainder) is filled value by
+    value; every later one is copied from it once all columns are done, so
+    nothing but the result is held.
     """
     if total > 255:
         raise ValidationError("compositions_array: total too large for uint8")
     _check_enum_bytes(num_cells, total)
-    if num_cells == 1:
-        return np.asarray([[total]], dtype=np.uint8)
-    # prev[t] holds all compositions of t into c cells, starting at c=1
-    prev = {t: np.asarray([[t]], dtype=np.uint8) for t in range(total + 1)}
-    for c in range(2, num_cells + 1):
-        cur = {}
-        tops = range(total + 1) if c < num_cells else (total,)
-        for t in tops:
-            blocks = []
-            for first in range(t + 1):
-                rest = prev[t - first]
-                block = np.empty((rest.shape[0], c), dtype=np.uint8)
-                block[:, 0] = first
-                block[:, 1:] = rest
-                blocks.append(block)
-            cur[t] = np.concatenate(blocks, axis=0)
-        prev = cur
-    return prev[total]
+    out = np.empty((compositions_count(num_cells, total), num_cells),
+                   dtype=np.uint8)
+    runs = [(0, total)]  # (first row, remainder) at column j
+    copies = []
+    for j in range(num_cells - 1):
+        first, nxt = {}, []
+        for lo, rem in runs:
+            if rem in first:
+                copies.append((j, first[rem], lo,
+                               compositions_count(num_cells - j, rem)))
+                continue
+            first[rem] = lo
+            for v in range(rem + 1):
+                rows = compositions_count(num_cells - j - 1, rem - v)
+                out[lo:lo + rows, j] = v
+                nxt.append((lo, rem - v))
+                lo += rows
+        runs = nxt
+    for lo, rem in runs:
+        out[lo, -1] = rem
+    # a run copied at column j may hold runs copied at later columns
+    for j, src, dst, rows in reversed(copies):
+        out[dst:dst + rows, j:] = out[src:src + rows, j:]
+    return out
 
 
 def xlogx_table(n: int) -> np.ndarray:
@@ -195,13 +207,34 @@ def xlogx_table(n: int) -> np.ndarray:
     return table
 
 
+def code_places(radix: int, cells: int) -> np.ndarray:
+    """(W, cells) place values that code a row of digits below ``radix`` as
+    W int64 words.
+
+    Word w holds a run of consecutive cells as radix digits, first cell most
+    significant, as many cells as every such code fits in int64.  Summing a
+    row's digits times their places gives its code, and ascending codes are
+    ascending rows in lexicographic order.  The codebook tally codes count
+    rows of n symbols in radix n + 1; the decoder codes received words in
+    radix |Z|.
+    """
+    per_word = 1
+    while per_word < cells and radix ** (per_word + 1) <= 1 << 63:
+        per_word += 1
+    place = np.zeros((-(-cells // per_word), cells), dtype=np.int64)
+    for c in range(cells):
+        w = c // per_word
+        place[w, c] = radix ** (min(cells, (w + 1) * per_word) - 1 - c)
+    return place
+
+
 def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of z in ascending lexicographic order (first column
     most significant) and the index of each row among them.
 
-    Rows of any length and integer dtype sort exactly on their columns:
-    the decoder passes output words, and the codebook tally passes count
-    rows already packed into int64 code words.
+    Rows of any length and integer dtype sort exactly on their columns.
+    The codebook tally and the decoder pass rows already packed into int64
+    code words (``code_places``), so a row of one word takes one argsort.
     """
     # equal rows share their index, so the unstable sort's tie order is moot
     order = (np.argsort(z[:, 0]) if z.shape[1] == 1

@@ -31,7 +31,7 @@ from macexp.codebooks import (
 from macexp.cli import main
 from macexp.errors import ConstructionError, ValidationError
 from macexp.fileio import codebook_to_dict, save_json
-from macexp.typeclasses import SymbolSequence, empirical_type
+from macexp.typeclasses import SymbolSequence, code_places, empirical_type
 
 
 def tiny_pair(x_word=(0, 0, 1, 1), y_word=(0, 0, 1, 1)) -> CodebookPair:
@@ -207,7 +207,7 @@ class TestCodeWords:
     @staticmethod
     def check(pair, family, dtype, words):
         cells = math.prod(to._sizes(pair, family))
-        assert len(codebooks._code_places(pair.n, cells)) == words
+        assert len(code_places(pair.n + 1, cells)) == words
         tally = _tally_family(pair, family)
         assert tally.types.dtype == dtype
         assert tally.types.flags.c_contiguous
@@ -247,7 +247,7 @@ class TestCodeWords:
     @pytest.mark.parametrize("n, cells", [(6, 162), (14, 16), (15, 16),
                                           (255, 16), (256, 16)])
     def test_every_code_fits_in_int64(self, n, cells):
-        place = codebooks._code_places(n, cells)
+        place = code_places(n + 1, cells)
         assert np.array_equal((place > 0).sum(axis=0), np.ones(cells))
         # a row's largest code puts all n counts on its first cell
         assert n * int(place.max()) < 1 << 63

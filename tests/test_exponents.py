@@ -50,6 +50,7 @@ from macexp.exponents import (
     _objective_report,
     _objective_terms,
     _ObjectiveTerms,
+    _pareto_front,
     confusability_checks,
     family_exponents,
 )
@@ -900,6 +901,21 @@ class TestPentagonAndRegion:
         if want is not None:
             assert np.array_equal(got.input_law.joint.probs, want[0])
             assert [got.pentagon.i_x, got.pentagon.i_y, got.pentagon.i_xy] == want[1]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_front_scan_keeps_the_all_pairs_front(self, seed):
+        # few distinct levels make duplicate rows and exact ties common;
+        # the last rows dominate each other with equal float sums
+        rng = np.random.default_rng(seed)
+        levels = rng.random(int(rng.integers(2, 6)))
+        vals = levels[rng.integers(0, len(levels), size=(300, 3))]
+        vals = np.vstack((vals, vals[:40], [[1e16, 1.0, 0.0], [1e16, 0.0, 0.0]]))
+        assert vals[-1].sum() == vals[-2].sum()
+        rng.shuffle(vals)
+        want = [k for k in range(len(vals))
+                if not ((vals >= vals[k]).all(axis=1)
+                        & (vals > vals[k]).any(axis=1)).any()]
+        assert _pareto_front(vals).tolist() == want
 
     def test_witness_pentagon_reproducible(self):
         w = adder_channel()

@@ -31,6 +31,7 @@ from macexp.simulate import (
     error_prob_exact,
     error_prob_mc,
 )
+from macexp.typeclasses import code_places
 
 
 def clean_pair():
@@ -241,6 +242,23 @@ def _book(rng, u, size, m, su):
     return np.asarray(words), counts.reshape(su, size)
 
 
+def _near_book(rng, u, m):
+    """m distinct binary words, each a base word with one pair of
+    symbols swapped within a u section: one joint type with u, and
+    confusable."""
+    base = rng.integers(0, 2, size=u.size)
+    words = [base]
+    while len(words) < m:
+        section = u == rng.integers(0, 2)
+        i = rng.choice(np.flatnonzero(section & (base == 0)))
+        j = rng.choice(np.flatnonzero(section & (base == 1)))
+        word = base.copy()
+        word[[i, j]] = word[[j, i]]
+        if not any(np.array_equal(word, v) for v in words):
+            words.append(word)
+    return np.asarray(words), np.bincount(u * 2 + base, minlength=4).reshape(2, 2)
+
+
 @st.composite
 def decoder_cases(draw):
     """A small codebook pair and a channel, some of its entries zero."""
@@ -321,6 +339,55 @@ class TestAgainstOracle:
         assert 2 ** pair.n > 2 ** 63
         est = error_prob_mc(pair, w, 500, seed=4)
         assert est.p == oracle.mc_errors(pair, w, 500, 4) / 500
+
+    def test_ternary_outputs_beyond_one_code_word_decode_exactly(
+            self, monkeypatch):
+        # |U| = 2 and n = 44: radix-3 codes take two int64 words.  Z = X + Y,
+        # except that (1, 1) gives 1 or 2 at random, so outputs repeat
+        # across RNG blocks and the memo's two-word codes are looked up
+        rng = np.random.default_rng(1)
+        n = 44
+        u = rng.integers(0, 2, size=n)
+        alph = [Alphabet(2, "U"), Alphabet(2, "X"), Alphabet(2, "Y")]
+        (x_book, ux), (y_book, uy) = _near_book(rng, u, 3), _near_book(rng, u, 3)
+        pair = CodebookPair(u, x_book, y_book, *alph,
+                            TypeVector((alph[0], alph[1]), ux, n),
+                            TypeVector((alph[0], alph[2]), uy, n))
+        w = np.zeros((2, 2, 3))
+        w[0, 0, 0] = w[0, 1, 1] = w[1, 0, 1] = 1.0
+        w[1, 1] = [0.0, 0.5, 0.5]
+        w = Channel(alph[1], alph[2], Alphabet(3, "Z"), w)
+        assert len(code_places(3, n)) == 2
+        trials = 2 * simulate.RNG_BLOCK + 808
+        want = oracle.mc_errors(pair, w, trials, 8) / trials
+        assert 0.0 < want < 1.0
+        assert error_prob_mc(pair, w, trials, seed=8).p == want
+        monkeypatch.setattr(simulate, "MEMO_ENTRIES", 100)
+        assert error_prob_mc(pair, w, trials, seed=8).p == want
+
+    @pytest.mark.parametrize("budget", [1, 400, simulate.SCORE_CELLS])
+    def test_chunk_scratch_stays_within_the_budget(self, monkeypatch, budget):
+        # every count tensor is a matmul of the pairs' one-hot and a chunk's
+        # output one-hot; a chunk of one sequence cannot be split further
+        shapes = []
+        matmul = np.matmul
+
+        def spy(cells, outputs):
+            counts = matmul(cells, outputs)
+            shapes.append((len(outputs), outputs.size, counts.size))
+            return counts
+
+        pair = binary_codebooks(8, 4, 3, seed=6)
+        w = xor_bsc(0.2)
+        monkeypatch.setattr(simulate, "SCORE_CELLS", budget)
+        monkeypatch.setattr(np, "matmul", spy)
+        error_prob_exact(pair, w)
+        error_prob_mc(pair, w, 3000, seed=1)
+        monkeypatch.undo()
+        assert shapes
+        for rows, outputs, counts in shapes:
+            assert rows == 1 or max(outputs, counts) <= budget
+        assert (budget == 1) == all(rows == 1 for rows, _, _ in shapes)
 
     def test_memo_bound_does_not_change_the_count(self, monkeypatch):
         pair = binary_codebooks(6, 3, 3, seed=2)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,36 @@ class TestScaleGuards:
         assert len(list(enumerate_types(13, _axes(2)))) == 14
         assert len(list(enumerate_types(2, _axes(3, 3, 2, 3)))) == 1485
         assert compositions_array(54, 2).shape == (1485, 54)
+
+
+class TestCompositionsArray:
+    """The array holds the generator's rows in its order, and building it
+    holds little more than the result."""
+
+    @pytest.mark.parametrize("cells, total", [(1, 0), (1, 5), (2, 0), (3, 4),
+                                              (4, 6), (6, 3)])
+    def test_rows_follow_the_generator(self, cells, total):
+        want = [list(c) for c in typeclasses._compositions(cells, total)]
+        got = compositions_array(cells, total)
+        assert got.dtype == np.uint8
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("cells, total", [(8, 20), (16, 8)])
+    def test_peak_is_the_result(self, cells, total):
+        tracemalloc.start()
+        try:
+            rows = compositions_array(cells, total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * rows.nbytes
+        # every composition, each once, in strictly ascending lexicographic
+        # order: exactly the generator's rows
+        assert len(rows) == math.comb(total + cells - 1, cells - 1)
+        assert (rows.sum(axis=1) == total).all()
+        step = np.diff(rows.astype(np.int16), axis=0)
+        first = (step != 0).argmax(axis=1)
+        assert (step[np.arange(len(step)), first] > 0).all()
 
 
 class TestDistinctRows:

@@ -23,9 +23,12 @@ family used by the exponent minimization.
 A tally is a set of arrays: a family's distinct count rows in ascending
 order, and one (message pair, type, count) entry per type a pair realizes.
 Totals, peaks and needs are reductions over the entries.  Types are
-found by int64 code words of the count rows, per chunk of message pairs,
-and all of a family's types form one ``JointBatch``; both bound their
-scratch memory by ``probability.ENTROPY_CELLS`` entries.  Batch values
+found by int64 code words of the count rows, per chunk of message pairs:
+a code is a sum over positions of a true-side factor times a wrong-side
+factor, so a chunk's codes against every pattern of wrong words are one
+exact integer matrix product.  All of a family's types form one
+``JointBatch``; both bound their scratch memory by
+``probability.ENTROPY_CELLS`` entries.  Batch values
 equal those of one ``JointDist`` per type bit for bit, and needs those of
 the exact fractions, so reports, kept words and audits are identical to a
 type-by-type evaluation.
@@ -234,36 +237,82 @@ class Tally(NamedTuple):
     count: np.ndarray
 
 
+def _code_factors(code: np.ndarray, wrong_cells: int):
+    """Rank-one terms of each code word's places over (true, wrong) cells.
+
+    Cell a * B + b pairs true-side cell a with wrong-side cell b, B =
+    ``wrong_cells``.  Returns ``alpha`` (W, A, T) and ``beta`` (W, B, T)
+    with code[w, a * B + b] = sum over g of alpha[w, a, g] * beta[w, b, g].
+    A word's places over one true cell's block are a run of consecutive
+    powers of the radix, so blocks whose runs cover the same wrong cells
+    share one term: the whole blocks a word covers, and the partial blocks
+    at its two ends (T <= 3), padded with zero terms.
+    """
+    places = code.reshape(len(code), -1, wrong_cells)
+    terms = []
+    for word in places:
+        runs: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        for a in np.flatnonzero(word.any(axis=1)):
+            last = word[a, np.flatnonzero(word[a])[-1]]
+            run = word[a] // last
+            alpha = runs.setdefault(run.tobytes(),
+                                    (np.zeros(len(word), np.int64), run))[0]
+            alpha[a] = last
+        terms.append(list(runs.values()))
+    width = max(map(len, terms))
+    alpha = np.zeros((len(code), places.shape[1], width), dtype=np.int64)
+    beta = np.zeros((len(code), wrong_cells, width), dtype=np.int64)
+    for w, word in enumerate(terms):
+        for g, (a, b) in enumerate(word):
+            alpha[w, :, g], beta[w, :, g] = a, b
+    return alpha, beta
+
+
 def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     """Tally of every tuple of one word per book, in C order.
 
     ``books`` holds one (book, alphabet size) pair per true word.  Each
     wrong word copies the true book named by its position in
     ``competitors`` and skips that book's true word; later competitors vary
-    fastest.  Types are found per chunk of true-word tuples by their code
-    words (``code_places``), the chunk's scratch arrays holding at most
-    ENTROPY_CELLS entries each, and decoded to count rows at the end.
+    fastest.  A position's cell pairs its true-side cell a (u and the true
+    words) with its wrong-side cell b, so each code word (``code_places``)
+    of a tuple's type against a pattern of wrong words is a sum over
+    positions of alpha[a] * beta[b] (``_code_factors``).  A chunk's codes
+    against every pattern are then one exact int64 product of its tuples'
+    true-side factors with the patterns' wrong-side factors: every partial
+    sum is part of a code below 2^63.  Each tuple keeps the patterns that
+    skip its own true words; one sort of the chunk's codes finds its
+    types, and a sort of each tuple's type ids its (tuple, type, count)
+    entries.  Every scratch array of a chunk holds at most ENTROPY_CELLS
+    entries, or one tuple's row of them if more; the wrong-side factor,
+    held for the whole call, has n T entries per pattern and code word.
+    The types are decoded to count rows at the end.
     """
     n = u.size
-    sizes = [s for _, s in books] + [books[c][1] for c in competitors]
-    # a symbol's place value in the C-order cell index is the product of
-    # the sizes of the axes after it
-    place = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
-    cells = su * math.prod(sizes)
+    wrong_cells = math.prod(books[c][1] for c in competitors)
+    cells = su * math.prod(s for _, s in books) * wrong_cells
     code = code_places(n + 1, cells)
+    alpha, beta = _code_factors(code, wrong_cells)
     m = tuple(book.shape[0] for book, _ in books)
-    true = [book * p for (book, _), p in zip(books, place)]
-    wrong = [books[c][0] * p for c, p in zip(competitors, place[len(books):])]
+    # cell indices on each side are in C order over that side's axes; the
+    # wrong-side cells of every pattern of one word per competitor's book,
+    # the patterns in C order
+    wrong_cell = np.zeros((1, n), dtype=np.int64)
+    for c in competitors:
+        book, s = books[c]
+        wrong_cell = (wrong_cell[:, None] * s + book).reshape(-1, n)
+    # (W, n T, patterns): the wrong-side factor of every pattern
+    right = beta[:, wrong_cell].reshape(len(code), len(wrong_cell), -1)
+    right = np.ascontiguousarray(right.transpose(0, 2, 1))
     # row i of others[c]: the words of competitor c's book other than word i
     others = [np.nonzero(~np.eye(m[c], dtype=bool))[1].reshape(m[c], -1)
               for c in competitors]
     k = math.prod(m[c] - 1 for c in competitors)
-    base = u * math.prod(sizes)
     dtype = np.min_scalar_type(n)
     n_tuples = math.prod(m)
     # every index and count below is at most the number of count rows
     entry_dtype = np.min_scalar_type(n_tuples * max(k, 1))
-    step = max(1, ENTROPY_CELLS // (max(k, 1) * max(n, len(code))))
+    step = max(1, ENTROPY_CELLS // (len(code) * max(right.shape[1:])))
     # the distinct codes found so far; a chunk's codes wait in ``pending``
     # until they outnumber the table, then both are merged and every
     # entry's type index is remapped
@@ -272,20 +321,29 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     stacked = 0
     for lo in range(0, n_tuples, step):
         idx = np.unravel_index(np.arange(lo, min(lo + step, n_tuples)), m)
-        block = base + sum(t[i] for t, i in zip(true, idx))
-        for c, w, o in zip(competitors, wrong, others):
-            add = w[o[idx[c]]]
-            block = block[..., None, :] + add.reshape(
-                add.shape[:1] + (1,) * (block.ndim - 2) + add.shape[1:])
-        block = block.reshape(-1, n)
-        types, local = distinct_rows(
-            np.stack([p[block].sum(axis=1) for p in code], axis=1))
-        key, count = np.unique(
-            np.repeat(np.arange(len(idx[0])), k) * len(types) + local,
-            return_counts=True)
-        tup, typ = np.divmod(key, len(types))
+        rows = len(idx[0])
+        true_cell = u
+        for (book, s), i in zip(books, idx):
+            true_cell = true_cell * s + book[i]
+        codes = np.matmul(alpha[:, true_cell].reshape(len(code), rows, -1),
+                          right)
+        # each tuple's columns: the patterns skipping its true words
+        cols = np.zeros((rows, 1), dtype=np.intp)
+        for c, o in zip(competitors, others):
+            cols = (cols[:, :, None] * m[c] + o[idx[c]][:, None, :]).reshape(
+                rows, -1)
+        codes = np.take_along_axis(codes, cols[None], axis=2)
+        del cols
+        types, local = distinct_rows(codes.reshape(len(code), -1).T)
+        del codes
+        # runs of equal ids in each tuple's sorted type ids
+        local = np.sort(local.reshape(rows, k), axis=1)
+        first = np.ones(local.shape, dtype=bool)
+        first[:, 1:] = local[:, 1:] != local[:, :-1]
+        at = np.flatnonzero(first)
         pending.append(types)
-        entries.append(np.stack([lo + tup, stacked + typ, count])
+        entries.append(np.stack([lo + at // k, stacked + local.ravel()[at],
+                                 np.diff(at, append=local.size)])
                        .astype(entry_dtype))
         stacked += len(types)
         if stacked > 2 * len(table) or lo + step >= n_tuples:
@@ -325,7 +383,9 @@ def _type_counts(tally: Tally) -> tuple[np.ndarray, np.ndarray]:
     # float sums are exact: a tally holds far fewer than 2^53 patterns
     totals = np.bincount(tally.type, tally.count, len(tally.types))
     peaks = np.zeros(len(tally.types), dtype=np.int64)
-    np.maximum.at(peaks, tally.type, tally.count)
+    # intp indices and values of the target's dtype take ufunc.at's fast path
+    np.maximum.at(peaks, tally.type.astype(np.intp),
+                  tally.count.astype(np.int64))
     return totals.astype(np.int64), peaks
 
 
@@ -479,7 +539,7 @@ def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
     need = _need(log2[tally.count], f_of[tally.type], pair.n, rates.lower,
                  PAIR_DELTA_COEFF[family])
     worst = np.zeros(math.prod(tally.m))
-    np.maximum.at(worst, tally.pair, need)
+    np.maximum.at(worst, tally.pair.astype(np.intp), need)
     return worst.reshape(pair.m_x, pair.m_y)
 
 
@@ -491,8 +551,9 @@ def _audit(pair: CodebookPair, tallies: dict[str, Tally], rates: RatePair,
         law = pair.input_law()
     violations = []
     for family, tally in tallies.items():
-        first = np.full(len(tally.types), math.prod(tally.m))
-        np.minimum.at(first, tally.type, tally.pair)
+        first = np.full(len(tally.types), math.prod(tally.m), dtype=np.int64)
+        np.minimum.at(first, tally.type.astype(np.intp),
+                      tally.pair.astype(np.int64))
         checks = confusability_checks(_family_batch(pair, family, tally), law,
                                       rates, delta)
         for r, c in zip(*np.nonzero(checks.violated)):

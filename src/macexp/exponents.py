@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .lattice import (
     present_constraints,
 )
 from .probability import (
+    ENTROPY_CELLS,
     EQ_TOL,
     Alphabet,
     Channel,
@@ -758,15 +759,24 @@ def region_contains(rates: RatePair, w: Channel, u_grid: int = 8) -> RegionWitne
     keep = _pareto_front(vals)
     pvals = vals[keep]
 
-    target = np.asarray([rates.rx, rates.ry, rates.rx + rates.ry])
-    for combo in combinations_with_replacement(range(len(keep)), 4):
-        mix = weights @ pvals[list(combo)]
-        ok = np.all(mix >= target[None, :], axis=1)
-        if not ok.any():
+    rx, ry = rates.rx, rates.ry
+    # every multiset of four kept atoms, in order, a block at a time: the
+    # stacked product forms each multiset's mixtures exactly as a product
+    # of its own would, and a block's mixtures hold at most ENTROPY_CELLS
+    # values (or one multiset's, if more)
+    combos = combinations_with_replacement(range(len(keep)), 4)
+    block = max(1, ENTROPY_CELLS // (3 * len(weights)))
+    while chunk := list(islice(combos, block)):
+        mix = weights @ pvals[np.asarray(chunk)]
+        ok = ((mix[..., 0] >= rx) & (mix[..., 1] >= ry)
+              & (mix[..., 2] >= rx + ry))
+        hit = ok.any(axis=1)
+        if not hit.any():
             continue
-        wsel = weights[int(np.argmax(ok))]
+        c = int(np.argmax(hit))
+        wsel = weights[int(np.argmax(ok[c]))]
         used = wsel > 0.0
-        i, j = np.divmod(keep[np.asarray(combo)[used]], len(gy))
+        i, j = np.divmod(keep[np.asarray(chunk[c])[used]], len(gy))
         law = InputLaw.from_components(wsel[used], gx[i], gy[j])
         return RegionWitness(True, capacity_pentagon(law, w), law, u_grid)
     return RegionWitness(False, None, None, u_grid)

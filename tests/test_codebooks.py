@@ -7,10 +7,13 @@ family exponents from grouped entropies.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tally_oracle as to
 import macexp.codebooks as codebooks
@@ -254,6 +257,113 @@ class TestCodeWords:
         full = int((place[0] > 0).sum())
         assert (n + 1) ** full <= 1 << 63
         assert full == cells or (n + 1) ** (full + 1) > 1 << 63
+
+
+@st.composite
+def tally_cases(draw):
+    """Small books over |U| in {1, 2} and alphabets of 2-3 symbols, of 1-4
+    words each; 14 and 15 straddle the one-word boundary of binary quad
+    tallies (|U| = 1) and binary triple tallies (|U| = 2)."""
+    su = draw(st.sampled_from([1, 2]))
+    sx, sy = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    n = max(su, draw(st.sampled_from([2, 3, 4, 6, 14, 15])))
+    words = [draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
+             for s in (su, sx, sy)]
+    return (su, sx, sy, words, draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            draw(st.integers(0, 1 << 16)))
+
+
+def case_pair(case) -> CodebookPair:
+    """The case's books: words of the drawn words' joint types with u, as
+    many as the type classes hold."""
+    su, sx, sy, (u, x, y), m_x, m_y, seed = case
+    u_alph = Alphabet(su, "U")
+    u_seq = SymbolSequence(u_alph, u)
+    targets = []
+    for word, s, label in ((x, sx, "X"), (y, sy, "Y")):
+        counts = np.zeros((su, s), dtype=np.int64)
+        np.add.at(counts, (u, word), 1)
+        targets.append(TypeVector((u_alph, Alphabet(s, label)), counts, len(u)))
+    m_x, m_y = (min(m, codebooks._conditional_class_size(t))
+                for m, t in zip((m_x, m_y), targets))
+    return generate_codebooks(*targets, u_seq, m_x, m_y, rng=seed)
+
+
+class TestTallyAgainstOracle:
+    """Tallies of random small books, every family and the single-user
+    tally, in one chunk or one tuple a chunk, equal the tally_oracle
+    recount in keys, counts and order."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=tally_cases(),
+           budget=st.sampled_from([1, codebooks.ENTROPY_CELLS]))
+    @example(case=(1, 2, 2, ([0] * 14, [0, 1] * 7, [1, 0] * 7), 3, 3, 1),
+             budget=codebooks.ENTROPY_CELLS)
+    @example(case=(1, 2, 2, ([0] * 15, [0, 1] * 7 + [0], [1] * 8 + [0] * 7),
+                   3, 2, 2), budget=1)
+    @example(case=(2, 2, 2, ([0, 1] * 7, [0, 0, 1, 1] * 3 + [0, 1],
+                             [1, 0] * 7), 1, 4, 3), budget=1)
+    @example(case=(2, 3, 3, ([0, 1, 1, 0, 1, 0], [0, 1, 2, 2, 1, 0],
+                             [2, 2, 1, 0, 0, 1]), 3, 1, 4),
+             budget=codebooks.ENTROPY_CELLS)
+    def test_tallies_match_the_recount(self, case, budget):
+        pair = case_pair(case)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codebooks, "ENTROPY_CELLS", budget)
+            tallies = {f: _tally_family(pair, f) for f in FAMILY_ORDER}
+            u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
+            singles = [(book, alph, single_user_packing_check(u_seq, book, alph))
+                       for book, alph in ((pair.x_book, pair.x_alphabet),
+                                          (pair.y_book, pair.y_alphabet))]
+        for family, tally in tallies.items():
+            keys = [tuple(row) for row in tally.types.tolist()]
+            assert keys == sorted(set(keys))
+            assert tally.types.dtype == np.min_scalar_type(pair.n)
+            order = tally.pair.astype(np.int64) * len(keys) + tally.type
+            assert np.all(np.diff(order) > 0)
+            want, _ = to.recount(pair, family)
+            got = as_dicts(tally, range(pair.m_x), range(pair.m_y))
+            assert list(got) == list(want)
+            assert got == want
+        su = pair.u_alphabet.size
+        for book, alph, rep in singles:
+            rows = book.tolist()
+            totals = {}
+            for i, word in enumerate(rows):
+                for k, other in enumerate(rows):
+                    if k != i:
+                        key = to.flat_key(to.tuple_type(pair.u_seq, word, other),
+                                          (su, alph.size, alph.size))
+                        totals[key] = totals.get(key, 0) + 1
+            assert count_map(rep.avg) == totals
+            aw, pw = to.single_user_needs(pair.u_seq.tolist(), rows, su,
+                                          alph.size)
+            assert rep.avg_worst_need_delta == pytest.approx(aw, abs=1e-12)
+            assert rep.per_word_worst_need_delta == pytest.approx(pw, abs=1e-12)
+
+
+class TestTallyMemory:
+    # int64 scratch arrays of ENTROPY_CELLS entries each, beyond the output
+    SCRATCH_ARRAYS = 8
+
+    @staticmethod
+    def scratch_bytes(pair) -> int:
+        tracemalloc.start()
+        try:
+            tally = _tally_family(pair, "quad")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in tally if isinstance(a, np.ndarray))
+
+    def test_quad_scratch_stays_within_a_few_chunks(self, monkeypatch):
+        # 576 message pairs against 576 patterns of wrong words
+        pair = binary_codebooks(12, 24, 24, seed=20240817)
+        budget = self.SCRATCH_ARRAYS * codebooks.ENTROPY_CELLS * 8
+        assert self.scratch_bytes(pair) <= budget
+        # the bound has teeth: one chunk for every message pair exceeds it
+        monkeypatch.setattr(codebooks, "ENTROPY_CELLS", 1 << 40)
+        assert self.scratch_bytes(pair) > budget
 
 
 class TestReportArrays:

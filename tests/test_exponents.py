@@ -902,6 +902,21 @@ class TestPentagonAndRegion:
             assert np.array_equal(got.input_law.joint.probs, want[0])
             assert [got.pentagon.i_x, got.pentagon.i_y, got.pentagon.i_xy] == want[1]
 
+    # mixtures of two and three atoms, and a miss
+    @pytest.mark.parametrize("rates", [(0.1, 0.35), (0.3, 0.1), (0.3, 0.3)])
+    def test_blocks_of_mixtures_keep_the_first_witness(self, monkeypatch, rates):
+        w = random_channel(np.random.default_rng(3), 3, 3, 2)
+        whole = region_contains(RatePair(*rates), w, u_grid=6)
+        # one multiset of atoms a block, as the scalar loop, and seven
+        for budget in (1, 3 * math.comb(6 + 3, 3) * 7):
+            monkeypatch.setattr(exponents, "ENTROPY_CELLS", budget)
+            got = region_contains(RatePair(*rates), w, u_grid=6)
+            assert got.found == whole.found
+            if whole.found:
+                assert np.array_equal(got.input_law.joint.probs,
+                                      whole.input_law.joint.probs)
+                assert got.pentagon == whole.pentagon
+
     @pytest.mark.parametrize("seed", range(12))
     def test_front_scan_keeps_the_all_pairs_front(self, seed):
         # few distinct levels make duplicate rows and exact ties common;

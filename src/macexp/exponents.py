@@ -47,6 +47,7 @@ from .lattice import (
     memoised,
     minimize_branch,
     plan_lattice,
+    planning,
     present_constraints,
 )
 from .probability import (
@@ -615,15 +616,17 @@ def _least_branch(specs: dict, solve, rates: RatePair, w: Channel,
                   threads: int) -> ExponentResult:
     """min of ``solve`` over the three branches; ties resolve X, then Y,
     then XY.  Every branch's lattice is planned first, so one that is
-    refused stops the call before any is built."""
-    for spec in specs.values():
-        plan_lattice(spec, _branch_sizes(spec, p, w),
-                     solver.lattice_denominator, _law_marginals(p))
-    best = None
-    for name in ("X", "Y", "XY"):
-        res = solve(name, rates, w, p, delta, solver, threads)
-        if best is None or res.value < best.value:
-            best = res
+    refused stops the call before any is built, and each is then built
+    from its plan."""
+    with planning():
+        for spec in specs.values():
+            plan_lattice(spec, _branch_sizes(spec, p, w),
+                         solver.lattice_denominator, _law_marginals(p))
+        best = None
+        for name in ("X", "Y", "XY"):
+            res = solve(name, rates, w, p, delta, solver, threads)
+            if best is None or res.value < best.value:
+                best = res
     return best
 
 

@@ -16,18 +16,24 @@ cache holds passes the pin and the evaluation does not test it again.  They
 are enumerated directly, as fixed-margin tables (Diaconis & Sturmfels
 1998): a dynamic program over the flat cells
 tracks the partial marginal sums, counts the completions of every state
-and so gives the exact row count before anything is allocated; partial
-rows are then extended one cell at a time, values ascending, keeping only
-those with a completion.  The rows are therefore exactly the ordered
-subsequence of all compositions of d that passes the pin test, in
-ascending lexicographic order of the flattened count tensor.  Requests
-whose rows, cache and scratch memory would exceed ``LATTICE_BYTES`` raise
-``ScaleGuardError`` before any large allocation.
+and so gives the exact row count before anything is allocated.  The rows
+are then written one cell's column at a time: partial rows are extended
+by their values in ascending order, keeping only those with a completion,
+and the completions of each partial row fill one run of rows.  The rows
+are therefore exactly the ordered subsequence of all compositions of d
+that passes the pin test, in ascending lexicographic order of the
+flattened count tensor.  Requests whose rows, cache and scratch memory
+would exceed ``LATTICE_BYTES`` raise ``ScaleGuardError`` before any large
+allocation; a solve plans all its lattices before building any, and then
+builds each from its plan (``planning``).
 
 Every entropic quantity of a type is a rational combination of integer
 "g*log2(g)" sums over marginal count tensors, so for a given (branch,
 alphabet sizes, d, admissible counts) they are computed once, cached, and
 reused across channels, rate pairs and every law that pins the same way.
+A build gets a chunk's marginal counts over every label set from one uint8
+product with a 0/1 indicator of the marginal cells, exact because no sum
+exceeds d <= 255.
 The rate-independent part of the objective, divergence plus I(X;Y|U), is
 one matrix-vector product per channel, kept with the cache; a rate pair
 then reduces to vector comparisons, the clamp and an argmin.
@@ -40,13 +46,13 @@ to the smallest enumeration index.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ScaleGuardError, ValidationError
-from .typeclasses import xlogx_table
+from .typeclasses import code_places, distinct_rows, xlogx_table
 
 # Slack for the equivocation comparison alpha(true) >= alpha(competitor).
 # Symmetric candidates (competitor identical to the true pair) produce the
@@ -69,14 +75,14 @@ _EVAL_CHUNK = 1 << 18
 
 # Memory bound of the lattice layer: the caches held at once with their
 # value vectors, and the projected rows x bytes of one build (stored arrays
-# plus enumeration scratch, and one chunk of marginal sums) or of one step
+# plus enumeration scratch, and one chunk's build scratch) or of one step
 # of its dynamic program.  Branch XY on binary alphabets needs about 0.5 GB
-# at d=10 (2,605,984 pinned rows) and would need about 4 GB at d=12
+# at d=10 (2,605,984 pinned rows) and would need about 4.7 GB at d=12
 # (22,901,128), which is refused.
 LATTICE_BYTES = 1 << 30
 
-# Int64 marginal sums one ``cache_from_counts`` chunk holds: the build's
-# scratch next to its stored rows.
+# Scratch one ``cache_from_counts`` chunk holds next to the stored rows:
+# its uint8 marginal sums and what they are reduced with (``_sum_chunk``).
 SUM_BYTES = 1 << 21
 
 # OpenBLAS computes the last (rows mod 4) rows of a gemv call, and the rows
@@ -411,20 +417,29 @@ def _row_bytes(spec: BranchSpec, sizes, d: int) -> tuple[int, int]:
     scratch per row)."""
     cells = int(np.prod(sizes))
     stored = cells + 8 * len(_branch_combos(spec)) + 8
-    # previous and next partial rows, the per-row admissible-value mask, and
-    # four index vectors (parent row, value, old and new state)
-    return stored, 2 * cells + (d + 1) + 4 * 8
+    # per partial row (never more than rows): the admissible-value mask and
+    # five index vectors (parent row, value, its gather, old and new state)
+    return stored, (d + 1) + 5 * 8
 
 
 def _sum_chunk(spec: BranchSpec, sizes) -> tuple[list, int, int]:
     """(the label sets whose marginal entropies a cache sums, smallest
-    first; rows of one ``cache_from_counts`` chunk; int64 marginal-sum
-    bytes of one row): a chunk holds at most ``SUM_BYTES`` of sums."""
+    first; rows of one ``cache_from_counts`` chunk; build scratch bytes of
+    one row): a chunk holds at most ``SUM_BYTES`` of scratch.
+
+    A row's scratch is its transposed counts, its uint8 marginal sums over
+    every label set, the intp indices and float64 values ``np.take``
+    gathers for the largest set, and one float64 "g*log2(g)" sum per set."""
     subsets = sorted({s for combo in _branch_combos(spec).values() for s in combo},
                      key=lambda s: (len(s), sorted(s)))
-    row = 8 * sum(math.prod(sizes[i] for i in _subset_axes(spec.labels, s))
-                  for s in subsets)
+    cells = [math.prod(sizes[i] for i in _subset_axes(spec.labels, s))
+             for s in subsets]
+    row = math.prod(sizes) + sum(cells) + 16 * max(cells) + 8 * len(subsets)
     return subsets, max(1, SUM_BYTES // row), row
+
+
+# Plans made within a ``planning`` block, by cache key.
+_PLANS: dict[tuple, _PinnedPlan] | None = None
 
 
 class _PinnedPlan:
@@ -462,13 +477,17 @@ class _PinnedPlan:
         for k in range(cells):
             last[hit[k]] = k
 
+        # states are numbered in ascending order of their partial sums,
+        # read as radix d + 1 code words
+        place = code_places(d + 1, n_cols)
         values = np.arange(d + 1, dtype=np.int16)
         states = np.zeros((1, n_cols), dtype=np.int16)
         self.steps: list[np.ndarray] = []
         held = 0
         for k in range(cells):
             n = states.shape[0] * (d + 1)
-            # the candidate states, their sorted copies, the inverse and step
+            # the candidate states, their code words and sort order, the
+            # inverse and step
             if held + n * (8 * n_cols + 24) > budget:
                 raise ScaleGuardError(
                     f"branch {spec.name}: the pinned-lattice program at "
@@ -478,9 +497,12 @@ class _PinnedPlan:
             ok = (child <= cap).all(axis=1)
             for c in np.flatnonzero(last == k):
                 ok &= allowed[c, np.minimum(child[:, c], d)]
-            states, inv = np.unique(child[ok], axis=0, return_inverse=True)
+            kept = child[ok]
+            codes, inv = distinct_rows(kept @ place.T)
+            states = np.empty((codes.shape[0], n_cols), dtype=np.int16)
+            states[inv] = kept
             step = np.full(n, -1, dtype=np.int64)
-            step[ok] = inv.ravel()
+            step[ok] = inv
             self.steps.append(step.reshape(-1, d + 1))
             held += step.nbytes + states.nbytes
         self.ways = [np.ones(states.shape[0], dtype=np.int64)]
@@ -495,23 +517,29 @@ class _PinnedPlan:
     def enumerate(self) -> np.ndarray:
         """The pinned rows as a uint8 matrix in ascending lexicographic
         order: each partial row is extended by its admissible values in
-        ascending order, parents in order, so no row is ever reordered."""
-        rows = np.zeros((1, 0), dtype=np.uint8)
+        ascending order, parents in order, so no row is ever reordered.
+        The completions of a partial row are then one run of rows, as long
+        as its state's ways, and each cell's column is written run by run."""
+        rows = np.empty((self.rows, len(self.steps)), dtype=np.uint8)
         state = np.zeros(1, dtype=np.int64)
         for k, step in enumerate(self.steps):
             alive = np.append(self.ways[k + 1] > 0, False)[step]
             parent, value = np.nonzero(alive[state])
-            grown = np.empty((parent.size, k + 1), dtype=np.uint8)
-            grown[:, :k] = rows[parent]
-            grown[:, k] = value
             state = step[state[parent], value]
-            rows = grown
+            rows[:, k] = np.repeat(value.astype(np.uint8), self.ways[k + 1][state])
         return rows
 
 
 def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
                       counts: np.ndarray) -> LatticeCache:
-    """Per-type quantities of the given rows."""
+    """Per-type quantities of the given rows.
+
+    Each chunk of rows gets the marginal counts of every label set from one
+    integer product with a 0/1 indicator of the marginal cells; a sum of at
+    most d <= 255 counts is exact in uint8 whatever the order.  A set's
+    "g*log2(g)" terms are then summed along each row of its C-ordered
+    (rows, cells) block, and the quantities combine those sums in a fixed
+    order, so no value depends on the chunk a row falls in."""
     n_rows = counts.shape[0]
     combos = _branch_combos(spec)
 
@@ -519,23 +547,29 @@ def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
 
     quantities = {name: np.empty(n_rows, dtype=np.float64) for name in combos}
 
-    # integer sums, and float sums along each row, so no value depends on
-    # the chunk a row falls in
     subsets, chunk, _ = _sum_chunk(spec, sizes)
+    # each set's columns, in the C order of its marginal cells
+    blocks = [marginal_cells(spec.labels, sizes, s) for s in subsets]
+    edges = np.cumsum([0] + [block.max() + 1 for block in blocks])
+    indicator = np.zeros((counts.shape[1], edges[-1]), dtype=np.uint8)
+    for block, start in zip(blocks, edges):
+        indicator[np.arange(block.size), start + block] = 1
     for a in range(0, n_rows, chunk):
         b = min(a + chunk, n_rows)
-        view = counts[a:b].reshape((b - a,) + sizes)
-        xl: dict[frozenset, np.ndarray] = {}
-        for s in subsets:
-            keep = _subset_axes(spec.labels, s)
-            drop = tuple(i + 1 for i in range(len(sizes)) if i not in keep)
-            gsum = view.sum(axis=drop, dtype=np.int64) if drop else view.astype(np.int64)
-            xl[s] = np.take(table, gsum).reshape(b - a, -1).sum(axis=1)
+        # (marginal cell, row): the rows run along the product's inner loop
+        sums = np.einsum("ck,cr->kr", indicator,
+                         np.ascontiguousarray(counts[a:b].T))
+        # np.take returns its (rows, cells) block in C order, so each row's
+        # terms are summed pairwise; table[...] would keep the transposed
+        # order and sum them one by one, changing last bits
+        xl = {s: np.take(table, sums[lo:hi].T).sum(axis=1)
+              for s, lo, hi in zip(subsets, edges, edges[1:])}
         for name, combo in combos.items():
             acc = np.zeros(b - a, dtype=np.float64)
             for s, coef in combo.items():
                 acc += coef * xl[s]
             quantities[name][a:b] = -acc / d
+        del sums, xl                    # before the next chunk allocates
 
     return LatticeCache(spec, sizes, d, counts, quantities)
 
@@ -572,6 +606,8 @@ def plan_lattice(spec: BranchSpec, sizes: tuple[int, ...], d: int,
     key = (spec.name, sizes, d, admissible_counts(spec, d, law_marginals))
     if key in _CACHE:
         return key, None
+    if _PLANS is not None and key in _PLANS:
+        return key, _PLANS[key]
     plan = _PinnedPlan(spec, sizes, d, key[3], LATTICE_BYTES)
     stored, scratch = _row_bytes(spec, sizes, d)
     _, chunk, sums = _sum_chunk(spec, sizes)
@@ -580,7 +616,23 @@ def plan_lattice(spec: BranchSpec, sizes: tuple[int, ...], d: int,
         raise ScaleGuardError(
             f"branch {spec.name}: {rows} pinned types at denominator {d} "
             f"need over {LATTICE_BYTES} bytes, the lattice budget")
+    if _PLANS is not None:
+        _PLANS[key] = plan
     return key, plan
+
+
+@contextmanager
+def planning():
+    """Within the block, ``plan_lattice`` keeps the plans it makes and
+    ``get_cache`` builds from them, so a solve that plans every lattice
+    before building any makes each plan once.  The plans go with the
+    block."""
+    global _PLANS
+    outer, _PLANS = _PLANS, {}
+    try:
+        yield
+    finally:
+        _PLANS = outer
 
 
 def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
@@ -641,6 +693,7 @@ def _chunk_value(cache: LatticeCache, base: np.ndarray, a: int, b: int,
 
 def _map(fn, ranges: list, threads: int) -> list:
     if threads > 1 and len(ranges) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, ranges))
     return [fn(rg) for rg in ranges]

@@ -163,7 +163,7 @@ def _entropy_rows(m: np.ndarray) -> np.ndarray:
     terms = -(vals * np.log2(vals))
     starts = np.cumsum(k) - k
     out = np.empty(m.shape[0])
-    for kk in np.unique(k):
+    for kk in np.flatnonzero(np.bincount(k)):
         rows = np.flatnonzero(k == kk)
         out[rows] = terms[starts[rows, None] + np.arange(kk)].sum(axis=1)
     return out

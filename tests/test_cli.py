@@ -455,6 +455,26 @@ class TestErrorHandling:
         assert "lattice budget" in capsys.readouterr().err
 
 
+class TestColdProcess:
+    # numpy imports numpy.ma on first use of some functions, which costs a
+    # fresh process 15-25 ms; no command needs it
+    @pytest.mark.parametrize("argv", [
+        ["exponent", "--channel", "chan.json", "--law", "law.json",
+         "--rx", "0.5", "--ry", "0.2", "--denominator", "6", "--baseline"],
+        ["verify-packing", "--codebook", "big.json", "--delta", "0.05"]],
+        ids=["exponent", "verify-packing"])
+    def test_commands_leave_numpy_ma_unimported(self, workdir, argv):
+        code = ("import sys; from macexp.cli import main; "
+                "code = main(sys.argv[1:]); "
+                "print('numpy.ma' in sys.modules, code)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(macexp.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code] + argv,
+                              capture_output=True, text=True, cwd=workdir,
+                              env=env)
+        assert proc.stdout.splitlines()[-1] in ("False 0", "False 3"), proc.stderr
+
+
 SUBCOMMANDS = ("exponent", "verify-packing", "expurgate", "simulate", "region")
 
 

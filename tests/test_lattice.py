@@ -25,10 +25,14 @@ from macexp import (
     ScaleGuardError,
     SolverSpec,
     baseline_branch_exponent,
+    baseline_exponent,
     branch_exponent,
+    expurgated_exponent,
 )
 from macexp import lattice
+from macexp.cli import main
 from macexp.exponents import _branch_sizes, _law_marginals
+from macexp.fileio import channel_to_dict, law_to_dict, save_json
 from macexp.lattice import (
     BASELINE_SPECS,
     BRANCH_SPECS,
@@ -39,8 +43,9 @@ from macexp.lattice import (
     get_cache,
     minimize_branch,
 )
-from macexp.typeclasses import compositions_array
-from helpers import chan, identity_channel, uniform_law, xor_bsc
+from macexp.typeclasses import compositions_array, xlogx_table
+from helpers import (adder_channel, chan, identity_channel, uniform_law,
+                     xor_bsc)
 
 SPECS = {**BRANCH_SPECS, **{s.name: s for s in BASELINE_SPECS.values()}}
 
@@ -111,6 +116,35 @@ def reference_rows(spec, sizes, d, law_marginals):
         m = view.sum(axis=drop).reshape(full.shape[0], -1) / d
         keep &= (np.abs(m - law_marginals[tuple(base)]) <= 0.5 / d).all(axis=1)
     return full, keep
+
+
+# largest lattice the per-subset build reference reduces
+BUILD_ROWS = 250_000
+
+
+def per_subset_quantities(spec, sizes, d, counts, chunk=1 << 14):
+    """Per-type quantities with each label set's marginal counts reduced
+    separately: ``view.sum(axis=drop)`` in int64, the "g*log2(g)" terms
+    summed along each row, and the combinations added in their order."""
+    table = xlogx_table(d)
+    combos = lattice._branch_combos(spec)
+    out = {name: np.empty(counts.shape[0]) for name in combos}
+    for a in range(0, counts.shape[0], chunk):
+        view = counts[a:a + chunk].reshape((-1,) + sizes)
+        xl = {}
+        for combo in combos.values():
+            for s in combo:
+                if s not in xl:
+                    drop = tuple(i + 1 for i, lab in enumerate(spec.labels)
+                                 if lab not in s)
+                    g = view.sum(axis=drop, dtype=np.int64)
+                    xl[s] = np.take(table, g).reshape(view.shape[0], -1).sum(axis=1)
+        for name, combo in combos.items():
+            acc = np.zeros(view.shape[0])
+            for s, coef in combo.items():
+                acc += coef * xl[s]
+            out[name][a:a + chunk] = -acc / d
+    return out
 
 
 def law_of(px, py=(0.5, 0.5)):
@@ -220,6 +254,38 @@ class TestChunkedEvaluation:
         (vector,) = split.values.values()
         assert np.array_equal(vector, next(iter(whole.values.values())))
 
+    # the binary adder with a 10% flip under three X laws and a two-symbol
+    # U, and the noiseless ternary-output adder
+    BUILD_CASES = (
+        [(law_of(px), xor_bsc(0.1))
+         for px in ((0.5, 0.5), (0.25, 0.75), (1 / 3, 2 / 3))]
+        + [(InputLaw.from_components([0.5, 0.5], [[0.5, 0.5], [0.25, 0.75]],
+                                     [[0.5, 0.5], [0.5, 0.5]]), xor_bsc(0.1)),
+           (uniform_law(), adder_channel())])
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_build_equals_per_subset_reductions(self, name):
+        # every lattice of at most BUILD_ROWS rows at d = 2..8 and 16: branch
+        # XY at d = 8 on the adder with a flip is in, at d = 8 under |U|=2
+        # not.  Up to d = 8 these rows' "g*log2(g)" terms gave the same bits
+        # in every summation order tried; at d = 16 those of baseline rows
+        # and of branch X under P_X = (1/4, 3/4) do not
+        spec = SPECS[name]
+        for law, w in self.BUILD_CASES:
+            lm, sizes = _law_marginals(law), _branch_sizes(spec, law, w)
+            for d in (*range(2, 9), 16):
+                plan = lattice._PinnedPlan(spec, sizes, d,
+                                           admissible_counts(spec, d, lm),
+                                           lattice.LATTICE_BYTES)
+                if plan.rows > BUILD_ROWS:
+                    continue
+                counts = plan.enumerate()
+                got = cache_from_counts(spec, sizes, d, counts).quantities
+                want = per_subset_quantities(spec, sizes, d, counts)
+                assert got.keys() == want.keys()
+                for q, values in want.items():
+                    assert np.array_equal(got[q], values), (name, d, q)
+
     def test_build_chunks_do_not_change_the_quantities(self, monkeypatch):
         # a build in chunks of five rows, the last one short, against the
         # build at the default chunk bytes
@@ -259,6 +325,43 @@ class TestCacheSharing:
                         law_of((0.125, 0.875)), solver=d6)
         assert builds == ["X", "X"]
 
+    def test_each_lattice_is_planned_once(self, monkeypatch, tmp_path):
+        clear_lattice_cache()
+        plans, builds = [], []
+        plan = lattice._PinnedPlan.__init__
+        build = lattice.cache_from_counts
+
+        def planned(self, spec, *args):
+            plans.append(spec.name)
+            plan(self, spec, *args)
+
+        def built(spec, *args):
+            builds.append(spec.name)
+            return build(spec, *args)
+
+        monkeypatch.setattr(lattice._PinnedPlan, "__init__", planned)
+        monkeypatch.setattr(lattice, "cache_from_counts", built)
+        d6 = SolverSpec(lattice_denominator=6)
+        for _ in range(2):
+            expurgated_exponent(RatePair(0.4, 0.4), xor_bsc(0.1), uniform_law(),
+                                solver=d6)
+            baseline_exponent(RatePair(0.4, 0.4), xor_bsc(0.1), uniform_law(),
+                              solver=d6)
+        assert plans == builds == ["X", "Y", "XY",
+                                   "baseline_X", "baseline_Y", "baseline_XY"]
+        assert lattice._PLANS is None
+        # at d = 13 branch XY is refused after X and Y are planned: nothing
+        # is built, and no plan outlives the command
+        save_json(tmp_path / "chan.json", channel_to_dict(xor_bsc(0.1)))
+        save_json(tmp_path / "law.json", law_to_dict(uniform_law()))
+        assert main(["exponent", "--channel", str(tmp_path / "chan.json"),
+                     "--law", str(tmp_path / "law.json"), "--rx", "0.4",
+                     "--ry", "0.4", "--denominator", "13",
+                     "--branch", "all"]) == 3
+        assert plans[6:] == ["X", "Y", "XY"]
+        assert len(builds) == 6
+        assert lattice._PLANS is None
+
     def test_held_caches_stay_within_the_byte_budget(self, monkeypatch):
         clear_lattice_cache()
         law = uniform_law()
@@ -283,6 +386,32 @@ class TestByteGuard:
         res = branch_exponent("XY", RatePair(0.4, 0.4), xor_bsc(0.1), law,
                               solver=SolverSpec(lattice_denominator=8))
         assert res.source == "lattice"
+
+    def test_build_stays_within_the_projected_bytes(self):
+        # branch XY at d = 8: the build holds its stored quantities and one
+        # chunk's scratch; enumeration and build together hold what
+        # plan_lattice projects before allowing them
+        clear_lattice_cache()
+        law, xy, d = uniform_law(), BRANCH_SPECS["XY"], 8
+        sizes = _branch_sizes(xy, law, xor_bsc(0.1))
+        _, chunk, scratch_row = lattice._sum_chunk(xy, sizes)
+        stored_row, enum_row = lattice._row_bytes(xy, sizes, d)
+        fixed = 1 << 16                     # indicator, cell maps, plan
+        tracemalloc.start()
+        try:
+            cache = get_cache(xy, sizes, d, _law_marginals(law))
+            whole = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            built = cache_from_counts(xy, sizes, d, cache.counts)
+            build = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows = cache.total
+        assert rows > 50 * chunk
+        quantities = sum(q.nbytes for q in built.quantities.values())
+        assert build <= quantities + chunk * scratch_row + fixed
+        assert whole <= rows * (stored_row + enum_row) + chunk * scratch_row + fixed
 
     def test_denominator_12_is_refused_before_allocating(self):
         # 22,901,128 pinned rows: about 3.7 GB of cache alone

@@ -21,8 +21,9 @@ re-checks every realized competitor type against the rate-constraint
 family used by the exponent minimization.
 
 A tally is a set of arrays: a family's distinct count rows in ascending
-order, and one (message pair, type, count) entry per type a pair realizes.
-Totals, peaks and needs are reductions over the entries.  Types are
+order, and one (message pair, type, count) entry per type a pair realizes,
+each field in the smallest unsigned dtype that holds it.  Totals, peaks
+and needs are reductions over the entries, a block at a time.  Types are
 found by int64 code words of the count rows, per chunk of message pairs:
 a code is a sum over positions of a true-side factor times a wrong-side
 factor, so a chunk's codes against every pattern of wrong words are one
@@ -227,7 +228,9 @@ class Tally(NamedTuple):
     that the true-word tuple ``np.unravel_index(pair[e], m)``, of one word
     per book of sizes ``m``, realizes ``types[type[e]]`` in ``count[e]``
     wrong-word patterns; each (tuple, type) appears once, in ascending
-    (pair, type) order.
+    (pair, type) order.  Each field has the smallest unsigned dtype that
+    holds its values: ``pair`` the last tuple, ``count`` the patterns of
+    one tuple, ``type`` the tuples times their patterns.
     """
 
     types: np.ndarray
@@ -283,10 +286,11 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     sum is part of a code below 2^63.  Each tuple keeps the patterns that
     skip its own true words; one sort of the chunk's codes finds its
     types, and a sort of each tuple's type ids its (tuple, type, count)
-    entries.  Every scratch array of a chunk holds at most ENTROPY_CELLS
-    entries, or one tuple's row of them if more; the wrong-side factor,
-    held for the whole call, has n T entries per pattern and code word.
-    The types are decoded to count rows at the end.
+    entries, kept per chunk and field.  Every scratch array of a chunk
+    holds at most ENTROPY_CELLS entries, or one tuple's row of them if
+    more; the wrong-side factor, held for the whole call, has n T entries
+    per pattern and code word.  The types are decoded to count rows at the
+    end, and the entries joined one field at a time.
     """
     n = u.size
     wrong_cells = math.prod(books[c][1] for c in competitors)
@@ -310,14 +314,19 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     k = math.prod(m[c] - 1 for c in competitors)
     dtype = np.min_scalar_type(n)
     n_tuples = math.prod(m)
-    # every index and count below is at most the number of count rows
-    entry_dtype = np.min_scalar_type(n_tuples * max(k, 1))
+    # (pair, type, count) entries: a list of chunks per field, each in the
+    # smallest dtype of the field's largest value, which is the last tuple,
+    # a type id (at most one per pattern of every tuple) and one tuple's
+    # patterns
+    entries = ([], [], [])
+    dtypes = [np.min_scalar_type(v)
+              for v in (n_tuples - 1, n_tuples * max(k, 1), k)]
     step = max(1, ENTROPY_CELLS // (len(code) * max(right.shape[1:])))
     # the distinct codes found so far; a chunk's codes wait in ``pending``
     # until they outnumber the table, then both are merged and every
     # entry's type index is remapped
     table = np.zeros((0, len(code)), dtype=np.int64)
-    pending, entries = [], []
+    pending = []
     stacked = 0
     for lo in range(0, n_tuples, step):
         idx = np.unravel_index(np.arange(lo, min(lo + step, n_tuples)), m)
@@ -342,21 +351,32 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
         first[:, 1:] = local[:, 1:] != local[:, :-1]
         at = np.flatnonzero(first)
         pending.append(types)
-        entries.append(np.stack([lo + at // k, stacked + local.ravel()[at],
-                                 np.diff(at, append=local.size)])
-                       .astype(entry_dtype))
+        for chunks, v, t in zip(entries, (lo + at // k,
+                                          stacked + local.ravel()[at],
+                                          np.diff(at, append=local.size)),
+                                dtypes):
+            chunks.append(v.astype(t))
+        # free this chunk's sort before the next chunk's product
+        del local, first, at, v
         stacked += len(types)
         if stacked > 2 * len(table) or lo + step >= n_tuples:
             table, inverse = distinct_rows(np.concatenate([table] + pending))
-            for e in entries:
-                e[1] = inverse[e[1]]
+            for t in entries[1]:
+                t[:] = inverse[t]
             pending, stacked = [], len(table)
-    pairs, type_ids, counts = np.concatenate(entries, axis=1)
     # each cell has one nonzero place, in its own word
     types = np.empty((len(table), cells), dtype=dtype)
     for c, (w, p) in enumerate(zip(code.argmax(axis=0), code.max(axis=0))):
         types[:, c] = table[:, w] // p % (n + 1)
-    return Tally(types, m, pairs, type_ids, counts)
+    return Tally(types, m, *map(_join, entries))
+
+
+def _join(parts: list) -> np.ndarray:
+    """The parts joined into one array; the list is emptied, so the parts
+    can be freed before the next field is joined."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
 
 
 def _tally_family(pair: CodebookPair, family: str) -> Tally:
@@ -377,15 +397,30 @@ def _family_batch(pair: CodebookPair, family: str, tally: Tally) -> JointBatch:
                                   pair.n)
 
 
+def _blocks(*fields):
+    """Blocks of ENTROPY_CELLS entries of a tally's fields: each block's
+    slice, then its values of the fields as intp arrays reused for every
+    block (``ufunc.at`` takes its fast path on intp indices and values of
+    the target's dtype)."""
+    size = len(fields[0])
+    bufs = [np.empty(min(size, ENTROPY_CELLS), dtype=np.intp) for _ in fields]
+    for lo in range(0, size, ENTROPY_CELLS):
+        block = slice(lo, lo + ENTROPY_CELLS)
+        values = [buf[:min(size - lo, ENTROPY_CELLS)] for buf in bufs]
+        for buf, field in zip(values, fields):
+            buf[:] = field[block]
+        yield block, *values
+
+
 def _type_counts(tally: Tally) -> tuple[np.ndarray, np.ndarray]:
     """Each type's count summed over all true-word tuples and its largest
     count for any one tuple."""
     # float sums are exact: a tally holds far fewer than 2^53 patterns
-    totals = np.bincount(tally.type, tally.count, len(tally.types))
+    totals = np.zeros(len(tally.types))
     peaks = np.zeros(len(tally.types), dtype=np.int64)
-    # intp indices and values of the target's dtype take ufunc.at's fast path
-    np.maximum.at(peaks, tally.type.astype(np.intp),
-                  tally.count.astype(np.int64))
+    for _, t, c in _blocks(tally.type, tally.count):
+        totals += np.bincount(t, c, len(tally.types))
+        np.maximum.at(peaks, t, c)
     return totals.astype(np.int64), peaks
 
 
@@ -534,12 +569,13 @@ def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
     and the min-rate offset taken at ``rates``."""
     f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
     # math.log2, as the average needs use: np.log2 can differ in the last bit
-    log2 = np.array([-math.inf] + [math.log2(c) for c in
-                                   range(1, tally.count.max(initial=0) + 1)])
-    need = _need(log2[tally.count], f_of[tally.type], pair.n, rates.lower,
-                 PAIR_DELTA_COEFF[family])
+    log2 = np.array([-math.inf] + [
+        math.log2(c) for c in range(1, int(tally.count.max(initial=0)) + 1)])
     worst = np.zeros(math.prod(tally.m))
-    np.maximum.at(worst, tally.pair.astype(np.intp), need)
+    for block, p in _blocks(tally.pair):
+        np.maximum.at(worst, p, _need(log2[tally.count[block]],
+                                      f_of[tally.type[block]], pair.n,
+                                      rates.lower, PAIR_DELTA_COEFF[family]))
     return worst.reshape(pair.m_x, pair.m_y)
 
 
@@ -551,9 +587,9 @@ def _audit(pair: CodebookPair, tallies: dict[str, Tally], rates: RatePair,
         law = pair.input_law()
     violations = []
     for family, tally in tallies.items():
-        first = np.full(len(tally.types), math.prod(tally.m), dtype=np.int64)
-        np.minimum.at(first, tally.type.astype(np.intp),
-                      tally.pair.astype(np.int64))
+        first = np.full(len(tally.types), math.prod(tally.m), dtype=np.intp)
+        for _, p, t in _blocks(tally.pair, tally.type):
+            np.minimum.at(first, t, p)
         checks = confusability_checks(_family_batch(pair, family, tally), law,
                                       rates, delta)
         for r, c in zip(*np.nonzero(checks.violated)):

@@ -89,6 +89,8 @@ SUM_BYTES = 1 << 21
 # at its thread splits, with a different kernel whose last bit can differ.
 # Blocks of a multiple of 4 rows and at most this many entries run on one
 # thread with one kernel, so a row's value does not depend on where it sits.
+# Each such block is copied into one reused buffer, and the P-weighted
+# divergence takes its rows in blocks of at most this many values too.
 _GEMV_CELLS = 1 << 13
 
 
@@ -717,6 +719,9 @@ def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
     if base is not None:
         return base
     w_finite, inf_cells = channel_log_vector(spec, cache.sizes, w)
+    # a row's count on the cells where the channel has no mass
+    on_inf = np.zeros(w_finite.size)
+    on_inf[inf_cells] = 1.0
     q = cache.quantities
     base = np.empty(cache.total)
 
@@ -726,7 +731,7 @@ def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
             value = (q["div_ent"][a:b]
                      + _linear_term(cache.counts[a:b], w_finite) / cache.d)
             if inf_cells.size:
-                hit = cache.counts[a:b][:, inf_cells].sum(axis=1) > 0
+                hit = _linear_term(cache.counts[a:b], on_inf) > 0
                 value = np.where(hit, np.inf, value)
         else:
             value = _p_weighted_divergence(cache, a, b, w_finite, inf_cells, p_uxy)
@@ -739,14 +744,20 @@ def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
 
 
 def _linear_term(counts: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``counts @ w`` per row, bit-identical wherever the row sits."""
+    """``counts @ w`` per row, bit-identical wherever the row sits.
+
+    Each block of rows is copied into one reused float buffer, zero-padded
+    to the block's full shape, so every product has the same shape and the
+    scratch does not grow with the rows."""
     n, cells = counts.shape
     step = max(4, _GEMV_CELLS // cells // 4 * 4)
-    padded = np.zeros((-(-n // step) * step, cells))
-    padded[:n] = counts
-    out = np.empty(padded.shape[0])
-    for a in range(0, padded.shape[0], step):
-        np.matmul(padded[a:a + step], w, out=out[a:a + step])
+    block = np.zeros((step, cells))
+    out = np.empty(-(-n // step) * step)
+    for a in range(0, n, step):
+        rows = min(step, n - a)
+        block[:rows] = counts[a:a + rows]
+        block[rows:] = 0.0
+        np.matmul(block, w, out=out[a:a + step])
     return out[:n]
 
 
@@ -754,38 +765,45 @@ def _p_weighted_divergence(cache: LatticeCache, a: int, b: int,
                            w_finite: np.ndarray, inf_cells: np.ndarray,
                            p_uxy: np.ndarray) -> np.ndarray:
     """D(V_{Z|XYU} || W | P_{UXY}) per type; conditioning cells with zero
-    V-mass contribute zero by convention (their conditional is free)."""
+    V-mass contribute zero by convention (their conditional is free).
+    Rows go a block at a time, so that each array over a block's (U, X, Y,
+    Z) cells holds at most ``_GEMV_CELLS`` values; every step is per row."""
     labels = cache.spec.labels
     sizes = cache.sizes
     keep = _subset_axes(labels, {"U", "X", "Y", "Z"})
     drop = tuple(i + 1 for i in range(len(sizes)) if i not in keep)
-    view = cache.counts[a:b].reshape((b - a,) + sizes)
-    g = view.sum(axis=drop, dtype=np.int64) if drop else view.astype(np.int64)
-    # g has axes (rows, U, X, Y, Z)
-    g = g.astype(np.float64)
-    gz = g.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(gz > 0, g / np.where(gz > 0, gz, 1.0), 0.0)
-        logc = np.where(cond > 0, np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
-    wneg = w_finite.reshape(cache.sizes)
-    # collapse the broadcast tilde axes back to (U, X, Y, Z)
-    wneg4 = wneg
-    for i in reversed(range(len(sizes))):
-        if i not in keep:
-            wneg4 = np.take(wneg4, 0, axis=i)
-    per_cell = cond * (logc + wneg4[None])
-    contrib = (per_cell * p_uxy[None, ..., None]).sum(axis=-1)
-    out = contrib.reshape(b - a, -1).sum(axis=1)
-    if inf_cells.size:
-        flat = np.zeros(int(np.prod(cache.sizes)), dtype=bool)
-        flat[inf_cells] = True
-        inf_mask4 = flat.reshape(cache.sizes)
+
+    def collapse(cells):
+        """The broadcast tilde axes collapsed back to (U, X, Y, Z)."""
         for i in reversed(range(len(sizes))):
             if i not in keep:
-                inf_mask4 = np.take(inf_mask4, 0, axis=i)
-        bad = (cond > 0) & inf_mask4[None]
-        hit = (bad & (p_uxy[None, ..., None] > 0)).reshape(b - a, -1).any(axis=1)
-        out = np.where(hit, np.inf, out)
+                cells = np.take(cells, 0, axis=i)
+        return cells
+
+    wneg4 = collapse(w_finite.reshape(sizes))
+    flat = np.zeros(w_finite.size, dtype=bool)
+    flat[inf_cells] = True
+    # cells of positive P-mass where the channel has none
+    inf_mask4 = collapse(flat.reshape(sizes)) & (p_uxy[..., None] > 0)
+    out = np.empty(b - a)
+    step = max(1, _GEMV_CELLS // wneg4.size)
+    for lo in range(a, b, step):
+        hi = min(lo + step, b)
+        view = cache.counts[lo:hi].reshape((hi - lo,) + sizes)
+        g = view.sum(axis=drop, dtype=np.int64) if drop else view.astype(np.int64)
+        # g has axes (rows, U, X, Y, Z)
+        g = g.astype(np.float64)
+        gz = g.sum(axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(gz > 0, g / np.where(gz > 0, gz, 1.0), 0.0)
+            logc = np.where(cond > 0, np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
+        per_cell = cond * (logc + wneg4[None])
+        contrib = (per_cell * p_uxy[None, ..., None]).sum(axis=-1)
+        value = contrib.reshape(hi - lo, -1).sum(axis=1)
+        if inf_cells.size:
+            hit = ((cond > 0) & inf_mask4[None]).reshape(hi - lo, -1).any(axis=1)
+            value = np.where(hit, np.inf, value)
+        out[lo - a:hi - a] = value
     return out
 
 

@@ -159,8 +159,10 @@ def _entropy_rows(m: np.ndarray) -> np.ndarray:
     """
     positive = m > 0.0
     k = positive.sum(axis=1)
-    vals = m[positive]
-    terms = -(vals * np.log2(vals))
+    # -(p log2 p) of each positive cell, in place
+    terms = m[positive]
+    terms *= np.log2(terms)
+    np.negative(terms, out=terms)
     starts = np.cumsum(k) - k
     out = np.empty(m.shape[0])
     for kk in np.flatnonzero(np.bincount(k)):
@@ -181,26 +183,46 @@ class JointBatch:
     informations equal the scalar functions of each row's JointDist bit for
     bit: a marginal is summed and renormalised as ``marginalize`` does, and
     its entropy as ``_entropy_of_probs`` does.  Each label set is
-    marginalised once per batch; ``per_chunk`` bounds that scratch.
+    marginalised once per batch; ``per_chunk`` bounds that scratch.  Given
+    ``n``, ``probs`` are integer counts instead (``from_counts``).
     """
 
-    def __init__(self, labels, probs) -> None:
+    def __init__(self, labels, probs, n: int | None = None) -> None:
         self.labels = tuple(labels)
-        # C order: a row's sums, and so its last bits, follow the layout
-        self.probs = np.ascontiguousarray(probs, dtype=np.float64)
+        if n is None:
+            # C order: a row's sums, and so its last bits, follow the layout
+            probs = np.ascontiguousarray(probs, dtype=np.float64)
+        # the rows ``per_chunk`` slices: probabilities, or counts whose
+        # probabilities are formed a chunk at a time
+        self._rows, self._n = probs, n
+        self._probs = probs if n is None else None
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError(f"duplicate axis labels {self.labels}")
-        if self.probs.ndim != len(self.labels) + 1:
+        if self._rows.ndim != len(self.labels) + 1:
             raise ValidationError(
                 f"JointBatch: expected {len(self.labels) + 1} dimensions, "
-                f"got {self.probs.ndim}")
+                f"got {self._rows.ndim}")
         self._marginals: dict[frozenset, np.ndarray] = {}
         self._entropies: dict[frozenset, np.ndarray] = {}
 
     @classmethod
     def from_counts(cls, labels, counts: np.ndarray, n: int) -> "JointBatch":
-        """Rows ``counts / n`` renormalised as ``TypeVector.to_joint`` does."""
-        return cls.renormalised(labels, np.ascontiguousarray(counts) / n)
+        """Rows ``counts / n`` renormalised as ``TypeVector.to_joint`` does.
+
+        The batch keeps the integer rows: ``per_chunk`` forms each chunk's
+        probabilities in turn, so no float copy of every row exists unless
+        ``probs`` is read.  Every step is per row, so a chunk's rows equal
+        those of the whole batch.
+        """
+        return cls(labels, counts, n)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The (N,) + axis sizes probabilities, formed on first read from
+        counts."""
+        if self._probs is None:
+            self._probs = self._chunk(0, len(self)).probs
+        return self._probs
 
     @classmethod
     def renormalised(cls, labels, probs: np.ndarray) -> "JointBatch":
@@ -216,15 +238,19 @@ class JointBatch:
         return cls(joint.labels, joint.probs[None])
 
     def __len__(self) -> int:
-        return self.probs.shape[0]
+        return len(self._rows)
 
     def per_chunk(self, fn) -> np.ndarray:
         """``fn`` of consecutive row chunks, each with marginals of at most
         ENTROPY_CELLS probabilities, joined along the rows."""
-        rows = max(1, ENTROPY_CELLS // math.prod(self.probs.shape[1:]))
-        return np.concatenate([
-            fn(JointBatch(self.labels, self.probs[lo:lo + rows]))
-            for lo in range(0, max(len(self), 1), rows)])
+        rows = max(1, ENTROPY_CELLS // math.prod(self._rows.shape[1:]))
+        return np.concatenate([fn(self._chunk(lo, lo + rows))
+                               for lo in range(0, max(len(self), 1), rows)])
+
+    def _chunk(self, lo: int, hi: int) -> "JointBatch":
+        if self._n is None:
+            return JointBatch(self.labels, self._rows[lo:hi])
+        return JointBatch.renormalised(self.labels, self._rows[lo:hi] / self._n)
 
     def _key(self, labels) -> frozenset:
         idx = []

@@ -33,6 +33,7 @@ from macexp.codebooks import (
 )
 from macexp.cli import main
 from macexp.errors import ConstructionError, ValidationError
+from macexp.exponents import RatePair, confusability_feasible
 from macexp.fileio import codebook_to_dict, save_json
 from macexp.typeclasses import SymbolSequence, code_places, empirical_type
 
@@ -364,6 +365,116 @@ class TestTallyMemory:
         # the bound has teeth: one chunk for every message pair exceeds it
         monkeypatch.setattr(codebooks, "ENTROPY_CELLS", 1 << 40)
         assert self.scratch_bytes(pair) > budget
+
+
+class TestReportMemory:
+    """Reports and expurgation hold their tallies' entries plus a few
+    ENTROPY_CELLS-entry scratch arrays: the entries are reduced a block at
+    a time and a family's types turned into probabilities a chunk at a
+    time."""
+
+    SCRATCH_ARRAYS = 7
+    PAIR = binary_codebooks(12, 24, 24, seed=20240817)
+
+    @staticmethod
+    def scratch_bytes(call, held: int) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - held
+
+    def over_budget(self, budget: int) -> list[str]:
+        sizes = [sum(a.nbytes for a in _tally_family(self.PAIR, f)
+                     if isinstance(a, np.ndarray)) for f in FAMILY_ORDER]
+        # reports hold one family's tally at a time, expurgation all four
+        return [name for name, call, held in (
+            ("reports", lambda: packing_reports(self.PAIR), max(sizes)),
+            ("expurgate", lambda: expurgate(self.PAIR, 0.1), sum(sizes)))
+            if self.scratch_bytes(call, held) > budget]
+
+    def test_scratch_stays_within_a_few_blocks(self, monkeypatch):
+        budget = self.SCRATCH_ARRAYS * codebooks.ENTROPY_CELLS * 8
+        assert self.over_budget(budget) == []
+        # the bound has teeth: one chunk and one block for every entry
+        monkeypatch.setattr(codebooks, "ENTROPY_CELLS", 1 << 40)
+        assert self.over_budget(budget) == ["reports", "expurgate"]
+
+
+def unit_pair(m_x: int, m_y: int) -> CodebookPair:
+    """Binary books of weight-one words, each book's ones on its own
+    positions: every wrong word sits on positions no true word uses, so
+    all of a message pair's wrong-word patterns share one joint type."""
+    n = m_x + m_y
+    u_alph, x_alph, y_alph = Alphabet(1, "U"), Alphabet(2, "X"), Alphabet(2, "Y")
+    one = np.eye(n, dtype=np.int64)
+    target = [TypeVector((u_alph, alph), np.asarray([[n - 1, 1]]), n)
+              for alph in (x_alph, y_alph)]
+    return CodebookPair(np.zeros(n, dtype=np.int64), one[:m_x], one[m_x:],
+                        u_alph, x_alph, y_alph, *target)
+
+
+class TestFieldDtypeLimits:
+    """Tallies whose pair ids or counts reach the largest value of their
+    uint8 dtype: entries, totals, peaks, per-pair needs and the audit equal
+    the tally_oracle recount."""
+
+    @pytest.mark.parametrize("pair, field, family", [
+        # pair ids 0..255
+        (binary_codebooks(6, 16, 16, seed=20240817), "pair", "triple_x"),
+        # 15 * 17 = 255 wrong-word patterns of one type for every pair
+        (unit_pair(16, 18), "count", "quad"),
+    ], ids=["pair_ids", "counts"])
+    def test_tally_at_its_dtype_limit_matches_the_recount(self, pair, field,
+                                                          family):
+        tally = _tally_family(pair, family)
+        values = getattr(tally, field)
+        assert values.dtype == np.uint8 and values.max() == 255
+        tallies, counters = to.recount(pair, family)
+        assert as_dicts(tally, range(pair.m_x), range(pair.m_y)) == tallies
+
+        totals, peaks, first = {}, {}, {}
+        for ij, counts in tallies.items():
+            for key, c in counts.items():
+                totals[key] = totals.get(key, 0) + c
+                peaks[key] = max(peaks.get(key, 0), c)
+                first.setdefault(key, ij)
+        avg, peak = (rep.families[family].table for rep in packing_reports(pair))
+        assert lhs_map(avg) == {key: Fraction(c, pair.m_x * pair.m_y)
+                                for key, c in totals.items()}
+        assert count_map(peak) == peaks
+
+        r = pair.rates
+        needs = np.zeros((pair.m_x, pair.m_y))
+        for (i, j), counts in tallies.items():
+            for key, c in counts.items():
+                f = to.family_exponent(counters[key], family, r.rx, r.ry)
+                needs[i, j] = max(needs[i, j], (math.log2(c) + pair.n * (
+                    f - r.lower)) / (pair.n * PAIR_DELTA_COEFF[family]))
+        got = codebooks._pair_needs(pair, family, tally, r)
+        assert got == pytest.approx(needs, abs=1e-12)
+
+        # at zero rates every dependent type breaks a constraint; the audit
+        # checks each type once, with the first pair realizing it
+        zero = RatePair(0.0, 0.0)
+        audit = audit_confusability(pair, zero, 0.0)
+        assert audit.pattern_counts[family] == sum(totals.values())
+        assert audit.distinct_types[family] == len(first)
+        law = pair.input_law()
+        labels = ("U", "X", "Y") + codebooks.PACKING_FAMILIES[family][0]
+        axes = tuple(Alphabet(s, lab)
+                     for s, lab in zip(to._sizes(pair, family), labels))
+        want = []
+        for key in sorted(first):
+            joint = TypeVector(axes, np.reshape(key, [a.size for a in axes]),
+                               pair.n).to_joint()
+            want += [codebooks.AuditViolation(family, first[key], v.name,
+                                              v.lhs, v.rhs)
+                     for v in confusability_feasible(joint, law, zero, 0.0)[1]]
+        assert want
+        assert [v for v in audit.violations if v.pattern == family] == want
 
 
 class TestReportArrays:

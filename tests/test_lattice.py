@@ -225,6 +225,20 @@ class TestLinearTerm:
             assert np.array_equal(lattice._linear_term(counts[rows], w),
                                   full[rows])
 
+    def test_scratch_does_not_grow_with_the_rows(self):
+        # a float copy of 200,000 rows of 16 counts would take 25.6 MB; the
+        # product holds one block of rows and the padding of the last one
+        rng = np.random.default_rng(6)
+        counts = rng.integers(0, 7, (200_000, 16), dtype=np.uint8)
+        w = -np.log2(rng.uniform(0.01, 1.0, 16))
+        tracemalloc.start()
+        try:
+            out = lattice._linear_term(counts, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 2 * lattice._GEMV_CELLS * 8
+
 
 class TestChunkedEvaluation:
     @pytest.mark.parametrize("weighting", ["V", "P"])

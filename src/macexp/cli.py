@@ -7,8 +7,7 @@ Monte Carlo decoding error), ``region`` (achievable-region membership).
 
 Exit codes: 0 on success, 2 on bad input or usage, 3 when a scale guard
 refuses the request or a verification or membership check comes back
-negative.  Thread count for the lattice sweep comes from --threads or the
-MACEXP_THREADS environment variable.
+negative.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .codebooks import (
@@ -56,17 +54,6 @@ def _float_list(text: str) -> list[float]:
     return vals
 
 
-def _threads(args) -> int:
-    """--threads, else MACEXP_THREADS as set when the command runs."""
-    if args.threads is not None:
-        return args.threads
-    raw = os.environ.get("MACEXP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -82,7 +69,8 @@ def cmd_exponent(args) -> int:
     solver = SolverSpec(lattice_denominator=args.denominator,
                         refine_steps=args.refine,
                         divergence_weighting=args.weighting)
-    threads = _threads(args)
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     rows = []
     results = []
     for rx in args.rx:
@@ -90,10 +78,10 @@ def cmd_exponent(args) -> int:
             rates = RatePair(rx, ry)
             if args.branch == "all":
                 res = expurgated_exponent(rates, w, p, args.delta, solver,
-                                          threads=threads)
+                                          threads=args.threads)
             else:
                 res = branch_exponent(args.branch, rates, w, p, args.delta,
-                                      solver, threads=threads)
+                                      solver, threads=args.threads)
             entry = {
                 "rx": rx, "ry": ry, "value": res.value, "branch": res.branch,
                 "source": res.source, "feasible_empty": res.feasible_empty,
@@ -102,7 +90,7 @@ def cmd_exponent(args) -> int:
                    res.source]
             if args.baseline:
                 base = baseline_exponent(rates, w, p, args.delta, solver,
-                                         threads=threads)
+                                         threads=args.threads)
                 entry["baseline_value"] = base.value
                 entry["baseline_branch"] = base.branch
                 row += [_full(base.value), base.branch]
@@ -307,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also report the relaxed baseline exponent")
     p_exp.add_argument("--refine", type=int, default=0, metavar="STEPS")
     p_exp.add_argument("--weighting", choices=["V", "P"], default="V")
-    p_exp.add_argument("--threads", type=int,
-                       help="evaluation threads (default: MACEXP_THREADS or 1)")
+    p_exp.add_argument("--threads", type=int, default=1,
+                       help="evaluation threads")
     p_exp.add_argument("--out", help="JSON results path")
     p_exp.add_argument("--csv", help="CSV results path")
     p_exp.set_defaults(func=cmd_exponent)

@@ -49,6 +49,7 @@ from .exponents import (
     InputLaw,
     RatePair,
     check_delta,
+    conditional_rows,
     confusability_checks,
     family_exponents,
 )
@@ -62,8 +63,6 @@ from .typeclasses import (
 )
 
 FAMILY_ORDER = tuple(PACKING_FAMILIES)
-AVG_DELTA_COEFF = {"pair": 2, "triple_x": 3, "triple_y": 3, "quad": 4}
-PAIR_DELTA_COEFF = {"pair": 3, "triple_x": 4, "triple_y": 4, "quad": 5}
 
 
 def _as_int_matrix(a, name: str) -> np.ndarray:
@@ -141,17 +140,12 @@ class CodebookPair:
 
     def input_law(self) -> InputLaw:
         """The (U, X, Y) product law realized by the books' exact types."""
-        su, sx = self.u_alphabet.size, self.x_alphabet.size
-        sy = self.y_alphabet.size
-        cux = self.p_ux.counts.reshape(su, sx).astype(np.float64)
-        cuy = self.p_uy.counts.reshape(su, sy).astype(np.float64)
+        su = self.u_alphabet.size
+        cux = self.p_ux.counts.reshape(su, -1).astype(np.float64)
+        cuy = self.p_uy.counts.reshape(su, -1).astype(np.float64)
         nu = cux.sum(axis=1)
-        safe = np.where(nu > 0, nu, 1.0)
-        px = cux / safe[:, None]
-        py = cuy / safe[:, None]
-        px[nu == 0] = 1.0 / sx
-        py[nu == 0] = 1.0 / sy
-        return InputLaw.from_components(nu / self.n, px, py)
+        return InputLaw.from_components(nu / self.n, conditional_rows(cux, nu),
+                                        conditional_rows(cuy, nu))
 
     def restrict(self, x_rows, y_rows) -> "CodebookPair":
         return CodebookPair(self.u_seq, self.x_book[list(x_rows)],
@@ -511,7 +505,7 @@ def packing_reports(pair: CodebookPair) -> tuple[PackingReport, PackingReport]:
         tally = _tally_family(pair, family)
         f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
         totals, peaks = _type_counts(tally)
-        coeff = AVG_DELTA_COEFF[family]
+        coeff = PACKING_FAMILIES[family][2]
         for reports, counts, denom, off in (
                 (avg, totals, pair.m_x * pair.m_y, 0.0), (peak, peaks, 1, offset)):
             table = TypeNeeds.of(tally.types, counts, denom, f_of, pair.n, off,
@@ -566,8 +560,10 @@ def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
                 rates: RatePair) -> np.ndarray:
     """(m_x, m_y) grid of each message pair's smallest delta validating its
     per-pair bounds of the family (0.0 without patterns), with exponents
-    and the min-rate offset taken at ``rates``."""
+    and the min-rate offset taken at ``rates``: the family constraint's
+    bound on each type, less log2(count) / n."""
     f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
+    _, _, min_coeff, delta_coeff = PACKING_FAMILIES[family][1].rhs
     # math.log2, as the average needs use: np.log2 can differ in the last bit
     log2 = np.array([-math.inf] + [
         math.log2(c) for c in range(1, int(tally.count.max(initial=0)) + 1)])
@@ -575,7 +571,7 @@ def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
     for block, p in _blocks(tally.pair):
         np.maximum.at(worst, p, _need(log2[tally.count[block]],
                                       f_of[tally.type[block]], pair.n,
-                                      rates.lower, PAIR_DELTA_COEFF[family]))
+                                      min_coeff * rates.lower, delta_coeff))
     return worst.reshape(pair.m_x, pair.m_y)
 
 

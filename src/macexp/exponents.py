@@ -39,16 +39,16 @@ from .lattice import (
     ZERO_SNAP,
     BranchSpec,
     MITerm,
-    clamp_offset_value,
-    constraint_rhs,
     get_cache,
     marginal_cells,
     memo,
     memoised,
     minimize_branch,
+    pin_half_width,
     plan_lattice,
     planning,
     present_constraints,
+    rate_sum,
 )
 from .probability import (
     ENTROPY_CELLS,
@@ -162,12 +162,16 @@ class InputLaw:
         """(P_U, P_{X|U}, P_{Y|U}); zero-mass u rows get uniform rows."""
         p = self.joint.probs
         pu = p.sum(axis=(1, 2))
-        safe = np.where(pu > 0.0, pu, 1.0)
-        px = p.sum(axis=2) / safe[:, None]
-        py = p.sum(axis=1) / safe[:, None]
-        px[pu == 0.0] = 1.0 / self.x_size()
-        py[pu == 0.0] = 1.0 / self.y_size()
-        return pu, px, py
+        return (pu, conditional_rows(p.sum(axis=2), pu),
+                conditional_rows(p.sum(axis=1), pu))
+
+
+def conditional_rows(joint: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Each row of a (u, symbol) table over its u's mass, and a uniform row
+    where u has no mass."""
+    rows = joint / np.where(mass > 0.0, mass, 1.0)[:, None]
+    rows[mass == 0.0] = 1.0 / joint.shape[1]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -194,16 +198,18 @@ class PackingExponents:
 
 # The packing families of a code, in the field order of PackingExponents.
 # Each maps to its competitor axes (in the order a tally encodes them), the
-# confusability constraint whose left side is the family's packing
-# exponent, and the rates subtracted from it, one per competitor word.
+# confusability constraint whose left side less its R_X and R_Y terms is
+# the family's packing exponent, and the delta coefficient of its average
+# and per-pair maximum reports.
 PACKING_FAMILIES = {
-    "pair": ((), "pair_xy", ()),
-    "triple_x": (("X~",), "triple_x", ("rx",)),
-    "triple_y": (("Y~",), "triple_y", ("ry",)),
-    "quad": (("X~", "Y~"), "quad", ("rx", "ry")),
+    family: (wrong, c, avg_delta)
+    for family, wrong, name, avg_delta in (
+        ("pair", (), "pair_xy", 2),
+        ("triple_x", ("X~",), "triple_x", 3),
+        ("triple_y", ("Y~",), "triple_y", 3),
+        ("quad", ("X~", "Y~"), "quad", 4))
+    for c in CONFUSABILITY_CONSTRAINTS if c.name == name
 }
-
-_CONSTRAINTS_BY_NAME = {c.name: c for c in CONFUSABILITY_CONSTRAINTS}
 
 
 def _mi_sum(batch: JointBatch, terms: tuple[MITerm, ...]) -> np.ndarray:
@@ -216,11 +222,12 @@ def family_exponents(batch: JointBatch, family: str, rates: RatePair
                      ) -> np.ndarray:
     """Packing exponent of one family at every joint of a batch carrying its
     axes."""
-    _, constraint, offsets = PACKING_FAMILIES[family]
-    c = _CONSTRAINTS_BY_NAME[constraint]
+    c = PACKING_FAMILIES[family][1]
     value = batch.per_chunk(lambda chunk: _mi_sum(chunk, c.terms))
-    for rate in offsets:
-        value -= getattr(rates, rate)
+    # one rate at a time: their sum rounds differently
+    for coeff, rate in zip(c.rhs, (rates.rx, rates.ry)):
+        if coeff:
+            value -= coeff * rate
     return value
 
 
@@ -260,7 +267,7 @@ def _verdict(lhs: np.ndarray, n_pins: int, constraints, rates: RatePair,
              delta: float, tol: float) -> tuple[tuple[float, ...], np.ndarray]:
     """Each check's right side at these rates, and where the left sides from
     ``_check_lhs`` break it: pin gaps over ``tol``, constraints over rhs + RATE_TOL."""
-    rate_rhs = tuple(constraint_rhs(c.offset, rates.rx, rates.ry, delta)
+    rate_rhs = tuple(rate_sum(c.rhs, rates.rx, rates.ry, delta)
                      for c in constraints)
     bound = np.array((tol,) * n_pins + tuple(r + RATE_TOL for r in rate_rhs))
     return (tol,) * n_pins + rate_rhs, ~(lhs <= bound)
@@ -405,8 +412,8 @@ def _objective_report(spec: BranchSpec, terms: _ObjectiveTerms,
     diff = terms.alpha_diff
     if diff is not None and not diff >= -ALPHA_TOL:
         violations.append(ConstraintViolation("equivocation_order", diff, -ALPHA_TOL))
-    clamp = max(0.0, terms.clamp_base - clamp_offset_value(spec.clamp_offset,
-                                                           rates.rx, rates.ry))
+    clamp = max(0.0, terms.clamp_base - rate_sum(spec.clamp_offset,
+                                                 rates.rx, rates.ry))
     value = terms.divergence + terms.mi_xy + clamp
     if value < ZERO_SNAP:
         value = 0.0
@@ -554,7 +561,7 @@ def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
                 joint = JointDist(start.axes, cand.reshape(sizes))
                 rep = branch_objective(spec, joint, rates, w, p, delta,
                                        solver.divergence_weighting,
-                                       marginal_tol=0.5 / d + 1e-9)
+                                       marginal_tol=pin_half_width(d) + 1e-9)
                 if rep.feasible and rep.value < value:
                     if best is None or rep.value < best[0]:
                         best = (rep.value, joint)
@@ -588,7 +595,7 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
         candidates.append((math.inf, "lattice", None))
     for kind in anchor_kinds:
         joint, terms = _anchor(spec, p, w, kind, solver.divergence_weighting)
-        rep = _objective_report(spec, terms, rates, delta, marginal_tol=0.5 / d)
+        rep = _objective_report(spec, terms, rates, delta, pin_half_width(d))
         if rep.feasible:
             candidates.append((rep.value, f"anchor_{kind}", joint))
 

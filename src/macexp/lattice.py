@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScaleGuardError, ValidationError
+from .errors import ScaleGuardError
 from .typeclasses import code_places, distinct_rows, xlogx_table
 
 # Slack for the equivocation comparison alpha(true) >= alpha(competitor).
@@ -105,9 +105,11 @@ class MITerm:
 
 @dataclass(frozen=True)
 class RateConstraint:
+    """sum of ``terms`` <= rhs . (R_X, R_Y, min(R_X, R_Y), delta)."""
+
     name: str
     terms: tuple[MITerm, ...]
-    offset: str  # key into constraint_rhs
+    rhs: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -120,33 +122,19 @@ class BranchSpec:
     marginal_eq: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     constraints: tuple[RateConstraint, ...]
     clamp_terms: tuple[MITerm, ...]
-    clamp_offset: str  # "rx" | "ry" | "rxy"
+    clamp_offset: tuple[int, int]  # coefficients of R_X and R_Y
     alpha_competitor: tuple[str, ...] | None
 
 
-_RHS = {
-    "min3": lambda rx, ry, m, delta: m + 3 * delta,
-    "rx_min4": lambda rx, ry, m, delta: rx + m + 4 * delta,
-    "ry_min4": lambda rx, ry, m, delta: ry + m + 4 * delta,
-    "rxy_min5": lambda rx, ry, m, delta: rx + ry + m + 5 * delta,
-    "rx3": lambda rx, ry, m, delta: rx + 3 * delta,
-    "ry3": lambda rx, ry, m, delta: ry + 3 * delta,
-    "rxy3": lambda rx, ry, m, delta: rx + ry + 3 * delta,
-}
-
-
-def constraint_rhs(offset: str, rx: float, ry: float, delta: float) -> float:
-    return _RHS[offset](rx, ry, min(rx, ry), delta)
-
-
-def clamp_offset_value(kind: str, rx: float, ry: float) -> float:
-    if kind == "rx":
-        return rx
-    if kind == "ry":
-        return ry
-    if kind == "rxy":
-        return rx + ry
-    raise ValidationError(f"unknown clamp offset {kind!r}")
+def rate_sum(coeffs, rx: float, ry: float, delta: float = 0.0) -> float:
+    """coeffs . (rx, ry, min(rx, ry), delta), adding only the terms with a
+    nonzero coefficient, left to right: a right-hand side or clamp offset
+    as written out, so a -0.0 rate stays -0.0."""
+    total = None
+    for coeff, value in zip(coeffs, (rx, ry, min(rx, ry), delta)):
+        if coeff:
+            total = coeff * value if total is None else total + coeff * value
+    return total
 
 
 def _mi(a, b, c=()):
@@ -157,39 +145,39 @@ def _mi(a, b, c=()):
 
 # The full constraint family on joint types of (u, x_i, y_j, x_k, y_l).
 CONFUSABILITY_CONSTRAINTS = (
-    RateConstraint("pair_xy", (_mi("X", "Y", "U"),), "min3"),
-    RateConstraint("pair_xyt", (_mi("X", "Y~", "U"),), "min3"),
-    RateConstraint("pair_xty", (_mi("X~", "Y", "U"),), "min3"),
-    RateConstraint("pair_xtyt", (_mi("X~", "Y~", "U"),), "min3"),
+    RateConstraint("pair_xy", (_mi("X", "Y", "U"),), (0, 0, 1, 3)),
+    RateConstraint("pair_xyt", (_mi("X", "Y~", "U"),), (0, 0, 1, 3)),
+    RateConstraint("pair_xty", (_mi("X~", "Y", "U"),), (0, 0, 1, 3)),
+    RateConstraint("pair_xtyt", (_mi("X~", "Y~", "U"),), (0, 0, 1, 3)),
     RateConstraint(
         "triple_x",
         (_mi("X", "Y", "U"), _mi("X~", "Y", "U"), _mi("X~", "X", ("U", "Y"))),
-        "rx_min4",
+        (1, 0, 1, 4),
     ),
     RateConstraint(
         "triple_x_alt",
         (_mi("X", "Y~", "U"), _mi("X~", "Y~", "U"), _mi("X~", "X", ("U", "Y~"))),
-        "rx_min4",
+        (1, 0, 1, 4),
     ),
     RateConstraint(
         "triple_y",
         (_mi("X", "Y", "U"), _mi("X", "Y~", "U"), _mi("Y~", "Y", ("U", "X"))),
-        "ry_min4",
+        (0, 1, 1, 4),
     ),
     RateConstraint(
         "triple_y_alt",
         (_mi("X~", "Y", "U"), _mi("X~", "Y~", "U"), _mi("Y~", "Y", ("U", "X~"))),
-        "ry_min4",
+        (0, 1, 1, 4),
     ),
     RateConstraint(
         "quad",
         (_mi("X", "Y", "U"), _mi("X~", "Y~", "U"), _mi(("X~", "Y~"), ("X", "Y"), "U")),
-        "rxy_min5",
+        (1, 1, 1, 5),
     ),
     RateConstraint(
         "quad_alt",
         (_mi("X~", "Y", "U"), _mi("X", "Y~", "U"), _mi(("X", "Y~"), ("X~", "Y"), "U")),
-        "rxy_min5",
+        (1, 1, 1, 5),
     ),
 )
 
@@ -218,7 +206,7 @@ BRANCH_X = BranchSpec(
     ),
     constraints=present_constraints(("U", "X", "Y", "X~")),
     clamp_terms=(_mi("X~", ("X", "Z"), ("Y", "U")), _mi("X~", "Y", "U")),
-    clamp_offset="rx",
+    clamp_offset=(1, 0),
     alpha_competitor=("X~", "Y"),
 )
 
@@ -232,7 +220,7 @@ BRANCH_Y = BranchSpec(
     ),
     constraints=present_constraints(("U", "X", "Y", "Y~")),
     clamp_terms=(_mi("Y~", ("Y", "Z"), ("X", "U")), _mi("X", "Y~", "U")),
-    clamp_offset="ry",
+    clamp_offset=(0, 1),
     alpha_competitor=("X", "Y~"),
 )
 
@@ -247,7 +235,7 @@ BRANCH_XY = BranchSpec(
     ),
     constraints=present_constraints(("U", "X", "Y", "X~", "Y~")),
     clamp_terms=(_mi(("X~", "Y~"), ("X", "Y", "Z"), "U"), _mi("X~", "Y~", "U")),
-    clamp_offset="rxy",
+    clamp_offset=(1, 1),
     alpha_competitor=("X~", "Y~"),
 )
 
@@ -257,9 +245,9 @@ BASELINE_X = BranchSpec(
     name="baseline_X",
     labels=("U", "X", "Y", "Z"),
     marginal_eq=((("U", "X"), ("U", "X")), (("U", "Y"), ("U", "Y"))),
-    constraints=(RateConstraint("pair_xy", (_mi("X", "Y", "U"),), "rx3"),),
+    constraints=(RateConstraint("pair_xy", (_mi("X", "Y", "U"),), (1, 0, 0, 3)),),
     clamp_terms=(_mi("X", ("Y", "Z"), "U"),),
-    clamp_offset="rx",
+    clamp_offset=(1, 0),
     alpha_competitor=None,
 )
 
@@ -267,9 +255,9 @@ BASELINE_Y = BranchSpec(
     name="baseline_Y",
     labels=("U", "X", "Y", "Z"),
     marginal_eq=((("U", "X"), ("U", "X")), (("U", "Y"), ("U", "Y"))),
-    constraints=(RateConstraint("pair_xy", (_mi("X", "Y", "U"),), "ry3"),),
+    constraints=(RateConstraint("pair_xy", (_mi("X", "Y", "U"),), (0, 1, 0, 3)),),
     clamp_terms=(_mi("Y", ("X", "Z"), "U"),),
-    clamp_offset="ry",
+    clamp_offset=(0, 1),
     alpha_competitor=None,
 )
 
@@ -277,9 +265,9 @@ BASELINE_XY = BranchSpec(
     name="baseline_XY",
     labels=("U", "X", "Y", "Z"),
     marginal_eq=((("U", "X"), ("U", "X")), (("U", "Y"), ("U", "Y"))),
-    constraints=(RateConstraint("pair_xy", (_mi("X", "Y", "U"),), "rxy3"),),
+    constraints=(RateConstraint("pair_xy", (_mi("X", "Y", "U"),), (1, 1, 0, 3)),),
     clamp_terms=(_mi(("X", "Y"), "Z", "U"), _mi("X", "Y", "U")),
-    clamp_offset="rxy",
+    clamp_offset=(1, 1),
     alpha_competitor=None,
 )
 
@@ -400,16 +388,23 @@ def marginal_cells(labels, sizes, subset) -> np.ndarray:
 _PINS = memo()
 
 
+def pin_half_width(d: int) -> float:
+    """How far a pinned marginal of a denominator-d candidate may lie from
+    the law: the lattice's pin test, the anchors' and ``--refine``'s."""
+    return 0.5 / d
+
+
 def admissible_counts(spec: BranchSpec, d: int, law_marginals: dict) -> tuple:
     """Per pinned marginal and marginal cell, the counts c in 0..d whose
     share c/d lies within 0.5/d of the law, ``abs(c/d - p) <= 0.5/d`` in
     float64: the pin test that decides which rows a cache enumerates."""
     bases = tuple(tuple(base) for _, base in spec.marginal_eq)
     grid = np.arange(d + 1, dtype=np.float64) / d
+    half = pin_half_width(d)
     return memoised(
         _PINS, (bases, d) + tuple(law_marginals[b].tobytes() for b in bases),
         lambda: tuple(
-            tuple(tuple(np.flatnonzero(np.abs(grid - target) <= 0.5 / d).tolist())
+            tuple(tuple(np.flatnonzero(np.abs(grid - target) <= half).tolist())
                   for target in law_marginals[base])
             for base in bases))
 
@@ -816,9 +811,8 @@ def minimize_branch(cache: LatticeCache, rx: float, ry: float, delta: float,
     the smallest enumeration index regardless of chunking or threads.
     """
     spec = cache.spec
-    rhs = [(c.name, constraint_rhs(c.offset, rx, ry, delta))
-           for c in spec.constraints]
-    clamp_off = clamp_offset_value(spec.clamp_offset, rx, ry)
+    rhs = [(c.name, rate_sum(c.rhs, rx, ry, delta)) for c in spec.constraints]
+    clamp_off = rate_sum(spec.clamp_offset, rx, ry)
     alpha = spec.alpha_competitor is not None
     ranges = [(a, min(a + _EVAL_CHUNK, cache.total))
               for a in range(0, cache.total, _EVAL_CHUNK)]

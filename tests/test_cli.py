@@ -182,12 +182,19 @@ class TestExponentCommand:
         argv = ["exponent", "--channel", str(workdir / "chan.json"),
                 "--law", str(workdir / "law.json"), "--rx", "0.4",
                 "--ry", "0.4", "--denominator", "4", "--baseline"]
-        monkeypatch.delenv("MACEXP_THREADS", raising=False)
-        assert main(argv) == 0
-        monkeypatch.setenv("MACEXP_THREADS", "3")
         assert main(argv) == 0
         assert main(argv + ["--threads", "2"]) == 0
-        assert seen == [1, 1, 3, 3, 2, 2]
+        assert seen == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_exits_two(self, workdir, capsys, threads):
+        csv = workdir / f"threads_{threads}.csv"
+        assert main(sweep_args(workdir, csv=csv,
+                               extra=["--threads", threads])) == 2
+        captured = capsys.readouterr()
+        assert "--threads must be >= 1" in captured.err
+        assert "exponent=" not in captured.out
+        assert not csv.exists()
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_exits_two(self, workdir, capsys, delta):

@@ -20,9 +20,7 @@ import macexp.codebooks as codebooks
 from helpers import binary_codebooks, mixed_pair
 from macexp import Alphabet, TypeVector
 from macexp.codebooks import (
-    AVG_DELTA_COEFF,
     FAMILY_ORDER,
-    PAIR_DELTA_COEFF,
     CodebookPair,
     audit_confusability,
     expurgate,
@@ -33,7 +31,8 @@ from macexp.codebooks import (
 )
 from macexp.cli import main
 from macexp.errors import ConstructionError, ValidationError
-from macexp.exponents import RatePair, confusability_feasible
+from macexp.exponents import (RatePair, confusability_checks,
+                              confusability_feasible)
 from macexp.fileio import codebook_to_dict, save_json
 from macexp.typeclasses import SymbolSequence, code_places, empirical_type
 
@@ -452,7 +451,7 @@ class TestFieldDtypeLimits:
             for key, c in counts.items():
                 f = to.family_exponent(counters[key], family, r.rx, r.ry)
                 needs[i, j] = max(needs[i, j], (math.log2(c) + pair.n * (
-                    f - r.lower)) / (pair.n * PAIR_DELTA_COEFF[family]))
+                    f - r.lower)) / (pair.n * to.PAIR_COEFF[family]))
         got = codebooks._pair_needs(pair, family, tally, r)
         assert got == pytest.approx(needs, abs=1e-12)
 
@@ -553,7 +552,7 @@ class TestPackingAverages:
         assert rep.kind == "average"
         assert tuple(rep.families) == FAMILY_ORDER
         for fam in FAMILY_ORDER:
-            assert rep.families[fam].delta_coeff == AVG_DELTA_COEFF[fam]
+            assert rep.families[fam].delta_coeff == to.AVG_COEFF[fam]
             assert rep.families[fam].rate_offset == 0.0
 
     def test_single_words_leave_competitor_families_empty(self):
@@ -612,7 +611,7 @@ class TestPerPairMaxima:
         assert rep.kind == "per_pair_max"
         r = pair.rates
         for fam in FAMILY_ORDER:
-            assert rep.families[fam].delta_coeff == AVG_DELTA_COEFF[fam]
+            assert rep.families[fam].delta_coeff == to.AVG_COEFF[fam]
             assert rep.families[fam].rate_offset == pytest.approx(r.rx + r.ry, abs=0)
 
     def test_single_words_have_unit_peaks(self):
@@ -638,6 +637,32 @@ class TestPerPairMaxima:
                 assert rep.families[fam].worst_need_delta == pytest.approx(
                     worst, abs=1e-12)
                 assert count_map(rep.families[fam].table) == peaks
+
+
+class TestPairNeedsMeetTheAudit:
+    """A message pair's need is the least delta at which each of its types
+    meets the family constraint the audit checks, less log2(count) / n."""
+
+    @pytest.mark.parametrize("family,constraint", [
+        ("pair", "pair_xy"), ("triple_x", "triple_x"),
+        ("triple_y", "triple_y"), ("quad", "quad")])
+    def test_need_puts_the_worst_type_on_the_bound(self, family, constraint):
+        pair = binary_codebooks(12, 12, 12, seed=5)
+        rates, law = pair.rates, pair.input_law()
+        tally = _tally_family(pair, family)
+        needs = codebooks._pair_needs(pair, family, tally, rates).ravel()
+        assert needs.max() > 0.0
+        for p, delta in enumerate(needs.tolist()):
+            own = tally.pair == p
+            batch = codebooks._family_batch(
+                pair, family, tally._replace(types=tally.types[tally.type[own]]))
+            checks = confusability_checks(batch, law, rates, delta)
+            col = checks.names.index(constraint)
+            gaps = [lhs - (checks.rhs[col] - math.log2(c) / pair.n)
+                    for lhs, c in zip(checks.lhs[:, col], tally.count[own].tolist())]
+            assert max(gaps) <= 1e-12
+            if delta > 0.0:
+                assert max(gaps) >= -1e-12
 
 
 class TestExpurgate:

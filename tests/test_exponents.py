@@ -39,7 +39,6 @@ from macexp import (
 )
 from macexp import exponents, lattice, probability
 from macexp.exponents import (
-    _CONSTRAINTS_BY_NAME,
     PACKING_FAMILIES,
     ConstraintViolation,
     _anchor,
@@ -61,12 +60,12 @@ from macexp.lattice import (
     RATE_TOL,
     cache_from_counts,
     clear_lattice_cache,
-    constraint_rhs,
     get_cache,
     minimize_branch,
 )
 from macexp.probability import EQ_TOL, JointBatch, entropy, marginalize
 from macexp.typeclasses import TypeVector, compositions_array
+import exhaustive_oracle as oracle
 from helpers import (
     adder_channel,
     chan,
@@ -139,6 +138,13 @@ def _five_axis(probs):
     return JointDist(axes, probs)
 
 
+# each confusability constraint's right side, as the oracle writes it
+ORACLE_RHS = {name: kind for name, _, kind in oracle._TEN}
+# each packing family's constraint and the rates its exponent subtracts
+FAMILY_EXPONENTS = {"pair": ("pair_xy", ()), "triple_x": ("triple_x", ("rx",)),
+                    "triple_y": ("triple_y", ("ry",)),
+                    "quad": ("quad", ("rx", "ry"))}
+
 # Scalar references: one JointDist at a time through the public measures of
 # ``probability``, in the order of operations the batched evaluator keeps.
 
@@ -159,7 +165,7 @@ def _violations(v: JointDist, p: InputLaw, pins, constraints, rates: RatePair,
                   if gap > tol]
     for c in constraints:
         value = _constraint_lhs(v, c)
-        rhs = constraint_rhs(c.offset, rates.rx, rates.ry, delta)
+        rhs = oracle._rhs(ORACLE_RHS[c.name], rates.rx, rates.ry, delta)
         if not value <= rhs + RATE_TOL:
             violations.append(ConstraintViolation(c.name, value, rhs))
     return violations
@@ -354,7 +360,8 @@ class TestBatchedEvaluator:
         pins = [((u, a), (u, base)) for u, a, base in (
             ("U", "X", "X"), ("U", "Y", "Y"), ("U", "X~", "X"), ("U", "Y~", "Y"))
             if a in labels]
-        constraint = _CONSTRAINTS_BY_NAME[PACKING_FAMILIES[family][1]]
+        name, subtracted = FAMILY_EXPONENTS[family]
+        constraint = next(c for c in CONFUSABILITY_CONSTRAINTS if c.name == name)
         for r, joint in enumerate(joints):
             assert np.array_equal(batch.probs[r], joint.probs)
             for size in range(1, len(labels) + 1):
@@ -368,7 +375,7 @@ class TestBatchedEvaluator:
                     assert (batch.conditional_mutual_information(t.a, t.b, t.c)[r]
                             == conditional_mutual_information(joint, t.a, t.b, t.c))
             want = _constraint_lhs(joint, constraint)
-            for rate in PACKING_FAMILIES[family][2]:
+            for rate in subtracted:
                 want -= getattr(rates, rate)
             assert values[r] == want
             assert list(checks.lhs[r, len(pins):]) == [

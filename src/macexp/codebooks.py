@@ -57,6 +57,7 @@ from .probability import ENTROPY_CELLS, Alphabet, JointBatch
 from .typeclasses import (
     SymbolSequence,
     TypeVector,
+    _as_rng,
     code_places,
     distinct_rows,
     sample_conditional_type_class,
@@ -173,12 +174,12 @@ def generate_codebooks(p_ux: TypeVector, p_uy: TypeVector, u_seq: SymbolSequence
 
     Duplicates are resampled; the draw budget defaults to 50 per requested
     word plus 1000.  Books larger than the conditional type class raise
-    ConstructionError immediately.
+    ConstructionError immediately.  Every word comes from one stream:
+    ``rng`` is a Generator or a seed ``numpy.random.default_rng`` takes.
     """
     if m_x < 1 or m_y < 1:
         raise ValidationError("book sizes must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = _as_rng(rng)
     u_arr = u_seq.array()
     for target, m, name in ((p_ux, m_x, "x"), (p_uy, m_y, "y")):
         if target.axes[0].size != u_seq.alphabet.size:

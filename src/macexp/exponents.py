@@ -45,6 +45,7 @@ from .lattice import (
     memoised,
     minimize_branch,
     pin_half_width,
+    place,
     plan_lattice,
     planning,
     present_constraints,
@@ -145,15 +146,6 @@ class InputLaw:
         axes = (Alphabet(pu.size, u_label), Alphabet(px.shape[1], x_label),
                 Alphabet(py.shape[1], y_label))
         return cls(JointDist(axes, joint))
-
-    def u_size(self) -> int:
-        return self.joint.axes[0].size
-
-    def x_size(self) -> int:
-        return self.joint.axes[1].size
-
-    def y_size(self) -> int:
-        return self.joint.axes[2].size
 
     def marginal_flat(self, labels: tuple[str, ...]) -> np.ndarray:
         return marginalize(self.joint, labels).probs.ravel()
@@ -440,13 +432,6 @@ def branch_objective(spec: BranchSpec | str, v: JointDist, rates: RatePair,
                              rates, delta, marginal_tol)
 
 
-def _place(a: np.ndarray, labs: tuple[str, ...], labels: tuple[str, ...]) -> np.ndarray:
-    shape = [1] * len(labels)
-    for dim, lab in enumerate(labs):
-        shape[labels.index(lab)] = a.shape[dim]
-    return a.reshape(shape)
-
-
 def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> JointDist:
     """Zero-divergence candidate: law x competitor copies x channel.
 
@@ -457,15 +442,15 @@ def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> Joint
     """
     labels = spec.labels
     _, px, py = p.conditionals()
-    arr = _place(p.joint.probs, ("U", "X", "Y"), labels).astype(np.float64)
+    arr = place(p.joint.probs, ("U", "X", "Y"), labels).astype(np.float64)
     for wrong, cond in (("X~", px), ("Y~", py)):
         if wrong in labels:
             if kind == "diag":
-                cond = _place(np.eye(cond.shape[1]), (wrong[0], wrong), labels)
+                cond = place(np.eye(cond.shape[1]), (wrong[0], wrong), labels)
             else:
-                cond = _place(cond, ("U", wrong), labels)
+                cond = place(cond, ("U", wrong), labels)
             arr = arr * cond
-    arr = arr * _place(w.w, ("X", "Y", "Z"), labels)
+    arr = arr * place(w.w, ("X", "Y", "Z"), labels)
     return JointDist(_branch_axes(spec, p, w), arr)
 
 
@@ -504,9 +489,9 @@ def _anchor(spec: BranchSpec, p: InputLaw, w: Channel, kind: str,
 def _branch_axes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[Alphabet, ...]:
     """The branch's axes: the law's alphabets, wrong words as copies of
     the true ones, and the channel's output."""
-    if p.x_size() != w.x_alphabet.size or p.y_size() != w.y_alphabet.size:
-        raise ValidationError("input law and channel alphabets disagree")
     u_ax, x_ax, y_ax = p.joint.axes
+    if x_ax.size != w.x_alphabet.size or y_ax.size != w.y_alphabet.size:
+        raise ValidationError("input law and channel alphabets disagree")
     by_label = {
         "U": u_ax, "X": x_ax, "Y": y_ax,
         "X~": x_ax.relabel("X~"), "Y~": y_ax.relabel("Y~"),
@@ -573,10 +558,12 @@ def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
     return value, start, improved_any
 
 
-def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
-                  delta: float, solver: SolverSpec, anchor_kinds,
-                  threads: int = 1) -> ExponentResult:
-    check_delta(delta)
+def _solve_branch(branch: str, spec: BranchSpec, rates: RatePair, w: Channel,
+                  p: InputLaw, delta: float, solver: SolverSpec,
+                  threads: int) -> ExponentResult:
+    """The least of the branch's lattice minimum and its feasible anchors,
+    refined if asked; ties resolve to the lattice, then the anchors in
+    declaration order."""
     axes = _branch_axes(spec, p, w)
     sizes = tuple(a.size for a in axes)
     d = solver.lattice_denominator
@@ -593,14 +580,14 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
     elif any_feas:
         # feasible points exist but every objective is infinite
         candidates.append((math.inf, "lattice", None))
-    for kind in anchor_kinds:
+    for kind in spec.anchors:
         joint, terms = _anchor(spec, p, w, kind, solver.divergence_weighting)
         rep = _objective_report(spec, terms, rates, delta, pin_half_width(d))
         if rep.feasible:
             candidates.append((rep.value, f"anchor_{kind}", joint))
 
     if not candidates:
-        return ExponentResult(math.inf, spec.name, None, d, delta,
+        return ExponentResult(math.inf, branch, None, d, delta,
                               feasible_empty=True)
     best_val, best_src, best_joint = candidates[0]
     for v2, s2, j2 in candidates[1:]:
@@ -614,65 +601,65 @@ def _solve_branch(spec: BranchSpec, rates: RatePair, w: Channel, p: InputLaw,
         if moved:
             best_val, best_joint, best_src = new_val, new_joint, "refined"
 
-    return ExponentResult(best_val, spec.name, best_joint, d, delta,
+    return ExponentResult(best_val, branch, best_joint, d, delta,
                           feasible_empty=False, source=best_src)
 
 
-def _least_branch(specs: dict, solve, rates: RatePair, w: Channel,
-                  p: InputLaw, delta: float, solver: SolverSpec,
+def _least_branch(specs: dict, rates: RatePair, w: Channel, p: InputLaw,
+                  delta: float, solver: SolverSpec,
                   threads: int) -> ExponentResult:
-    """min of ``solve`` over the three branches; ties resolve X, then Y,
-    then XY.  Every branch's lattice is planned first, so one that is
-    refused stops the call before any is built, and each is then built
-    from its plan."""
+    """The least minimum over the branches of ``specs``, each result named
+    by its key; ties resolve to the earlier branch (X, then Y, then XY).
+    The slack is checked and every branch's lattice planned before any is
+    built, so bad input stops the call before any build, and each lattice
+    is then built from its plan."""
+    check_delta(delta)
     with planning():
         for spec in specs.values():
             plan_lattice(spec, _branch_sizes(spec, p, w),
                          solver.lattice_denominator, _law_marginals(p))
         best = None
-        for name in ("X", "Y", "XY"):
-            res = solve(name, rates, w, p, delta, solver, threads)
+        for branch, spec in specs.items():
+            res = _solve_branch(branch, spec, rates, w, p, delta, solver, threads)
             if best is None or res.value < best.value:
                 best = res
     return best
+
+
+def _one_branch(specs: dict, branch: str) -> dict:
+    if branch not in specs:
+        raise ValidationError(f"branch must be one of {sorted(specs)}")
+    return {branch: specs[branch]}
 
 
 def branch_exponent(branch: str, rates: RatePair, w: Channel, p: InputLaw,
                     delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                     threads: int = 1) -> ExponentResult:
     """Exact lattice minimum of one expurgated branch objective."""
-    if branch not in BRANCH_SPECS:
-        raise ValidationError(f"branch must be one of {sorted(BRANCH_SPECS)}")
-    return _solve_branch(BRANCH_SPECS[branch], rates, w, p, delta, solver,
-                         anchor_kinds=("fresh", "diag"), threads=threads)
+    return _least_branch(_one_branch(BRANCH_SPECS, branch), rates, w, p,
+                         delta, solver, threads)
 
 
 def expurgated_exponent(rates: RatePair, w: Channel, p: InputLaw,
                         delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                         threads: int = 1) -> ExponentResult:
     """min over the three branches; ties resolve X, then Y, then XY."""
-    return _least_branch(BRANCH_SPECS, branch_exponent, rates, w, p, delta,
-                         solver, threads)
+    return _least_branch(BRANCH_SPECS, rates, w, p, delta, solver, threads)
 
 
 def baseline_branch_exponent(branch: str, rates: RatePair, w: Channel,
                              p: InputLaw, delta: float = 0.0,
                              solver: SolverSpec = SolverSpec(),
                              threads: int = 1) -> ExponentResult:
-    if branch not in BASELINE_SPECS:
-        raise ValidationError(f"branch must be one of {sorted(BASELINE_SPECS)}")
-    res = _solve_branch(BASELINE_SPECS[branch], rates, w, p, delta, solver,
-                        anchor_kinds=("product",), threads=threads)
-    return ExponentResult(res.value, branch, res.argmin, res.lattice_denominator,
-                          res.delta, res.feasible_empty, res.source)
+    return _least_branch(_one_branch(BASELINE_SPECS, branch), rates, w, p,
+                         delta, solver, threads)
 
 
 def baseline_exponent(rates: RatePair, w: Channel, p: InputLaw,
                       delta: float = 0.0, solver: SolverSpec = SolverSpec(),
                       threads: int = 1) -> ExponentResult:
     """Relaxed reference exponent; never exceeds the expurgated value."""
-    return _least_branch(BASELINE_SPECS, baseline_branch_exponent, rates, w, p,
-                         delta, solver, threads)
+    return _least_branch(BASELINE_SPECS, rates, w, p, delta, solver, threads)
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,10 @@ class BranchSpec:
     clamp_terms: tuple[MITerm, ...]
     clamp_offset: tuple[int, int]  # coefficients of R_X and R_Y
     alpha_competitor: tuple[str, ...] | None
+    # closed-form candidates that compete with the lattice minimum, each the
+    # input law times the channel: "fresh" draws every wrong word anew,
+    # "diag" copies the true one, "product" has no wrong words
+    anchors: tuple[str, ...]
 
 
 def rate_sum(coeffs, rx: float, ry: float, delta: float = 0.0) -> float:
@@ -208,6 +212,7 @@ BRANCH_X = BranchSpec(
     clamp_terms=(_mi("X~", ("X", "Z"), ("Y", "U")), _mi("X~", "Y", "U")),
     clamp_offset=(1, 0),
     alpha_competitor=("X~", "Y"),
+    anchors=("fresh", "diag"),
 )
 
 BRANCH_Y = BranchSpec(
@@ -222,6 +227,7 @@ BRANCH_Y = BranchSpec(
     clamp_terms=(_mi("Y~", ("Y", "Z"), ("X", "U")), _mi("X", "Y~", "U")),
     clamp_offset=(0, 1),
     alpha_competitor=("X", "Y~"),
+    anchors=("fresh", "diag"),
 )
 
 BRANCH_XY = BranchSpec(
@@ -237,6 +243,7 @@ BRANCH_XY = BranchSpec(
     clamp_terms=(_mi(("X~", "Y~"), ("X", "Y", "Z"), "U"), _mi("X~", "Y~", "U")),
     clamp_offset=(1, 1),
     alpha_competitor=("X~", "Y~"),
+    anchors=("fresh", "diag"),
 )
 
 # Relaxed reference branches: no competitor axes, no decoder condition,
@@ -249,6 +256,7 @@ BASELINE_X = BranchSpec(
     clamp_terms=(_mi("X", ("Y", "Z"), "U"),),
     clamp_offset=(1, 0),
     alpha_competitor=None,
+    anchors=("product",),
 )
 
 BASELINE_Y = BranchSpec(
@@ -259,6 +267,7 @@ BASELINE_Y = BranchSpec(
     clamp_terms=(_mi("Y", ("X", "Z"), "U"),),
     clamp_offset=(0, 1),
     alpha_competitor=None,
+    anchors=("product",),
 )
 
 BASELINE_XY = BranchSpec(
@@ -269,6 +278,7 @@ BASELINE_XY = BranchSpec(
     clamp_terms=(_mi(("X", "Y"), "Z", "U"), _mi("X", "Y", "U")),
     clamp_offset=(1, 1),
     alpha_competitor=None,
+    anchors=("product",),
 )
 
 BRANCH_SPECS = {"X": BRANCH_X, "Y": BRANCH_Y, "XY": BRANCH_XY}
@@ -383,6 +393,15 @@ def marginal_cells(labels, sizes, subset) -> np.ndarray:
     flat = np.indices(sizes).reshape(len(sizes), -1)
     return np.ravel_multi_index(tuple(flat[i] for i in keep),
                                 tuple(sizes[i] for i in keep))
+
+
+def place(a: np.ndarray, axes, labels) -> np.ndarray:
+    """``a``, whose dimensions run over ``axes``, shaped to broadcast over a
+    tensor on ``labels``; ``axes`` must appear in ``labels`` in their order."""
+    shape = [1] * len(labels)
+    for dim, lab in enumerate(axes):
+        shape[labels.index(lab)] = a.shape[dim]
+    return a.reshape(shape)
 
 
 _PINS = memo()
@@ -657,14 +676,10 @@ def channel_log_vector(spec: BranchSpec, sizes: tuple[int, ...], w: np.ndarray):
     Returns (finite_vector, infinite_cell_indices): cells where the channel
     puts zero mass are split out so 0 * inf never arises in the matvec.
     """
-    labels = spec.labels
     with np.errstate(divide="ignore"):
         neg = -np.log2(w)
-    shape = [1] * len(labels)
-    for lab, axis in (("X", 0), ("Y", 1), ("Z", 2)):
-        shape[labels.index(lab)] = w.shape[axis]
     # X, Y, Z appear in that relative order in every branch label tuple
-    full = np.broadcast_to(neg.reshape(shape), sizes).ravel()
+    full = np.broadcast_to(place(neg, ("X", "Y", "Z"), spec.labels), sizes).ravel()
     inf_cells = np.flatnonzero(~np.isfinite(full))
     finite = np.where(np.isfinite(full), full, 0.0)
     return finite, inf_cells
@@ -713,10 +728,11 @@ def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
     base = cache.values.get(key)
     if base is not None:
         return base
-    w_finite, inf_cells = channel_log_vector(spec, cache.sizes, w)
-    # a row's count on the cells where the channel has no mass
-    on_inf = np.zeros(w_finite.size)
-    on_inf[inf_cells] = 1.0
+    if weighting == "V":
+        w_finite, inf_cells = channel_log_vector(spec, cache.sizes, w)
+        # a row's count on the cells where the channel has no mass
+        on_inf = np.zeros(w_finite.size)
+        on_inf[inf_cells] = 1.0
     q = cache.quantities
     base = np.empty(cache.total)
 
@@ -729,7 +745,7 @@ def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
                 hit = _linear_term(cache.counts[a:b], on_inf) > 0
                 value = np.where(hit, np.inf, value)
         else:
-            value = _p_weighted_divergence(cache, a, b, w_finite, inf_cells, p_uxy)
+            value = _p_weighted_divergence(cache, a, b, w, p_uxy)
         base[a:b] = value + q["mi_xy"][a:b]
 
     _map(fill, ranges, threads)
@@ -757,31 +773,21 @@ def _linear_term(counts: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _p_weighted_divergence(cache: LatticeCache, a: int, b: int,
-                           w_finite: np.ndarray, inf_cells: np.ndarray,
-                           p_uxy: np.ndarray) -> np.ndarray:
+                           w: np.ndarray, p_uxy: np.ndarray) -> np.ndarray:
     """D(V_{Z|XYU} || W | P_{UXY}) per type; conditioning cells with zero
     V-mass contribute zero by convention (their conditional is free).
     Rows go a block at a time, so that each array over a block's (U, X, Y,
     Z) cells holds at most ``_GEMV_CELLS`` values; every step is per row."""
-    labels = cache.spec.labels
     sizes = cache.sizes
-    keep = _subset_axes(labels, {"U", "X", "Y", "Z"})
+    keep = _subset_axes(cache.spec.labels, {"U", "X", "Y", "Z"})
     drop = tuple(i + 1 for i in range(len(sizes)) if i not in keep)
-
-    def collapse(cells):
-        """The broadcast tilde axes collapsed back to (U, X, Y, Z)."""
-        for i in reversed(range(len(sizes))):
-            if i not in keep:
-                cells = np.take(cells, 0, axis=i)
-        return cells
-
-    wneg4 = collapse(w_finite.reshape(sizes))
-    flat = np.zeros(w_finite.size, dtype=bool)
-    flat[inf_cells] = True
-    # cells of positive P-mass where the channel has none
-    inf_mask4 = collapse(flat.reshape(sizes)) & (p_uxy[..., None] > 0)
+    with np.errstate(divide="ignore"):
+        neg = -np.log2(w)
+    # the (U, X, Y, Z) cells of positive P-mass where the channel has none
+    inf_mask4 = ~np.isfinite(neg) & (p_uxy[..., None] > 0)
+    neg = np.where(np.isfinite(neg), neg, 0.0)
     out = np.empty(b - a)
-    step = max(1, _GEMV_CELLS // wneg4.size)
+    step = max(1, _GEMV_CELLS // inf_mask4.size)
     for lo in range(a, b, step):
         hi = min(lo + step, b)
         view = cache.counts[lo:hi].reshape((hi - lo,) + sizes)
@@ -792,10 +798,10 @@ def _p_weighted_divergence(cache: LatticeCache, a: int, b: int,
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(gz > 0, g / np.where(gz > 0, gz, 1.0), 0.0)
             logc = np.where(cond > 0, np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
-        per_cell = cond * (logc + wneg4[None])
+        per_cell = cond * (logc + neg)
         contrib = (per_cell * p_uxy[None, ..., None]).sum(axis=-1)
         value = contrib.reshape(hi - lo, -1).sum(axis=1)
-        if inf_cells.size:
+        if inf_mask4.any():
             hit = ((cond > 0) & inf_mask4[None]).reshape(hi - lo, -1).any(axis=1)
             value = np.where(hit, np.inf, value)
         out[lo - a:hi - a] = value

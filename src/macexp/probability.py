@@ -371,9 +371,6 @@ class Channel:
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
-    def row(self, x: int, y: int) -> np.ndarray:
-        return self.w[x, y]
-
 
 def conditional_kl_divergence(v: Channel, w: Channel, p) -> float:
     """D(v || w | p): p-weighted divergence between channel rows, in bits.

@@ -16,7 +16,7 @@ block of received sequences against all candidate pairs with one matrix
 product: a fixed 0/1 matrix that marks where each pair sits in each
 (u, x, y) cell, times the block's one-hot outputs.  The counts are sums of
 0/1 products, exact in any summation order.  It works in chunks whose
-scratch arrays hold at most SCORE_CELLS entries each, and decides each
+scratch arrays hold at most ENTROPY_CELLS entries each, and decides each
 chunk before scoring the next.  Monte Carlo packs each received sequence
 into int64 code words of radix |Z| (``typeclasses.code_places``), scores
 each distinct code of an RNG block once, and remembers up to MEMO_ENTRIES
@@ -39,16 +39,12 @@ import numpy as np
 
 from .codebooks import CodebookPair
 from .errors import ScaleGuardError, ValidationError
-from .probability import Channel
+from .probability import ENTROPY_CELLS, Channel
 from .typeclasses import code_places, distinct_rows, xlogx_table
 
 TIE_TOL = 1e-12
 MAX_EXACT_OUTPUTS = 1 << 22
 RNG_BLOCK = 4096
-# entries per scratch array of a scored chunk (512 KB at 8 bytes).  On a
-# 12x12 binary pair at n = 12, chunks 4 times larger score within 2% of the
-# same time and 16 times larger within 11%, at that much more memory
-SCORE_CELLS = 1 << 16
 # decisions remembered across Monte Carlo blocks
 MEMO_ENTRIES = 1 << 16
 
@@ -99,8 +95,11 @@ class _BlockScorer:
         self.table = xlogx_table(pair.n)
         # per received sequence: the count tensor's P cells entries, the
         # output one-hot's n |Z| and the exact path's P n log-likelihoods;
-        # each array of a chunk stays within SCORE_CELLS entries
-        self.chunk_rows = max(1, SCORE_CELLS // max(
+        # each array of a chunk stays within ENTROPY_CELLS entries (512 KB
+        # at 8 bytes).  On a 12x12 binary pair at n = 12, chunks 4 times
+        # larger score within 2% of the same time and 16 times larger
+        # within 11%, at that much more memory
+        self.chunk_rows = max(1, ENTROPY_CELLS // max(
             self.p_count * max(self.cells, pair.n), pair.n * sz))
 
     def score(self, z: np.ndarray):

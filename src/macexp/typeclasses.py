@@ -84,10 +84,6 @@ class TypeVector:
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.axes)
 
-    def key(self) -> tuple:
-        """Hashable identity: labels, n and the flat count tuple."""
-        return (self.labels, self.n, tuple(int(c) for c in self.counts.ravel()))
-
     def to_joint(self) -> JointDist:
         return JointDist(self.axes, self.counts / self.n)
 

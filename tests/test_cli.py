@@ -205,6 +205,25 @@ class TestExponentCommand:
         assert "exponent=" not in captured.out
         assert not csv.exists()
 
+    @pytest.mark.parametrize("denominator", ["4", "13", "300"])
+    @pytest.mark.parametrize("branch", ["all", "X"])
+    def test_negative_delta_exits_two_before_any_lattice_is_planned(
+            self, workdir, capsys, monkeypatch, branch, denominator):
+        # at d = 13 branch XY's lattice is over budget and at d = 300 every
+        # lattice is refused (exit 3); the slack is refused before either
+        plans = []
+        monkeypatch.setattr(lattice._PinnedPlan, "__init__",
+                            lambda self, *args: plans.append(args))
+        csv = workdir / f"neg_delta_{branch}_{denominator}.csv"
+        assert main(sweep_args(workdir, csv=csv, extra=[
+            "--branch", branch, "--denominator", denominator,
+            "--delta", "-1"])) == 2
+        captured = capsys.readouterr()
+        assert "delta must be finite and >= 0, got -1.0" in captured.err
+        assert "exponent=" not in captured.out
+        assert not csv.exists()
+        assert plans == []
+
 
 class TestVerifyPackingCommand:
     def test_generous_delta_passes(self, workdir, capsys):

@@ -67,6 +67,20 @@ class TestGeneration:
         assert np.array_equal(a.x_book, b.x_book)
         assert np.array_equal(a.y_book, b.y_book)
 
+    def test_seed_sequence_draws_distinct_words_from_one_stream(self):
+        # a fresh stream per word would repeat the first word until the
+        # resampling budget ran out
+        u_alph, x_alph = Alphabet(1, "U"), Alphabet(2, "X")
+        u_seq = SymbolSequence(u_alph, (0,) * 4)
+        p = TypeVector((u_alph, x_alph), np.asarray([[2, 2]], dtype=np.int64), 4)
+        pair = generate_codebooks(p, p, u_seq, 4, 4, rng=np.random.SeedSequence(7))
+        assert len({r.tobytes() for r in pair.x_book}) == 4
+        assert len({r.tobytes() for r in pair.y_book}) == 4
+        same = generate_codebooks(p, p, u_seq, 4, 4, rng=np.random.default_rng(
+            np.random.SeedSequence(7)))
+        assert np.array_equal(pair.x_book, same.x_book)
+        assert np.array_equal(pair.y_book, same.y_book)
+
     def test_every_word_has_the_target_type(self):
         pair = binary_codebooks(10, 6, 5, seed=4, x_ones=3, y_ones=7)
         u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))

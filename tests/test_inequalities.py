@@ -1,10 +1,12 @@
 """The confusability inequalities are declared once, in ``lattice``.
 
-Their right-hand sides and the clamp offsets equal those the exhaustive
-oracle writes out on its own, bit for bit, and the README's table of them
-is rendered from the declarations.
+Their right-hand sides, the clamp offsets and each branch's anchors equal
+those the exhaustive oracle writes out on its own, bit for bit, and the
+README's table of them is rendered from the declarations.  The oracles
+stay independent of the package: none of them imports it.
 """
 
+import ast
 from itertools import product
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from macexp.lattice import (
 
 RATES = (0.0, -0.0, 0.2, 1 / 3, 0.5310, 2.0)
 DELTAS = (0.0, 0.05, 0.1)
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 TABLE_HEADER = "| inequality | mutual informations | right-hand side |"
 
 
@@ -46,6 +49,41 @@ def test_clamp_offsets_match_the_oracle():
             want = oracle._clamp_off(define(branch)["clamp_off"], rx, ry)
             assert _same_bits(rate_sum(spec.clamp_offset, rx, ry), want), (
                 spec.name, rx, ry)
+
+
+def test_anchors_match_the_oracle():
+    for specs, define in ((BRANCH_SPECS, oracle._branch_def),
+                          (BASELINE_SPECS, oracle._baseline_def)):
+        for branch, spec in specs.items():
+            assert spec.anchors == tuple(define(branch)["anchors"]), spec.name
+
+
+def _imported_roots(path: Path) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def _imports_package(path: Path, seen: set) -> bool:
+    """Whether the module at ``path``, or a test module it imports, imports
+    macexp."""
+    seen.add(path)
+    roots = _imported_roots(path)
+    local = [TESTS / f"{root}.py" for root in roots]
+    return "macexp" in roots or any(
+        _imports_package(m, seen) for m in local if m.is_file() and m not in seen)
+
+
+def test_oracles_do_not_import_the_package():
+    oracles = sorted(TESTS.glob("*_oracle.py"))
+    assert len(oracles) >= 3
+    for path in oracles:
+        assert not _imports_package(path, set()), path.name
+    assert _imports_package(TESTS / "helpers.py", set())
 
 
 def _term(t) -> str:

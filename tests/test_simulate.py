@@ -281,7 +281,7 @@ def decoder_cases(draw):
 
 ORACLE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 # count cells per scored chunk: one row at a time, a few rows, the default
-CHUNK_BUDGETS = st.sampled_from([1, 400, simulate.SCORE_CELLS])
+CHUNK_BUDGETS = st.sampled_from([1, 400, simulate.ENTROPY_CELLS])
 
 
 class TestAgainstOracle:
@@ -294,7 +294,7 @@ class TestAgainstOracle:
         sz = w.z_alphabet.size
         z = np.random.default_rng(seed).integers(0, sz, size=(9, pair.n))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "SCORE_CELLS", budget)
+            mp.setattr(simulate, "ENTROPY_CELLS", budget)
             scorer = _BlockScorer(pair, sz)
             scores, winner, ambiguous = scorer.score(z)
             decoded = scorer.decode(z)
@@ -316,7 +316,7 @@ class TestAgainstOracle:
                                              seed):
         pair, w = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "SCORE_CELLS", budget)
+            mp.setattr(simulate, "ENTROPY_CELLS", budget)
             est = error_prob_mc(pair, w, trials, seed)
         assert est.p == oracle.mc_errors(pair, w, trials, seed) / trials
 
@@ -327,7 +327,7 @@ class TestAgainstOracle:
     def test_exact_enumeration_matches(self, case, budget):
         pair, w = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "SCORE_CELLS", budget)
+            mp.setattr(simulate, "ENTROPY_CELLS", budget)
             est = error_prob_exact(pair, w)
         err = oracle.exact_errors(pair, w)
         assert np.array_equal(est.per_pair.ravel(), err)
@@ -365,7 +365,7 @@ class TestAgainstOracle:
         monkeypatch.setattr(simulate, "MEMO_ENTRIES", 100)
         assert error_prob_mc(pair, w, trials, seed=8).p == want
 
-    @pytest.mark.parametrize("budget", [1, 400, simulate.SCORE_CELLS])
+    @pytest.mark.parametrize("budget", [1, 400, simulate.ENTROPY_CELLS])
     def test_chunk_scratch_stays_within_the_budget(self, monkeypatch, budget):
         # every count tensor is a matmul of the pairs' one-hot and a chunk's
         # output one-hot; a chunk of one sequence cannot be split further
@@ -379,7 +379,7 @@ class TestAgainstOracle:
 
         pair = binary_codebooks(8, 4, 3, seed=6)
         w = xor_bsc(0.2)
-        monkeypatch.setattr(simulate, "SCORE_CELLS", budget)
+        monkeypatch.setattr(simulate, "ENTROPY_CELLS", budget)
         monkeypatch.setattr(np, "matmul", spy)
         error_prob_exact(pair, w)
         error_prob_mc(pair, w, 3000, seed=1)

@@ -281,11 +281,12 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     sum is part of a code below 2^63.  Each tuple keeps the patterns that
     skip its own true words; one sort of the chunk's codes finds its
     types, and a sort of each tuple's type ids its (tuple, type, count)
-    entries, kept per chunk and field.  Every scratch array of a chunk
-    holds at most ENTROPY_CELLS entries, or one tuple's row of them if
-    more; the wrong-side factor, held for the whole call, has n T entries
-    per pattern and code word.  The types are decoded to count rows at the
-    end, and the entries joined one field at a time.
+    entries, appended to one array per field at each merge of the distinct
+    types found so far.  Every scratch array of a chunk holds at most
+    ENTROPY_CELLS entries, or one tuple's row of them if more; the
+    wrong-side factor, held for the whole call, has n T entries per
+    pattern and code word.  The types are decoded to count rows at the
+    end.
     """
     n = u.size
     wrong_cells = math.prod(books[c][1] for c in competitors)
@@ -309,13 +310,16 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     k = math.prod(m[c] - 1 for c in competitors)
     dtype = np.min_scalar_type(n)
     n_tuples = math.prod(m)
-    # (pair, type, count) entries: a list of chunks per field, each in the
-    # smallest dtype of the field's largest value, which is the last tuple,
-    # a type id (at most one per pattern of every tuple) and one tuple's
-    # patterns
-    entries = ([], [], [])
-    dtypes = [np.min_scalar_type(v)
-              for v in (n_tuples - 1, n_tuples * max(k, 1), k)]
+    # (pair, type, count) entries: one array per field, in the smallest
+    # dtype of the field's largest value, which is the last tuple, a type id
+    # (at most one per pattern of every tuple) and one tuple's patterns.
+    # Chunks' entries wait in ``parts`` until the next table merge appends
+    # them: ndarray.resize reallocates, so a large field grows where it
+    # lies or by remapping its pages, and is never held twice, as it would
+    # be if every chunk's parts were joined at the end
+    entries = [np.zeros(0, dtype=np.min_scalar_type(v))
+               for v in (n_tuples - 1, n_tuples * max(k, 1), k)]
+    parts = ([], [], [])
     step = max(1, ENTROPY_CELLS // (len(code) * max(right.shape[1:])))
     # the distinct codes found so far; a chunk's codes wait in ``pending``
     # until they outnumber the table, then both are merged and every
@@ -346,32 +350,31 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
         first[:, 1:] = local[:, 1:] != local[:, :-1]
         at = np.flatnonzero(first)
         pending.append(types)
-        for chunks, v, t in zip(entries, (lo + at // k,
+        for part, v, field in zip(parts, (lo + at // k,
                                           stacked + local.ravel()[at],
                                           np.diff(at, append=local.size)),
-                                dtypes):
-            chunks.append(v.astype(t))
+                                  entries):
+            part.append(v.astype(field.dtype))
         # free this chunk's sort before the next chunk's product
         del local, first, at, v
         stacked += len(types)
         if stacked > 2 * len(table) or lo + step >= n_tuples:
             table, inverse = distinct_rows(np.concatenate([table] + pending))
-            for t in entries[1]:
-                t[:] = inverse[t]
+            held = len(entries[0])
+            for field, part in zip(entries, parts):
+                field.resize(held + sum(map(len, part)), refcheck=False)
+                np.concatenate(part, out=field[held:])
+                part.clear()
+            # a block at a time: each gather holds ENTROPY_CELLS ids
+            ids = entries[1]
+            for s in range(0, len(ids), ENTROPY_CELLS):
+                ids[s:s + ENTROPY_CELLS] = inverse[ids[s:s + ENTROPY_CELLS]]
             pending, stacked = [], len(table)
     # each cell has one nonzero place, in its own word
     types = np.empty((len(table), cells), dtype=dtype)
     for c, (w, p) in enumerate(zip(code.argmax(axis=0), code.max(axis=0))):
         types[:, c] = table[:, w] // p % (n + 1)
-    return Tally(types, m, *map(_join, entries))
-
-
-def _join(parts: list) -> np.ndarray:
-    """The parts joined into one array; the list is emptied, so the parts
-    can be freed before the next field is joined."""
-    joined = np.concatenate(parts)
-    parts.clear()
-    return joined
+    return Tally(types, m, *entries)
 
 
 def _tally_family(pair: CodebookPair, family: str) -> Tally:

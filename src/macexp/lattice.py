@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScaleGuardError
-from .typeclasses import code_places, distinct_rows, xlogx_table
+from .typeclasses import code_places, distinct_rows, term_sums, xlogx_table
 
 # Slack for the equivocation comparison alpha(true) >= alpha(competitor).
 # Symmetric candidates (competitor identical to the true pair) produce the
@@ -553,9 +553,11 @@ def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
     Each chunk of rows gets the marginal counts of every label set from one
     integer product with a 0/1 indicator of the marginal cells; a sum of at
     most d <= 255 counts is exact in uint8 whatever the order.  A set's
-    "g*log2(g)" terms are then summed along each row of its C-ordered
-    (rows, cells) block, and the quantities combine those sums in a fixed
-    order, so no value depends on the chunk a row falls in."""
+    "g*log2(g)" terms are then summed over its cells, a whole row of
+    ``sums`` at a time, in the order numpy sums each row of a C-ordered
+    (rows, cells) block (``term_sums``), and the quantities combine those
+    sums in a fixed order, so no value depends on the chunk a row falls
+    in."""
     n_rows = counts.shape[0]
     combos = _branch_combos(spec)
 
@@ -575,10 +577,9 @@ def cache_from_counts(spec: BranchSpec, sizes: tuple[int, ...], d: int,
         # (marginal cell, row): the rows run along the product's inner loop
         sums = np.einsum("ck,cr->kr", indicator,
                          np.ascontiguousarray(counts[a:b].T))
-        # np.take returns its (rows, cells) block in C order, so each row's
-        # terms are summed pairwise; table[...] would keep the transposed
-        # order and sum them one by one, changing last bits
-        xl = {s: np.take(table, sums[lo:hi].T).sum(axis=1)
+        # a set's cells are rows of sums: term_sums adds them in the order
+        # numpy sums one row of a (rows, cells) block
+        xl = {s: term_sums(np.take(table, sums[lo:hi]))
               for s, lo, hi in zip(subsets, edges, edges[1:])}
         for name, combo in combos.items():
             acc = np.zeros(b - a, dtype=np.float64)

@@ -12,12 +12,16 @@ enumeration for small |Z|^n, or by Monte Carlo with block-indexed seeding
 so estimates are reproducible and independent of block scheduling.
 
 One block scorer serves every decoder.  It counts the joint types of a
-block of received sequences against all candidate pairs with one matrix
-product: a fixed 0/1 matrix that marks where each pair sits in each
-(u, x, y) cell, times the block's one-hot outputs.  The counts are sums of
-0/1 products, exact in any summation order.  It works in chunks whose
-scratch arrays hold at most ENTROPY_CELLS entries each, and decides each
-chunk before scoring the next.  Monte Carlo packs each received sequence
+chunk of received sequences against all candidate pairs with one 2-D
+matrix product: a fixed cell-major 0/1 matrix that marks where each pair
+sits in each (u, x, y) cell, times the chunk's one-hot outputs.  The
+counts are sums of 0/1 products, exact in any summation order.  A pair's
+score adds its x log x terms over the cells in C order; the scorer adds
+them a whole (pair, sequence) block at a time, in the order numpy sums
+one row of them (``typeclasses.term_sums``), so every score keeps the bits
+of a row sum.  It works in chunks whose scratch arrays hold at most
+ENTROPY_CELLS entries each, and decides each chunk along the pair axis
+before scoring the next.  Monte Carlo packs each received sequence
 into int64 code words of radix |Z| (``typeclasses.code_places``), scores
 each distinct code of an RNG block once, and remembers up to MEMO_ENTRIES
 decisions across blocks in a sorted code table; one sort of the table and
@@ -40,7 +44,7 @@ import numpy as np
 from .codebooks import CodebookPair
 from .errors import ScaleGuardError, ValidationError
 from .probability import ENTROPY_CELLS, Channel
-from .typeclasses import code_places, distinct_rows, xlogx_table
+from .typeclasses import code_places, distinct_rows, term_sums, xlogx_table
 
 TIE_TOL = 1e-12
 MAX_EXACT_OUTPUTS = 1 << 22
@@ -77,30 +81,38 @@ class _BlockScorer:
 
     def __init__(self, pair: CodebookPair, sz: int) -> None:
         self.n, self.sz = pair.n, sz
-        self.p_count = pair.m_x * pair.m_y
+        self.p_count = p_count = pair.m_x * pair.m_y
         su, sx, sy = (pair.u_alphabet.size, pair.x_alphabet.size,
                       pair.y_alphabet.size)
-        uxy = su * sx * sy
-        self.cells = uxy * sz
-        self.uz_cells = su * sz
-        # (P |U||X||Y|, n) one-hot: row p |U||X||Y| + c marks the positions
-        # where pair p sits in (u, x, y) cell c, so its product with a
-        # sequence's (n, |Z|) output one-hot is pair p's counts in C order
+        self.uxy = su * sx * sy
+        self.cells = self.uxy * sz
+        self.su = su
+        # (|U||X||Y| P, n) one-hot, cell-major: row c P + p marks the
+        # positions where pair p sits in (u, x, y) cell c, so its product
+        # with a chunk's (n, |Z| B) output one-hot holds every pair's counts
+        # as (cell, pair, z, sequence).  Counts are sums of at most n ones,
+        # exact in any summation order: in float32 up to n = 2^24
         cell = ((pair.u_seq * sx + pair.x_book[:, None, :]) * sy
                 + pair.y_book[None, :, :]).reshape(-1, pair.n)
-        self.onehot = np.zeros((self.p_count * uxy, pair.n))
-        self.onehot[np.arange(self.p_count)[:, None] * uxy + cell,
+        self.onehot = np.zeros((self.uxy * p_count, pair.n),
+                               np.float32 if pair.n <= 1 << 24 else np.float64)
+        self.onehot[cell * p_count + np.arange(p_count)[:, None],
                     np.arange(pair.n)] = 1.0
-        self.u_cells = pair.u_seq * sz
         self.table = xlogx_table(pair.n)
         # per received sequence: the count tensor's P cells entries, the
         # output one-hot's n |Z| and the exact path's P n log-likelihoods;
         # each array of a chunk stays within ENTROPY_CELLS entries (512 KB
         # at 8 bytes).  On a 12x12 binary pair at n = 12, chunks 4 times
-        # larger score within 2% of the same time and 16 times larger
-        # within 11%, at that much more memory
+        # larger score in about the same time and 16 times larger take
+        # about 15% longer, at that much more memory
         self.chunk_rows = max(1, ENTROPY_CELLS // max(
-            self.p_count * max(self.cells, pair.n), pair.n * sz))
+            p_count * max(self.cells, pair.n), pair.n * sz))
+        # a chunk's cell codes and x log x terms, reused from chunk to
+        # chunk: arrays this large made anew for every chunk can cost a page
+        # fault per 4 KB each time, when the allocator hands the freed top
+        # of its heap back to the system
+        self._codes = np.empty(0, dtype=np.intp)
+        self._terms = np.empty(0)
 
     def score(self, z: np.ndarray):
         """Scores (B, P), winner (B,) and ambiguity (B,) of a (B, n) block.
@@ -108,19 +120,31 @@ class _BlockScorer:
         The winner is the lowest index whose score is within TIE_TOL of the
         row minimum; a row is ambiguous when more than one pair is.
         """
-        b, p_count = z.shape[0], self.p_count
-        outputs = np.zeros((b, self.n, self.sz))
-        np.put_along_axis(outputs, z[:, :, None], 1.0, axis=2)
-        # sums of 0/1 products: exact in any summation order
-        counts = np.matmul(self.onehot, outputs).astype(np.intp)
-        xl4 = np.take(self.table, counts.reshape(b * p_count, self.cells)) \
-            .sum(axis=1).reshape(b, p_count)
-        uz = np.arange(b)[:, None] * self.uz_cells + self.u_cells + z
-        cuz = np.bincount(uz.ravel(), minlength=b * self.uz_cells)
-        xl_uz = np.take(self.table, cuz.reshape(b, self.uz_cells)).sum(axis=1)
-        scores = (xl_uz[:, None] - xl4) / self.n
-        tied = scores <= scores.min(axis=1, keepdims=True) + TIE_TOL
-        return scores, tied.argmax(axis=1), tied.sum(axis=1) > 1
+        b, n, sz, p_count = z.shape[0], self.n, self.sz, self.p_count
+        size = self.cells * p_count * b
+        if size > self._codes.size:
+            self._codes = np.empty(size, dtype=np.intp)
+            self._terms = np.empty(size)
+        outputs = np.zeros((n, sz, b), dtype=self.onehot.dtype)
+        outputs[np.arange(n)[:, None], z.T, np.arange(b)] = 1.0
+        counts = np.matmul(self.onehot, outputs.reshape(n, sz * b))
+        # (u x y, z, pair, sequence): a cell's (P, B) terms are contiguous
+        codes = self._codes[:size].reshape(self.uxy, sz, p_count, b)
+        np.copyto(codes, counts.reshape(self.uxy, p_count, sz, b)
+                  .transpose(0, 2, 1, 3), casting="unsafe")
+        # every code is a count 0..n, so "clip" never clips; unlike the
+        # default mode it lets take write straight into out
+        terms = np.take(self.table, codes, mode="clip",
+                        out=self._terms[:size].reshape(codes.shape))
+        # each (pair, sequence) sums its cells in C order (u, x, y, z), as
+        # numpy sums one row of them
+        xl4 = term_sums(terms.reshape(-1, p_count, b))
+        # any one pair's counts, summed over (x, y): the (u, z) counts
+        cuz = codes[:, :, 0].reshape(self.su, -1, sz, b).sum(axis=1)
+        xl_uz = term_sums(np.take(self.table, cuz).reshape(-1, b))
+        scores = (xl_uz - xl4) / n
+        tied = scores <= scores.min(axis=0) + TIE_TOL
+        return scores.T, tied.argmax(axis=0), tied.sum(axis=0) > 1
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Decoded flat pair index of each row of z, -1 where ambiguous."""

@@ -279,6 +279,31 @@ def decoder_cases(draw):
     return pair, Channel(alph[1], alph[2], Alphabet(sz, "Z"), w)
 
 
+def cell_case(su, sx, sy, sz, n, m, seed):
+    """Books of up to m words each over |U| = su, |X| = sx, |Y| = sy, and a
+    channel to |Z| = sz with some zero entries."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, su, size=n)
+    alph = [Alphabet(su, "U"), Alphabet(sx, "X"), Alphabet(sy, "Y")]
+    x_book, ux = _book(rng, u, sx, m, su)
+    y_book, uy = _book(rng, u, sy, m, su)
+    pair = CodebookPair(u, x_book, y_book, *alph,
+                        TypeVector((alph[0], alph[1]), ux, n),
+                        TypeVector((alph[0], alph[2]), uy, n))
+    w = rng.gamma(1.0, 1.0, size=(sx, sy, sz))
+    w[rng.random(w.shape) < 0.3] = 0.0
+    w[..., 0] += w.sum(axis=2) == 0.0
+    w /= w.sum(axis=2, keepdims=True)
+    return pair, Channel(alph[1], alph[2], Alphabet(sz, "Z"), w)
+
+
+# (|U|, |X|, |Y|, |Z|, n, words per book): each pair's score sums
+# |U||X||Y||Z| terms, which numpy adds in order below 8, in eight running
+# sums up to 128 and in halves beyond; the last case is a single pair
+CELL_CASES = {6: (1, 2, 1, 3, 6, 3), 36: (2, 2, 3, 3, 5, 3),
+              144: (2, 3, 4, 6, 4, 2), 8: (1, 2, 2, 2, 5, 1)}
+
+
 ORACLE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 # count cells per scored chunk: one row at a time, a few rows, the default
 CHUNK_BUDGETS = st.sampled_from([1, 400, simulate.ENTROPY_CELLS])
@@ -333,6 +358,23 @@ class TestAgainstOracle:
         assert np.array_equal(est.per_pair.ravel(), err)
         assert est.p == float(err.mean())
 
+    @pytest.mark.parametrize("cells", list(CELL_CASES))
+    def test_every_summation_regime_matches(self, cells):
+        su, sx, sy, sz, n, m = CELL_CASES[cells]
+        pair, w = cell_case(su, sx, sy, sz, n, m, seed=cells)
+        assert su * sx * sy * sz == cells
+        assert (pair.m_x * pair.m_y == 1) == (m == 1)
+        err = oracle.exact_errors(pair, w)
+        est = error_prob_exact(pair, w)
+        assert np.array_equal(est.per_pair.ravel(), err)
+        assert est.p == float(err.mean())
+        assert (error_prob_mc(pair, w, 2000, seed=cells).p
+                == oracle.mc_errors(pair, w, 2000, cells) / 2000)
+        rng = np.random.default_rng(cells)
+        for z in rng.integers(0, sz, size=(20, n)):
+            assert np.array_equal(equivocation_scores(pair, w, z).ravel(),
+                                  oracle.scores(pair, sz, z))
+
     def test_sequences_beyond_int64_codes_decode_exactly(self):
         pair = binary_codebooks(70, 2, 3, seed=1)
         w = xor_bsc(0.3)
@@ -368,17 +410,19 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("budget", [1, 400, simulate.ENTROPY_CELLS])
     def test_chunk_scratch_stays_within_the_budget(self, monkeypatch, budget):
         # every count tensor is a matmul of the pairs' one-hot and a chunk's
-        # output one-hot; a chunk of one sequence cannot be split further
+        # (n, |Z| B) output one-hot; a chunk of one sequence cannot be split
+        # further
         shapes = []
         matmul = np.matmul
+        pair = binary_codebooks(8, 4, 3, seed=6)
+        w = xor_bsc(0.2)
 
         def spy(cells, outputs):
             counts = matmul(cells, outputs)
-            shapes.append((len(outputs), outputs.size, counts.size))
+            rows = outputs.shape[1] // w.z_alphabet.size
+            shapes.append((rows, outputs.size, counts.size))
             return counts
 
-        pair = binary_codebooks(8, 4, 3, seed=6)
-        w = xor_bsc(0.2)
         monkeypatch.setattr(simulate, "ENTROPY_CELLS", budget)
         monkeypatch.setattr(np, "matmul", spy)
         error_prob_exact(pair, w)

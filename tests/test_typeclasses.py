@@ -22,7 +22,7 @@ from macexp import (
     sample_conditional_type_class,
     type_class_size,
 )
-from macexp.typeclasses import compositions_array, distinct_rows
+from macexp.typeclasses import compositions_array, distinct_rows, term_sums
 
 
 def _axes(*sizes, labels="XYZAB"):
@@ -287,3 +287,25 @@ class TestDistinctRows:
             assert np.array_equal(rows, want)
             assert np.array_equal(inverse, want_inverse.ravel())
             assert np.array_equal(rows[inverse], z)
+
+
+class TestTermSums:
+    # the decoder and the lattice build rely on term_sums adding terms in
+    # numpy's own row-sum order; if numpy ever changes that order, this is
+    # the test that fails first
+    @pytest.mark.parametrize("lengths", [range(1, 101), range(101, 201),
+                                         range(201, 301), [1037]])
+    def test_equals_numpy_row_sums_bit_for_bit(self, lengths):
+        rng = np.random.default_rng(lengths[0])
+        for k in lengths:
+            # magnitudes from 1e-8 to 1e8, both signs, zeros of both signs;
+            # column 0 is all -0.0 and column 1 mixes the two zeros
+            terms = (rng.standard_normal((k, 3, 5))
+                     * 10.0 ** rng.integers(-8, 9, size=(k, 3, 5)))
+            terms[rng.random(terms.shape) < 0.2] = 0.0
+            terms[rng.random(terms.shape) < 0.1] = -0.0
+            terms[:, 0, 0] = -0.0
+            terms[:, 0, 1] = np.where(np.arange(k) % 2, 0.0, -0.0)
+            want = np.stack(list(terms), -1).sum(-1)
+            got = term_sums(terms)
+            assert got.tobytes() == want.tobytes(), k

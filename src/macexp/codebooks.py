@@ -29,7 +29,8 @@ a code is a sum over positions of a true-side factor times a wrong-side
 factor, so a chunk's codes against every pattern of wrong words are one
 exact integer matrix product.  All of a family's types form one
 ``JointBatch``; both bound their scratch memory by
-``probability.ENTROPY_CELLS`` entries.  Batch values
+``probability.ENTROPY_CELLS`` entries.  A batch adds whole rows of types
+in numpy's own summation order, so its values
 equal those of one ``JointDist`` per type bit for bit, and needs those of
 the exact fractions, so reports, kept words and audits are identical to a
 type-by-type evaluation.

@@ -52,7 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScaleGuardError
-from .typeclasses import code_places, distinct_rows, term_sums, xlogx_table
+from .probability import term_sums
+from .typeclasses import code_places, distinct_rows, xlogx_table
 
 # Slack for the equivocation comparison alpha(true) >= alpha(competitor).
 # Symmetric candidates (competitor identical to the true pair) produce the

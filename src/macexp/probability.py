@@ -10,12 +10,20 @@ Joint distributions carry named axes.  All information measures
 (conditional entropy, conditional mutual information, divergences) are
 addressed by axis label so call sites read like the formulas they
 implement.
+
+``JointBatch`` evaluates many joints over the same axes at once, bit for
+bit as the scalar functions evaluate each: it holds its probabilities
+cell-major, so every marginal, renormalisation total and entropy is a few
+additions of whole rows of joints, made in the order numpy sums one
+C-ordered joint.  ``term_sums`` is that order for one row of terms; the
+decoder and the lattice build sum their x log x terms with it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -137,42 +145,187 @@ def _entropy_of_probs(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _clean_rows(m: np.ndarray) -> np.ndarray:
-    """``_clean_probs`` of each row of an (N, cells) batch: a row whose
-    total is not exactly 1 is divided by it."""
-    totals = m.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > RENORM_TOL):
-        raise ValidationError("JointBatch: a row's total mass is not 1")
-    off = totals != 1.0
-    if off.any():
-        m = m.copy()
-        m[off] /= totals[off, None]
-    return m
+def _pairwise(t: np.ndarray, copy: bool) -> np.ndarray:
+    """Rows whose first holds the sum of t in numpy's row-sum order: the
+    rows of t that the partial sums overwrite, or a copy of them."""
+    k = len(t)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        head = _pairwise(t[:half], copy)
+        head[0] += _pairwise(t[half:], copy)[0]
+        return head
+    head = t[:8 if k >= 8 else 1]
+    if copy:
+        head = head.copy()
+    if k < 8:
+        for row in t[1:]:
+            head[0] += row
+        return head
+    full = k - k % 8
+    for i in range(8, full, 8):
+        head += t[i:i + 8]
+    for step in (1, 2, 4):
+        for j in range(0, 8, 2 * step):
+            head[j] += head[j + step]
+    for row in t[full:]:
+        head[0] += row
+    return head
 
 
-def _entropy_rows(m: np.ndarray) -> np.ndarray:
-    """``_entropy_of_probs`` of each row of an (N, cells) batch.
+def term_sums(terms: np.ndarray, overwrite: bool = True) -> np.ndarray:
+    """The sum over the first axis of a float64 array of k >= 1 terms,
+    added in numpy's own row-sum order: equal bit for bit to
+    ``np.stack(list(terms), -1).sum(-1)``, without forming that stack.
 
-    A row adds its positive cells in order.  numpy sums a row pairwise once
-    it has 8 or more terms, so zero padding would regroup the additions;
-    rows are instead summed in groups with equal positive count.
+    numpy sums a contiguous row of k terms pairwise: fewer than 8 in
+    order; up to 128 in eight running sums, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in order;
+    more than 128 as two halves, split at half rounded down to a multiple
+    of 8.  The result starts from +0.0, so a zero sum is +0.0.  Each step
+    here adds whole terms, so many short rows cost a few array operations
+    instead of a call per row.  The partial sums are formed in place, so
+    ``terms`` is overwritten, or with ``overwrite`` false in copies of the
+    (at most eight) terms they would overwrite.  The result is a new
+    array.
     """
-    positive = m > 0.0
-    k = positive.sum(axis=1)
-    # -(p log2 p) of each positive cell, in place
-    terms = m[positive]
-    terms *= np.log2(terms)
-    np.negative(terms, out=terms)
-    starts = np.cumsum(k) - k
-    out = np.empty(m.shape[0])
-    for kk in np.flatnonzero(np.bincount(k)):
-        rows = np.flatnonzero(k == kk)
-        out[rows] = terms[starts[rows, None] + np.arange(kk)].sum(axis=1)
-    return out
+    return _pairwise(terms, not overwrite)[0] + 0.0
 
 
-# Each marginal of a JointBatch chunk holds at most this many probabilities.
+def _renormalise(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_clean_probs`` of each column of a (cells, N) cell-major batch,
+    into ``out`` (default: in place).  A column whose total, summed in
+    numpy's row-sum order, is not exactly 1 is divided by it; dividing
+    the others by 1.0 leaves their bits."""
+    totals = term_sums(m, overwrite=False)
+    if not (np.abs(totals - 1.0) <= RENORM_TOL).all():
+        raise ValidationError("JointBatch: a row's total mass is not 1")
+    return np.divide(m, totals, out=m if out is None else out)
+
+
+# the smallest positive float64: it stands in for a zero probability
+_SMALLEST = np.nextafter(0.0, 1.0)
+
+
+def _entropy_columns(p: np.ndarray, overwrite: bool) -> np.ndarray:
+    """``_entropy_of_probs`` of each column of a (cells, N) cell-major
+    batch; the terms overwrite ``p`` if ``overwrite``.
+
+    A column adds the terms -(p log2 p) of its positive cells in numpy's
+    row-sum order, which depends on their number k.  A zero cell's term is
+    a zero here, which can only change the sign of a zero partial sum, and
+    every sum ends by adding +0.0; so a column with k below 8 is one
+    in-order sum over all its cells.  From k = 8 the r-th positive term
+    (r from 0) joins running sum r mod 8 while r is below k - k mod 8, and
+    from there on is a leftover, added in order after the running sums are
+    combined.  One ``np.bincount`` adds every term into its column's slot,
+    in cell order; a column of more than 128 positive terms is summed
+    apart, with the columns of its count.
+    """
+    cells, n = p.shape
+    positive = p > 0.0 if cells >= 8 else None
+    # log2(0) would take numpy's slow special-value path; 0 times the
+    # log of _SMALLEST is a zero
+    t = np.maximum(p, _SMALLEST)
+    np.log2(t, out=t)
+    t = np.multiply(t, p, out=p if overwrite else t)
+    np.negative(t, out=t)
+    if cells < 8:
+        return term_sums(t)
+    # each cell's rank among its column's positive cells, from 0 (a zero
+    # cell takes the rank before it, so its zero joins a used slot)
+    if n < cells:
+        rank = np.cumsum(positive, axis=0, dtype=np.intp)
+    else:
+        # numpy accumulates one element at a time; whole rows are faster
+        rank = np.empty(t.shape, dtype=np.intp)
+        rank[0] = positive[0]
+        for c in range(1, cells):
+            np.add(rank[c - 1], positive[c], out=rank[c])
+    rank -= 1
+    k = rank[-1] + 1
+    few = k < 8
+    # slots 0-7 hold the running sums and 8-14 the leftovers, fewer than
+    # cells - 8 below 16 cells; 15 holds the columns summed apart, and a
+    # column with k below 8 leaves its terms in the running sums
+    leftover = rank >= np.where(few, cells, k - k % 8)
+    rank &= 7
+    rank += np.left_shift(leftover.view(np.uint8), 3)
+    del leftover
+    big = k > 128
+    if big.any():
+        rank[:, big] = 15
+    rank *= n
+    rank += np.arange(n)
+    width = min(cells, 16)
+    slots = np.bincount(rank.ravel(), weights=t.ravel(),
+                        minlength=width * n).reshape(width, n)
+    del rank
+    h = term_sums(slots[:8])
+    for left in slots[8:15]:
+        h += left
+    h += 0.0
+    if few.any():
+        ordered = t[0] + t[1]
+        for row in t[2:]:
+            ordered += row
+        ordered += 0.0
+        h[few] = ordered[few]
+    for kk in set(k[big].tolist()):
+        cols = np.flatnonzero(k == kk)
+        terms = t[:, cols].T[positive[:, cols].T]
+        h[cols] = term_sums(terms.reshape(len(cols), kk).T)
+    return h
+
+
+def _marginal_sums(cells: np.ndarray, kept) -> np.ndarray:
+    """(kept cells, N) sums of a cell-major (axis sizes..., N) array over
+    the axes whose ``kept`` is false: bit for bit the rows of
+    ``rows.sum(axis=dropped)`` over the C-ordered (N, axis sizes...) rows.
+
+    numpy passes over axes of size 1, adds a trailing block of summed axes
+    as one row of cells (``term_sums``), then adds the slices of the other
+    summed axes one at a time in C order, from +0.0 (so a sum over axes of
+    size 1 alone is its one slice plus +0.0).  Each step here adds whole
+    rows of N values.  With nothing summed the result is a view of
+    ``cells``.
+    """
+    n = cells.shape[-1]
+    shape = tuple(s for s in cells.shape[:-1] if s > 1)
+    m = cells.reshape(shape + (n,))
+    if all(kept):
+        return m.reshape(math.prod(shape), n)
+    kept = [k for s, k in zip(cells.shape[:-1], kept) if s > 1]
+    if all(kept):
+        # only axes of size 1 are summed: their one slice, from +0.0
+        return m.reshape(math.prod(shape), n) + 0.0
+    lead = len(kept)
+    while lead and not kept[lead - 1]:
+        lead -= 1
+    if lead < len(kept):
+        # the trailing summed axes: one row of cells each
+        block = m.reshape(math.prod(shape[:lead]), math.prod(shape[lead:]), n)
+        m = term_sums(block.transpose(1, 0, 2), overwrite=False).reshape(
+            shape[:lead] + (n,))
+    if not all(kept[:lead]):
+        slices = product(*((slice(None),) if k else range(s)
+                           for s, k in zip(shape, kept[:lead])))
+        total = m[next(slices)] + 0.0
+        for idx in slices:
+            total += m[idx]
+        m = total
+    return m.reshape(math.prod(m.shape[:-1]), n)
+
+
+# Every array of a JointBatch chunk holds at most this many entries.
 ENTROPY_CELLS = 1 << 16
+
+
+def _check_entries(rows: np.ndarray) -> None:
+    """Refuse what ``_clean_probs`` refuses entry by entry."""
+    if rows.dtype.kind == "f" and not np.isfinite(rows).all():
+        raise ValidationError("JointBatch: non-finite entries")
+    if rows.dtype.kind in "fi" and (rows < 0).any():
+        raise ValidationError("JointBatch: negative entries")
 
 
 class JointBatch:
@@ -182,26 +335,37 @@ class JointBatch:
     ``labels`` stores.  Marginals, entropies and (conditional) mutual
     informations equal the scalar functions of each row's JointDist bit for
     bit: a marginal is summed and renormalised as ``marginalize`` does, and
-    its entropy as ``_entropy_of_probs`` does.  Each label set is
-    marginalised once per batch; ``per_chunk`` bounds that scratch.  Given
-    ``n``, ``probs`` are integer counts instead (``from_counts``).
+    its entropy as ``_entropy_of_probs`` does.
+
+    The evaluator holds its probabilities cell-major, as (axis sizes...,
+    N), so every sum adds whole rows of N values, in the order numpy sums
+    the C-ordered (N,) + axis sizes rows (``_marginal_sums``), whatever
+    the layout the rows came in.  A marginal that only an entropy reads is
+    dropped once the entropy is taken; ``marginal`` keeps what it returns.
+    ``per_chunk`` bounds the scratch: every array of a chunk holds at most
+    ENTROPY_CELLS entries.  Given ``n``, ``probs`` are counts instead
+    (``from_counts``).
     """
 
     def __init__(self, labels, probs, n: int | None = None) -> None:
-        self.labels = tuple(labels)
-        if n is None:
-            # C order: a row's sums, and so its last bits, follow the layout
-            probs = np.ascontiguousarray(probs, dtype=np.float64)
-        # the rows ``per_chunk`` slices: probabilities, or counts whose
-        # probabilities are formed a chunk at a time
-        self._rows, self._n = probs, n
-        self._probs = probs if n is None else None
+        rows = np.asarray(probs, dtype=np.float64 if n is None else None)
+        self._setup(labels, rows, n)
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError(f"duplicate axis labels {self.labels}")
-        if self._rows.ndim != len(self.labels) + 1:
+        if rows.ndim != len(self.labels) + 1:
             raise ValidationError(
                 f"JointBatch: expected {len(self.labels) + 1} dimensions, "
-                f"got {self._rows.ndim}")
+                f"got {rows.ndim}")
+        _check_entries(rows)
+        if n is not None and not n > 0:
+            raise ValidationError(f"JointBatch: count total {n!r} is not positive")
+
+    def _setup(self, labels, rows: np.ndarray, n) -> None:
+        self.labels = tuple(labels)
+        # the rows ``per_chunk`` slices: probabilities, or counts (or
+        # probabilities to renormalise) divided by n a chunk at a time
+        self._rows, self._n = rows, n
+        self._cells: np.ndarray | None = None
         self._marginals: dict[frozenset, np.ndarray] = {}
         self._entropies: dict[frozenset, np.ndarray] = {}
 
@@ -216,21 +380,11 @@ class JointBatch:
         """
         return cls(labels, counts, n)
 
-    @property
-    def probs(self) -> np.ndarray:
-        """The (N,) + axis sizes probabilities, formed on first read from
-        counts."""
-        if self._probs is None:
-            self._probs = self._chunk(0, len(self)).probs
-        return self._probs
-
     @classmethod
     def renormalised(cls, labels, probs: np.ndarray) -> "JointBatch":
-        """Rows renormalised as a JointDist renormalises its probabilities."""
-        probs = np.ascontiguousarray(probs)
-        cells = math.prod(probs.shape[1:])
-        flat = _clean_rows(probs.reshape(len(probs), cells))
-        return cls(labels, flat.reshape(probs.shape))
+        """Rows renormalised as a JointDist renormalises its probabilities
+        (``probs / 1`` keeps their bits)."""
+        return cls(labels, probs, 1)
 
     @classmethod
     def of(cls, joint: JointDist) -> "JointBatch":
@@ -240,17 +394,40 @@ class JointBatch:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def per_chunk(self, fn) -> np.ndarray:
-        """``fn`` of consecutive row chunks, each with marginals of at most
-        ENTROPY_CELLS probabilities, joined along the rows."""
-        rows = max(1, ENTROPY_CELLS // math.prod(self._rows.shape[1:]))
-        return np.concatenate([fn(self._chunk(lo, lo + rows))
-                               for lo in range(0, max(len(self), 1), rows)])
-
-    def _chunk(self, lo: int, hi: int) -> "JointBatch":
+    @property
+    def probs(self) -> np.ndarray:
+        """The (N,) + axis sizes probabilities (a transposed view when
+        formed from counts)."""
         if self._n is None:
-            return JointBatch(self.labels, self._rows[lo:hi])
-        return JointBatch.renormalised(self.labels, self._rows[lo:hi] / self._n)
+            return self._rows
+        cells = self._cell_major()
+        flat = cells.reshape(math.prod(self._rows.shape[1:]), len(self))
+        return flat.T.reshape(self._rows.shape)
+
+    def per_chunk(self, fn) -> np.ndarray:
+        """``fn`` of consecutive row chunks, each of at most ENTROPY_CELLS
+        probabilities, joined along the rows."""
+        rows = max(1, ENTROPY_CELLS // math.prod(self._rows.shape[1:]))
+        chunks = []
+        for lo in range(0, max(len(self), 1), rows):
+            chunk = JointBatch.__new__(JointBatch)
+            chunk._setup(self.labels, self._rows[lo:lo + rows], self._n)
+            chunks.append(fn(chunk))
+        return np.concatenate(chunks)
+
+    def _cell_major(self) -> np.ndarray:
+        """The probabilities as (axis sizes..., N), formed on first use."""
+        if self._cells is None:
+            n_rows, cells = len(self), math.prod(self._rows.shape[1:])
+            flat = self._rows.reshape(n_rows, cells).T
+            if self._n is None:
+                m = np.ascontiguousarray(flat)
+            else:
+                m = np.empty((cells, n_rows))
+                np.divide(flat, self._n, out=m)
+                _renormalise(m)
+            self._cells = m.reshape(self._rows.shape[1:] + (n_rows,))
+        return self._cells
 
     def _key(self, labels) -> frozenset:
         idx = []
@@ -263,23 +440,31 @@ class JointBatch:
             raise ValidationError(f"repeated axis labels in {tuple(labels)}")
         return frozenset(idx)
 
+    def _marginal(self, key: frozenset) -> np.ndarray:
+        """(cells, N): ``marginalize(row, keep).probs`` of every row."""
+        joint = self._cell_major()
+        m = _marginal_sums(joint, [i in key for i in range(len(self.labels))])
+        # nothing summed: m is the joint, so renormalise a copy
+        return _renormalise(m, np.empty(m.shape)
+                            if np.may_share_memory(m, joint) else None)
+
     def marginal(self, keep) -> np.ndarray:
         """(N, cells) rows of ``marginalize(row, keep).probs``, kept axes in
-        batch order."""
+        batch order (a transposed view)."""
         key = self._key(keep)
         m = self._marginals.get(key)
         if m is None:
-            drop = tuple(1 + i for i in range(len(self.labels)) if i not in key)
-            m = self.probs.sum(axis=drop) if drop else self.probs
-            cells = math.prod(self.probs.shape[1 + i] for i in key)
-            m = self._marginals[key] = _clean_rows(m.reshape(len(self), cells))
-        return m
+            m = self._marginals[key] = self._marginal(key)
+        return m.T
 
     def entropy(self, keep) -> np.ndarray:
         key = self._key(keep)
         h = self._entropies.get(key)
         if h is None:
-            h = self._entropies[key] = _entropy_rows(self.marginal(keep))
+            m = self._marginals.get(key)
+            h = self._entropies[key] = (
+                _entropy_columns(self._marginal(key), True) if m is None
+                else _entropy_columns(m, False))
         return h
 
     def conditional_entropy(self, target, given=()) -> np.ndarray:

@@ -18,7 +18,7 @@ sits in each (u, x, y) cell, times the chunk's one-hot outputs.  The
 counts are sums of 0/1 products, exact in any summation order.  A pair's
 score adds its x log x terms over the cells in C order; the scorer adds
 them a whole (pair, sequence) block at a time, in the order numpy sums
-one row of them (``typeclasses.term_sums``), so every score keeps the bits
+one row of them (``probability.term_sums``), so every score keeps the bits
 of a row sum.  It works in chunks whose scratch arrays hold at most
 ENTROPY_CELLS entries each, and decides each chunk along the pair axis
 before scoring the next.  Monte Carlo packs each received sequence
@@ -43,8 +43,8 @@ import numpy as np
 
 from .codebooks import CodebookPair
 from .errors import ScaleGuardError, ValidationError
-from .probability import ENTROPY_CELLS, Channel
-from .typeclasses import code_places, distinct_rows, term_sums, xlogx_table
+from .probability import ENTROPY_CELLS, Channel, term_sums
+from .typeclasses import code_places, distinct_rows, xlogx_table
 
 TIE_TOL = 1e-12
 MAX_EXACT_OUTPUTS = 1 << 22

@@ -203,45 +203,6 @@ def xlogx_table(n: int) -> np.ndarray:
     return table
 
 
-def term_sums(terms: np.ndarray) -> np.ndarray:
-    """The sum over the first axis of a float64 array of k >= 1 terms,
-    added in numpy's own row-sum order: equal bit for bit to
-    ``np.stack(list(terms), -1).sum(-1)``, without forming that stack.
-
-    numpy sums a contiguous row of k terms pairwise: fewer than 8 in
-    order; up to 128 in eight running sums, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in order;
-    more than 128 as two halves, split at half rounded down to a multiple
-    of 8.  The result starts from +0.0, so a zero sum is +0.0.  Each step
-    here adds whole terms, so many short rows cost a few array operations
-    instead of a call per row.  The partial sums are formed in place, so
-    ``terms`` is overwritten; the result is a new array.
-    """
-    def pairwise(t: np.ndarray) -> None:
-        """Leave the sum of t in t[0]."""
-        k = len(t)
-        if k < 8:
-            for row in t[1:]:
-                t[0] += row
-        elif k <= 128:
-            full = k - k % 8
-            for i in range(8, full, 8):
-                t[:8] += t[i:i + 8]
-            for step in (1, 2, 4):
-                for j in range(0, 8, 2 * step):
-                    t[j] += t[j + step]
-            for row in t[full:]:
-                t[0] += row
-        else:
-            half = k // 2 - k // 2 % 8
-            pairwise(t[:half])
-            pairwise(t[half:])
-            t[0] += t[half]
-
-    pairwise(terms)
-    return terms[0] + 0.0
-
-
 def code_places(radix: int, cells: int) -> np.ndarray:
     """(W, cells) place values that code a row of digits below ``radix`` as
     W int64 words.

@@ -20,6 +20,7 @@ from macexp import (
     marginalize,
     product_channel_likelihood,
 )
+from macexp import probability
 from helpers import uniform_law, xor_bsc
 
 # entropy of (3/4, 1/4), direct summation
@@ -284,3 +285,87 @@ def test_measures_invariant_under_relabeling():
         assert abs(got - want) <= 1e-12
     assert abs(conditional_entropy(permuted, ("A",), ("B",))
                - conditional_entropy(j, ("A",), ("B",))) <= 1e-12
+
+
+# 1-5 axes of sizes 1-3, with axes of size 1 before, between and after
+# the others; those of at most 12 cells also run at N > ENTROPY_CELLS
+KERNEL_SHAPES = [(2,), (3,), (1,), (3, 2), (2, 1, 3), (1, 2, 1, 2),
+                 (3, 1, 2, 3), (2, 2, 2, 2, 2), (1, 3, 1, 3, 1), (3, 3, 3, 1, 2),
+                 (2, 3, 2, 3), (1, 1, 2), (2, 1, 1, 1, 3), (3, 3, 3, 3, 3)]
+
+
+class TestJointBatchKernels:
+    """The cell-major kernels reproduce numpy's own summation order.  They
+    rely on numpy's behaviour, not its contract: if numpy ever changes the
+    order, these are the tests that fail first."""
+
+    @staticmethod
+    def _rows(rng, n, shape):
+        # magnitudes from 1e-8 to 1e8, zeros of both signs: any other
+        # order of the additions shows in the last bits
+        rows = rng.random((n,) + shape) * 10.0 ** rng.integers(
+            -8, 9, size=(n,) + shape)
+        rows[rng.random(rows.shape) < 0.15] = 0.0
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        return rows
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_marginal_sums_equal_numpy_sums_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape) * 7 + sum(shape))
+        for n in (1, 5, probability.ENTROPY_CELLS + 3):
+            if n > 1000 and math.prod(shape) > 12:
+                continue
+            rows = self._rows(rng, n, shape)
+            cells = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+            for dropped in range(1, 1 << len(shape)):
+                drop = tuple(1 + i for i in range(len(shape))
+                             if dropped >> i & 1)
+                kept = [not dropped >> i & 1 for i in range(len(shape))]
+                want = rows.sum(axis=drop).reshape(n, -1)
+                got = probability._marginal_sums(cells, kept)
+                assert np.ascontiguousarray(got.T).tobytes() == want.tobytes(), (
+                    shape, n, drop)
+
+    @pytest.mark.parametrize("cells", [4, 8, 16, 32, 200])
+    def test_entropy_equals_the_scalar_sum_at_every_positive_count(self, cells):
+        rng = np.random.default_rng(cells)
+        columns = []
+        for k in range(1, cells + 1):
+            for _ in range(3):
+                col = np.zeros(cells)
+                where = rng.choice(cells, size=k, replace=False)
+                raw = rng.random(k) * 10.0 ** rng.integers(-6, 1, size=k)
+                col[where] = raw / raw.sum()
+                columns.append(col)
+        # a probability-1 cell: its term is -0.0
+        for c in (0, cells // 2, cells - 1):
+            col = np.zeros(cells)
+            col[c] = 1.0
+            columns.append(col)
+        p = np.stack(columns, axis=1)
+        p = p[:, rng.permutation(p.shape[1])]
+        want = [probability._entropy_of_probs(p[:, j]) for j in range(p.shape[1])]
+        together = probability._entropy_columns(p.copy(), True)
+        assert together.tolist() == want
+        # one column at a time, and the input kept unless it may be overwritten
+        kept = p.copy()
+        alone = [probability._entropy_columns(kept[:, [j]], False)[0]
+                 for j in range(p.shape[1])]
+        assert alone == want
+        assert np.array_equal(kept, p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25])
+    def test_constructors_refuse_bad_entries(self, bad):
+        rows = np.asarray([[0.25, 0.75], [0.5, 0.5]])
+        rows[0, 1] = bad
+        with pytest.raises(ValidationError, match="JointBatch"):
+            probability.JointBatch(("X",), rows)
+        with pytest.raises(ValidationError, match="JointBatch"):
+            probability.JointBatch.renormalised(("X",), rows)
+        with pytest.raises(ValidationError, match="JointBatch"):
+            probability.JointBatch.from_counts(("X",), rows * 4, 4)
+
+    def test_negative_integer_counts_are_refused(self):
+        with pytest.raises(ValidationError, match="JointBatch"):
+            probability.JointBatch.from_counts(
+                ("X",), np.asarray([[3, 1], [5, -1]], dtype=np.int8), 4)

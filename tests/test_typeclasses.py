@@ -22,7 +22,8 @@ from macexp import (
     sample_conditional_type_class,
     type_class_size,
 )
-from macexp.typeclasses import compositions_array, distinct_rows, term_sums
+from macexp.probability import term_sums
+from macexp.typeclasses import compositions_array, distinct_rows
 
 
 def _axes(*sizes, labels="XYZAB"):
@@ -290,9 +291,9 @@ class TestDistinctRows:
 
 
 class TestTermSums:
-    # the decoder and the lattice build rely on term_sums adding terms in
-    # numpy's own row-sum order; if numpy ever changes that order, this is
-    # the test that fails first
+    # the decoder, the lattice build and the JointBatch evaluator rely on
+    # term_sums adding terms in numpy's own row-sum order; if numpy ever
+    # changes that order, this is the test that fails first
     @pytest.mark.parametrize("lengths", [range(1, 101), range(101, 201),
                                          range(201, 301), [1037]])
     def test_equals_numpy_row_sums_bit_for_bit(self, lengths):
@@ -307,5 +308,9 @@ class TestTermSums:
             terms[:, 0, 0] = -0.0
             terms[:, 0, 1] = np.where(np.arange(k) % 2, 0.0, -0.0)
             want = np.stack(list(terms), -1).sum(-1)
+            kept = terms.copy()
+            fresh = term_sums(terms, overwrite=False)
+            assert terms.tobytes() == kept.tobytes()
+            assert fresh.tobytes() == want.tobytes(), k
             got = term_sums(terms)
             assert got.tobytes() == want.tobytes(), k

@@ -69,38 +69,32 @@ def cmd_exponent(args) -> int:
     solver = SolverSpec(lattice_denominator=args.denominator,
                         refine_steps=args.refine,
                         divergence_weighting=args.weighting)
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     rows = []
     results = []
-    for rx in args.rx:
-        for ry in args.ry:
-            rates = RatePair(rx, ry)
-            if args.branch == "all":
-                res = expurgated_exponent(rates, w, p, args.delta, solver,
-                                          threads=args.threads)
-            else:
-                res = branch_exponent(args.branch, rates, w, p, args.delta,
-                                      solver, threads=args.threads)
-            entry = {
-                "rx": rx, "ry": ry, "value": res.value, "branch": res.branch,
-                "source": res.source, "feasible_empty": res.feasible_empty,
-            }
-            row = [_full(rx), _full(ry), _full(res.value), res.branch,
-                   res.source]
-            if args.baseline:
-                base = baseline_exponent(rates, w, p, args.delta, solver,
-                                         threads=args.threads)
-                entry["baseline_value"] = base.value
-                entry["baseline_branch"] = base.branch
-                row += [_full(base.value), base.branch]
-            results.append(entry)
-            rows.append(row)
-            line = (f"rx={_fmt(rx)} ry={_fmt(ry)} exponent={_fmt(res.value)} "
-                    f"branch={res.branch} source={res.source}")
-            if args.baseline:
-                line += f" baseline={_fmt(entry['baseline_value'])}"
-            print(line)
+    for rates in [RatePair(rx, ry) for rx in args.rx for ry in args.ry]:
+        rx, ry = rates.rx, rates.ry
+        if args.branch == "all":
+            res = expurgated_exponent(rates, w, p, args.delta, solver)
+        else:
+            res = branch_exponent(args.branch, rates, w, p, args.delta, solver)
+        entry = {
+            "rx": rx, "ry": ry, "value": res.value, "branch": res.branch,
+            "source": res.source, "feasible_empty": res.feasible_empty,
+        }
+        row = [_full(rx), _full(ry), _full(res.value), res.branch,
+               res.source]
+        if args.baseline:
+            base = baseline_exponent(rates, w, p, args.delta, solver)
+            entry["baseline_value"] = base.value
+            entry["baseline_branch"] = base.branch
+            row += [_full(base.value), base.branch]
+        results.append(entry)
+        rows.append(row)
+        line = (f"rx={_fmt(rx)} ry={_fmt(ry)} exponent={_fmt(res.value)} "
+                f"branch={res.branch} source={res.source}")
+        if args.baseline:
+            line += f" baseline={_fmt(entry['baseline_value'])}"
+        print(line)
     config = {
         "channel_sha256": file_sha256(args.channel),
         "law_sha256": file_sha256(args.law),
@@ -295,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also report the relaxed baseline exponent")
     p_exp.add_argument("--refine", type=int, default=0, metavar="STEPS")
     p_exp.add_argument("--weighting", choices=["V", "P"], default="V")
-    p_exp.add_argument("--threads", type=int, default=1,
-                       help="evaluation threads")
     p_exp.add_argument("--out", help="JSON results path")
     p_exp.add_argument("--csv", help="CSV results path")
     p_exp.set_defaults(func=cmd_exponent)
@@ -356,10 +348,10 @@ def main(argv=None) -> int:
     except (ValidationError, ConstructionError) as exc:
         print(f"macexp: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"macexp: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"macexp: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -76,8 +76,9 @@ class RatePair:
     ry: float
 
     def __post_init__(self) -> None:
-        if not (self.rx >= 0.0 and self.ry >= 0.0):
-            raise ValidationError("rates must be nonnegative")
+        if not all(math.isfinite(r) and r >= 0.0 for r in (self.rx, self.ry)):
+            raise ValidationError(
+                f"rates must be finite and >= 0, got ({self.rx!r}, {self.ry!r})")
 
     @property
     def lower(self) -> float:
@@ -133,8 +134,7 @@ class InputLaw:
                 )
 
     @classmethod
-    def from_components(cls, p_u, p_x_given_u, p_y_given_u,
-                        u_label="U", x_label="X", y_label="Y") -> "InputLaw":
+    def from_components(cls, p_u, p_x_given_u, p_y_given_u) -> "InputLaw":
         pu = np.asarray(p_u, dtype=np.float64)
         px = np.asarray(p_x_given_u, dtype=np.float64)
         py = np.asarray(p_y_given_u, dtype=np.float64)
@@ -143,8 +143,8 @@ class InputLaw:
         if px.shape[0] != pu.size or py.shape[0] != pu.size:
             raise ValidationError("from_components: conditional row count != |U|")
         joint = pu[:, None, None] * px[:, :, None] * py[:, None, :]
-        axes = (Alphabet(pu.size, u_label), Alphabet(px.shape[1], x_label),
-                Alphabet(py.shape[1], y_label))
+        axes = (Alphabet(pu.size, "U"), Alphabet(px.shape[1], "X"),
+                Alphabet(py.shape[1], "Y"))
         return cls(JointDist(axes, joint))
 
     def marginal_flat(self, labels: tuple[str, ...]) -> np.ndarray:
@@ -559,8 +559,7 @@ def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
 
 
 def _solve_branch(branch: str, spec: BranchSpec, rates: RatePair, w: Channel,
-                  p: InputLaw, delta: float, solver: SolverSpec,
-                  threads: int) -> ExponentResult:
+                  p: InputLaw, delta: float, solver: SolverSpec) -> ExponentResult:
     """The least of the branch's lattice minimum and its feasible anchors,
     refined if asked; ties resolve to the lattice, then the anchors in
     declaration order."""
@@ -571,8 +570,7 @@ def _solve_branch(branch: str, spec: BranchSpec, rates: RatePair, w: Channel,
     cache = get_cache(spec, sizes, d, lm)
     val, argmin_counts, any_feas = minimize_branch(
         cache, rates.rx, rates.ry, delta, lm, w.w,
-        weighting=solver.divergence_weighting, threads=threads,
-    )
+        weighting=solver.divergence_weighting)
     candidates: list[tuple[float, str, JointDist]] = []
     if argmin_counts is not None:
         candidates.append((val, "lattice", JointDist(
@@ -606,8 +604,7 @@ def _solve_branch(branch: str, spec: BranchSpec, rates: RatePair, w: Channel,
 
 
 def _least_branch(specs: dict, rates: RatePair, w: Channel, p: InputLaw,
-                  delta: float, solver: SolverSpec,
-                  threads: int) -> ExponentResult:
+                  delta: float, solver: SolverSpec) -> ExponentResult:
     """The least minimum over the branches of ``specs``, each result named
     by its key; ties resolve to the earlier branch (X, then Y, then XY).
     The slack is checked and every branch's lattice planned before any is
@@ -620,7 +617,7 @@ def _least_branch(specs: dict, rates: RatePair, w: Channel, p: InputLaw,
                          solver.lattice_denominator, _law_marginals(p))
         best = None
         for branch, spec in specs.items():
-            res = _solve_branch(branch, spec, rates, w, p, delta, solver, threads)
+            res = _solve_branch(branch, spec, rates, w, p, delta, solver)
             if best is None or res.value < best.value:
                 best = res
     return best
@@ -633,33 +630,33 @@ def _one_branch(specs: dict, branch: str) -> dict:
 
 
 def branch_exponent(branch: str, rates: RatePair, w: Channel, p: InputLaw,
-                    delta: float = 0.0, solver: SolverSpec = SolverSpec(),
-                    threads: int = 1) -> ExponentResult:
+                    delta: float = 0.0, solver: SolverSpec = SolverSpec()
+                    ) -> ExponentResult:
     """Exact lattice minimum of one expurgated branch objective."""
     return _least_branch(_one_branch(BRANCH_SPECS, branch), rates, w, p,
-                         delta, solver, threads)
+                         delta, solver)
 
 
 def expurgated_exponent(rates: RatePair, w: Channel, p: InputLaw,
-                        delta: float = 0.0, solver: SolverSpec = SolverSpec(),
-                        threads: int = 1) -> ExponentResult:
+                        delta: float = 0.0, solver: SolverSpec = SolverSpec()
+                        ) -> ExponentResult:
     """min over the three branches; ties resolve X, then Y, then XY."""
-    return _least_branch(BRANCH_SPECS, rates, w, p, delta, solver, threads)
+    return _least_branch(BRANCH_SPECS, rates, w, p, delta, solver)
 
 
 def baseline_branch_exponent(branch: str, rates: RatePair, w: Channel,
                              p: InputLaw, delta: float = 0.0,
-                             solver: SolverSpec = SolverSpec(),
-                             threads: int = 1) -> ExponentResult:
+                             solver: SolverSpec = SolverSpec()
+                             ) -> ExponentResult:
     return _least_branch(_one_branch(BASELINE_SPECS, branch), rates, w, p,
-                         delta, solver, threads)
+                         delta, solver)
 
 
 def baseline_exponent(rates: RatePair, w: Channel, p: InputLaw,
-                      delta: float = 0.0, solver: SolverSpec = SolverSpec(),
-                      threads: int = 1) -> ExponentResult:
+                      delta: float = 0.0, solver: SolverSpec = SolverSpec()
+                      ) -> ExponentResult:
     """Relaxed reference exponent; never exceeds the expurgated value."""
-    return _least_branch(BASELINE_SPECS, rates, w, p, delta, solver, threads)
+    return _least_branch(BASELINE_SPECS, rates, w, p, delta, solver)
 
 
 @dataclass(frozen=True)

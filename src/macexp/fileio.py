@@ -63,6 +63,26 @@ def _require_kind(data: dict, kind: str) -> None:
         raise ValidationError(f"expected a JSON object with kind={kind!r}")
 
 
+def _field(data: dict, kind: str, name: str, ndim: int,
+           integer: bool = False) -> np.ndarray:
+    """Field ``name`` of a ``kind`` document as an ``ndim``-D float64 array,
+    or int64 if ``integer``, when its values must be whole numbers."""
+    try:
+        arr = np.asarray(data[name])
+    except ValueError:                  # nested lists of unequal lengths
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "if":
+        what = "a number" if ndim == 0 else f"a {ndim}-D array of numbers"
+        raise ValidationError(f"{kind} field {name!r} must be {what}")
+    if not integer:
+        return arr.astype(np.float64)
+    with np.errstate(invalid="ignore"):     # nan, inf, past int64: refused below
+        ints = arr.astype(np.int64)
+    if arr.dtype.kind == "f" and not (ints == arr).all():
+        raise ValidationError(f"{kind} field {name!r} must hold whole numbers")
+    return ints
+
+
 def channel_to_dict(w: Channel) -> dict:
     """Channel document: one row per sender pair, x outer, y inner."""
     sx, sy = w.x_alphabet.size, w.y_alphabet.size
@@ -78,8 +98,8 @@ def channel_to_dict(w: Channel) -> dict:
 
 def channel_from_dict(data: dict) -> Channel:
     _require_kind(data, "channel")
-    sx, sy, sz = (int(data["x_size"]), int(data["y_size"]),
-                  int(data["z_size"]))
+    sx, sy, sz = (int(_field(data, "channel", f"{a}_size", 0, integer=True))
+                  for a in "xyz")
     rows = data["rows"]
     if not isinstance(rows, list) or len(rows) != sx * sy:
         raise ValidationError(
@@ -92,7 +112,7 @@ def channel_from_dict(data: dict) -> Channel:
                 f"channel row {idx} (x={idx // sy}, y={idx % sy}) must hold "
                 f"{sz} probabilities"
             )
-    arr = np.asarray(rows, dtype=np.float64).reshape(sx, sy, sz)
+    arr = _field(data, "channel", "rows", 2).reshape(sx, sy, sz)
     return Channel(Alphabet(sx, "X"), Alphabet(sy, "Y"), Alphabet(sz, "Z"),
                    arr)
 
@@ -109,8 +129,9 @@ def law_to_dict(p: InputLaw) -> dict:
 
 def law_from_dict(data: dict) -> InputLaw:
     _require_kind(data, "input_law")
-    return InputLaw.from_components(data["p_u"], data["p_x_given_u"],
-                                    data["p_y_given_u"])
+    return InputLaw.from_components(
+        *(_field(data, "input_law", name, ndim) for name, ndim in
+          (("p_u", 1), ("p_x_given_u", 2), ("p_y_given_u", 2))))
 
 
 def codebook_to_dict(pair: CodebookPair) -> dict:
@@ -130,17 +151,16 @@ def codebook_to_dict(pair: CodebookPair) -> dict:
 
 def codebook_from_dict(data: dict) -> CodebookPair:
     _require_kind(data, "codebook_pair")
-    u_alph = Alphabet(int(data["u_size"]), "U")
-    x_alph = Alphabet(int(data["x_size"]), "X")
-    y_alph = Alphabet(int(data["y_size"]), "Y")
-    n = int(data["n"])
-    p_ux = TypeVector((u_alph, x_alph),
-                      np.asarray(data["p_ux"], dtype=np.int64), n)
-    p_uy = TypeVector((u_alph, y_alph),
-                      np.asarray(data["p_uy"], dtype=np.int64), n)
-    return CodebookPair(np.asarray(data["u"], dtype=np.int64),
-                        np.asarray(data["cx"], dtype=np.int64),
-                        np.asarray(data["cy"], dtype=np.int64),
+
+    def ints(name, ndim):
+        return _field(data, "codebook_pair", name, ndim, integer=True)
+
+    u_alph, x_alph, y_alph = (Alphabet(int(ints(f"{a}_size", 0)), a.upper())
+                              for a in "uxy")
+    n = int(ints("n", 0))
+    p_ux = TypeVector((u_alph, x_alph), ints("p_ux", 2), n)
+    p_uy = TypeVector((u_alph, y_alph), ints("p_uy", 2), n)
+    return CodebookPair(ints("u", 1), ints("cx", 2), ints("cy", 2),
                         u_alph, x_alph, y_alph, p_ux, p_uy)
 
 

@@ -39,8 +39,8 @@ one matrix-vector product per channel, kept with the cache; a rate pair
 then reduces to vector comparisons, the clamp and an argmin.
 
 The grid is chunked and reduced with an associative (value, index) min,
-so chunk size and thread count cannot change results: ties always resolve
-to the smallest enumeration index.
+so chunk size cannot change results: ties always resolve to the smallest
+enumeration index.
 """
 
 from __future__ import annotations
@@ -705,16 +705,8 @@ def _chunk_value(cache: LatticeCache, base: np.ndarray, a: int, b: int,
     return float(value[i]), a + i, bool(feas.any())
 
 
-def _map(fn, ranges: list, threads: int) -> list:
-    if threads > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, ranges))
-    return [fn(rg) for rg in ranges]
-
-
 def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
-                  law_marginals: dict, ranges: list, threads: int) -> np.ndarray:
+                  law_marginals: dict, ranges: list) -> np.ndarray:
     """Divergence + I(X;Y|U) of every row: the part of the objective no rate
     changes, built once per channel and weighting and kept with the cache.
     Under P weighting the divergence also depends on the law, which the
@@ -732,25 +724,19 @@ def _value_vector(cache: LatticeCache, w: np.ndarray, weighting: str,
         return base
     if weighting == "V":
         w_finite, inf_cells = channel_log_vector(spec, cache.sizes, w)
-        # a row's count on the cells where the channel has no mass
-        on_inf = np.zeros(w_finite.size)
-        on_inf[inf_cells] = 1.0
     q = cache.quantities
     base = np.empty(cache.total)
-
-    def fill(rg):
-        a, b = rg
+    for a, b in ranges:
         if weighting == "V":
             value = (q["div_ent"][a:b]
                      + _linear_term(cache.counts[a:b], w_finite) / cache.d)
             if inf_cells.size:
-                hit = _linear_term(cache.counts[a:b], on_inf) > 0
-                value = np.where(hit, np.inf, value)
+                # rows with a count where the channel has no mass
+                value[cache.counts[a:b][:, inf_cells].any(axis=1)] = np.inf
         else:
             value = _p_weighted_divergence(cache, a, b, w, p_uxy)
         base[a:b] = value + q["mi_xy"][a:b]
-
-    _map(fill, ranges, threads)
+        del value                       # before the next chunk allocates
     _make_room(base.nbytes, cache)
     cache.values[key] = base
     return base
@@ -778,45 +764,52 @@ def _p_weighted_divergence(cache: LatticeCache, a: int, b: int,
                            w: np.ndarray, p_uxy: np.ndarray) -> np.ndarray:
     """D(V_{Z|XYU} || W | P_{UXY}) per type; conditioning cells with zero
     V-mass contribute zero by convention (their conditional is free).
-    Rows go a block at a time, so that each array over a block's (U, X, Y,
-    Z) cells holds at most ``_GEMV_CELLS`` values; every step is per row."""
-    sizes = cache.sizes
-    keep = _subset_axes(cache.spec.labels, {"U", "X", "Y", "Z"})
-    drop = tuple(i + 1 for i in range(len(sizes)) if i not in keep)
+
+    Rows go a block at a time, held cell-major: a block's (Z, U, X, Y)
+    counts are one uint8 product with a 0/1 matrix of each cell's (Z, U,
+    X, Y) cell, as in ``cache_from_counts``, and no array over them holds
+    more than ``_GEMV_CELLS`` values.  Each row
+    adds its terms over Z, then over (U, X, Y), in the order numpy sums a
+    row of a C-ordered (rows, U, X, Y, Z) block (``term_sums``)."""
+    nz = w.shape[-1]
+    # (Z, U X Y): the channel's -log2 and the cells of positive P-mass
+    # where it has none
     with np.errstate(divide="ignore"):
-        neg = -np.log2(w)
-    # the (U, X, Y, Z) cells of positive P-mass where the channel has none
-    inf_mask4 = ~np.isfinite(neg) & (p_uxy[..., None] > 0)
+        neg = -np.log2(np.broadcast_to(w, p_uxy.shape + (nz,)))
+    neg = neg.reshape(-1, nz).T
+    p_uxy = p_uxy.ravel()
+    inf_mask = ~np.isfinite(neg) & (p_uxy > 0)
     neg = np.where(np.isfinite(neg), neg, 0.0)
+    cells = marginal_cells(cache.spec.labels, cache.sizes, {"U", "X", "Y", "Z"})
+    to_cells = np.zeros((inf_mask.size, cells.size), dtype=np.uint8)
+    # (U X Y, Z) cell k * nz + z goes to row z * |U X Y| + k
+    to_cells[cells % nz * p_uxy.size + cells // nz, np.arange(cells.size)] = 1
     out = np.empty(b - a)
-    step = max(1, _GEMV_CELLS // inf_mask4.size)
+    step = max(1, _GEMV_CELLS // inf_mask.size)
     for lo in range(a, b, step):
         hi = min(lo + step, b)
-        view = cache.counts[lo:hi].reshape((hi - lo,) + sizes)
-        g = view.sum(axis=drop, dtype=np.int64) if drop else view.astype(np.int64)
-        # g has axes (rows, U, X, Y, Z)
-        g = g.astype(np.float64)
-        gz = g.sum(axis=-1, keepdims=True)
+        g = np.einsum("kc,cr->kr", to_cells,
+                      np.ascontiguousarray(cache.counts[lo:hi].T))
+        g = g.astype(np.float64).reshape(nz, p_uxy.size, hi - lo)
+        gz = g.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(gz > 0, g / np.where(gz > 0, gz, 1.0), 0.0)
             logc = np.where(cond > 0, np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
-        per_cell = cond * (logc + neg)
-        contrib = (per_cell * p_uxy[None, ..., None]).sum(axis=-1)
-        value = contrib.reshape(hi - lo, -1).sum(axis=1)
-        if inf_mask4.any():
-            hit = ((cond > 0) & inf_mask4[None]).reshape(hi - lo, -1).any(axis=1)
-            value = np.where(hit, np.inf, value)
+        per_cell = cond * (logc + neg[..., None])
+        value = term_sums(term_sums(per_cell * p_uxy[:, None]))
+        if inf_mask.any():
+            hit = ((cond > 0) & inf_mask[..., None]).any(axis=(0, 1))
+            value[hit] = np.inf
         out[lo - a:hi - a] = value
     return out
 
 
 def minimize_branch(cache: LatticeCache, rx: float, ry: float, delta: float,
-                    law_marginals: dict, w: np.ndarray, weighting: str = "V",
-                    threads: int = 1):
+                    law_marginals: dict, w: np.ndarray, weighting: str = "V"):
     """Exact lattice minimum of the branch objective.
 
     Returns (value, argmin_counts or None, any_feasible).  Ties resolve to
-    the smallest enumeration index regardless of chunking or threads.
+    the smallest enumeration index regardless of chunking.
     """
     spec = cache.spec
     rhs = [(c.name, rate_sum(c.rhs, rx, ry, delta)) for c in spec.constraints]
@@ -824,13 +817,11 @@ def minimize_branch(cache: LatticeCache, rx: float, ry: float, delta: float,
     alpha = spec.alpha_competitor is not None
     ranges = [(a, min(a + _EVAL_CHUNK, cache.total))
               for a in range(0, cache.total, _EVAL_CHUNK)]
-    base = _value_vector(cache, w, weighting, law_marginals, ranges, threads)
-    results = _map(lambda rg: _chunk_value(cache, base, rg[0], rg[1], rhs,
-                                           alpha, clamp_off),
-                   ranges, threads)
+    base = _value_vector(cache, w, weighting, law_marginals, ranges)
 
     best_val, best_idx, any_feas = math.inf, -1, False
-    for val, idx, feas in results:
+    for a, b in ranges:
+        val, idx, feas = _chunk_value(cache, base, a, b, rhs, alpha, clamp_off)
         any_feas = any_feas or feas
         if val < best_val:
             best_val, best_idx = val, idx

@@ -29,11 +29,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Tolerance ladder.  SUM_TOL is what stored tensors actually satisfy after
-# construction; EQ_TOL is for semantic equality checks between quantities
-# that are computed along different float paths; RENORM_TOL bounds how much
-# drift the constructors will repair silently.
-SUM_TOL = 1e-12
+# Tolerance ladder.  EQ_TOL is for semantic equality checks between
+# quantities that are computed along different float paths; RENORM_TOL
+# bounds how much drift the constructors will repair silently.
 EQ_TOL = 1e-10
 RENORM_TOL = 1e-9
 

@@ -7,6 +7,7 @@ golden CSV; every value in it was verified against the exhaustive
 enumeration oracle when first frozen.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from helpers import (
 )
 import macexp
 from macexp import lattice, typeclasses
-from macexp.cli import main
+from macexp.cli import build_parser, main
 from macexp.fileio import (
     channel_to_dict,
     codebook_to_dict,
@@ -155,46 +156,6 @@ class TestExponentCommand:
         assert main(argv + ["--csv", str(pair_b[0]), "--out", str(pair_b[1])]) == 0
         assert pair_a[0].read_bytes() == pair_b[0].read_bytes()
         assert pair_a[1].read_bytes() == pair_b[1].read_bytes()
-
-    def test_thread_count_does_not_change_output(self, workdir):
-        one = workdir / "one.csv"
-        two = workdir / "two.csv"
-        argv = ["exponent", "--channel", str(workdir / "chan.json"),
-                "--law", str(workdir / "law.json"), "--rx", "0.4,0.7",
-                "--ry", "0.4,0.7", "--denominator", "4"]
-        assert main(argv + ["--threads", "1", "--csv", str(one)]) == 0
-        assert main(argv + ["--threads", "2", "--csv", str(two)]) == 0
-        assert one.read_bytes() == two.read_bytes()
-
-    def test_thread_count_is_read_when_the_command_runs(self, workdir,
-                                                        monkeypatch):
-        seen = []
-
-        def spy(solve):
-            def wrapped(*args, threads):
-                seen.append(threads)
-                return solve(*args, threads=threads)
-            return wrapped
-
-        import macexp.cli as cli
-        for name in ("expurgated_exponent", "baseline_exponent"):
-            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
-        argv = ["exponent", "--channel", str(workdir / "chan.json"),
-                "--law", str(workdir / "law.json"), "--rx", "0.4",
-                "--ry", "0.4", "--denominator", "4", "--baseline"]
-        assert main(argv) == 0
-        assert main(argv + ["--threads", "2"]) == 0
-        assert seen == [1, 1, 2, 2]
-
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_thread_count_below_one_exits_two(self, workdir, capsys, threads):
-        csv = workdir / f"threads_{threads}.csv"
-        assert main(sweep_args(workdir, csv=csv,
-                               extra=["--threads", threads])) == 2
-        captured = capsys.readouterr()
-        assert "--threads must be >= 1" in captured.err
-        assert "exponent=" not in captured.out
-        assert not csv.exists()
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_exits_two(self, workdir, capsys, delta):
@@ -420,7 +381,80 @@ class TestRegionCommand:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+# An input document, the path to one of its entries, a value
+# that breaks it, and the one line ``main`` prints to stderr for it
+MALFORMED = [
+    ("chan.json", ("x_size",), "two", "channel field 'x_size' must be a number"),
+    ("chan.json", ("x_size",), 2.5,
+     "channel field 'x_size' must hold whole numbers"),
+    ("chan.json", ("rows", 1, 0), "a",
+     "channel field 'rows' must be a 2-D array of numbers"),
+    ("law.json", ("p_u",), "abc",
+     "input_law field 'p_u' must be a 1-D array of numbers"),
+    ("law.json", ("p_x_given_u",), [[0.5, 0.5], [1.0]],
+     "input_law field 'p_x_given_u' must be a 2-D array of numbers"),
+    ("books.json", ("n",), "four", "codebook_pair field 'n' must be a number"),
+    ("books.json", ("cx", 1), [0, 1],
+     "codebook_pair field 'cx' must be a 2-D array of numbers"),
+    ("books.json", ("u",), None,
+     "codebook_pair field 'u' must be a 1-D array of numbers"),
+    ("books.json", ("cx", 0, 3), 1.5,
+     "codebook_pair field 'cx' must hold whole numbers"),
+]
+
+
+def reader_argv(workdir, source, path, out):
+    """A command that reads ``path`` in place of ``workdir / source`` and
+    writes ``out``."""
+    if source == "books.json":
+        return ["verify-packing", "--codebook", str(path), "--delta", "1.0",
+                "--out", str(out)]
+    inputs = {"chan.json": workdir / "chan.json", "law.json": workdir / "law.json"}
+    inputs[source] = path
+    return ["exponent", "--channel", str(inputs["chan.json"]),
+            "--law", str(inputs["law.json"]), "--rx", "0.4", "--ry", "0.4",
+            "--csv", str(out)]
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("source, path, value, message", MALFORMED)
+    def test_malformed_field_exits_two(self, workdir, tmp_path, capsys,
+                                       source, path, value, message):
+        doc = json.loads((workdir / source).read_text())
+        entry = doc
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        save_json(tmp_path / source, doc)
+        out = tmp_path / "out"
+        assert main(reader_argv(workdir, source, tmp_path / source, out)) == 2
+        assert capsys.readouterr().err == f"macexp: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["chan.json", "law.json", "books.json"])
+    def test_directory_as_input_exits_two(self, workdir, tmp_path, capsys,
+                                          source):
+        out = tmp_path / "out"
+        assert main(reader_argv(workdir, source, tmp_path, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("macexp: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["exponent", "region"])
+    def test_infinite_rate_exits_two(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "exponent":
+            argv = sweep_args(workdir, csv=out)
+            argv[argv.index("--rx") + 1] = "0.4,inf"
+        else:
+            argv = ["region", "--channel", str(workdir / "adder.json"),
+                    "--rx", "inf", "--ry", "0.3", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "rates must be finite and >= 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, workdir):
         argv = ["region", "--channel", str(workdir / "nope.json"),
                 "--rx", "0.1", "--ry", "0.1"]
@@ -431,6 +465,13 @@ class TestErrorHandling:
         bad.write_text("{broken")
         argv = ["region", "--channel", str(bad), "--rx", "0.1", "--ry", "0.1"]
         assert main(argv) == 2
+
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        argv = ["region", "--channel", str(bad), "--rx", "0.1", "--ry", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("macexp: invalid JSON: ")
 
     def test_wrong_document_kind_exits_two(self, workdir):
         argv = ["region", "--channel", str(workdir / "law.json"),
@@ -479,6 +520,18 @@ class TestErrorHandling:
                 "--ry", "0.4", "--denominator", "12", "--branch", "XY"]
         assert main(argv) == 3
         assert "lattice budget" in capsys.readouterr().err
+
+
+def test_readme_names_every_option_of_the_parser():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## Command line\n"):]
+    section = section[:section.index("\n## ", 1)]
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for sub in commands.choices.values()
+               for flag in sub._option_string_actions if flag.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options - {"--help"}
 
 
 class TestColdProcess:

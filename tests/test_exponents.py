@@ -96,6 +96,11 @@ class TestRatePairAndSpec:
         with pytest.raises(ValidationError):
             RatePair(-0.1, 0.2)
 
+    @pytest.mark.parametrize("rates", [(math.inf, 0.0), (0.2, math.nan)])
+    def test_non_finite_rate_rejected(self, rates):
+        with pytest.raises(ValidationError, match="rates must be finite"):
+            RatePair(*rates)
+
     def test_lower(self):
         assert RatePair(0.4, 0.3).lower == 0.3
 

@@ -10,7 +10,6 @@ the rows of a cache of all compositions that the test's own filter keeps.
 """
 
 import math
-import sys
 import tracemalloc
 from itertools import product
 
@@ -31,7 +30,8 @@ from macexp import (
 )
 from macexp import lattice
 from macexp.cli import main
-from macexp.exponents import _branch_sizes, _law_marginals
+from macexp.exponents import (_branch_axes, _branch_sizes, _divergence_term,
+                              _law_marginals)
 from macexp.fileio import channel_to_dict, law_to_dict, save_json
 from macexp.lattice import (
     BASELINE_SPECS,
@@ -43,6 +43,7 @@ from macexp.lattice import (
     get_cache,
     minimize_branch,
 )
+from macexp.probability import JointDist, conditional_mutual_information
 from macexp.typeclasses import compositions_array, xlogx_table
 from helpers import (adder_channel, chan, identity_channel, uniform_law,
                      xor_bsc)
@@ -240,12 +241,51 @@ class TestLinearTerm:
         assert peak - out.nbytes <= 2 * lattice._GEMV_CELLS * 8
 
 
+class TestValueVector:
+    # a binary law, and a |U| = 2, ternary-X law with P-mass zero on some
+    # (u, x) cells; both channels have zero entries
+    CASES = (
+        (law_of((0.5, 0.5)),
+         chan([[[0.9, 0.1], [0.0, 1.0]], [[0.3, 0.7], [0.5, 0.5]]]),
+         (("X", 5), ("XY", 4))),
+        (InputLaw.from_components([0.5, 0.5], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+                                  [[0.5, 0.5], [0.5, 0.5]]),
+         chan([[[0.9, 0.1], [0.0, 1.0]], [[0.3, 0.7], [0.5, 0.5]],
+               [[1.0, 0.0], [0.2, 0.8]]]),
+         (("X", 4), ("XY", 4))),
+    )
+
+    @pytest.mark.parametrize("weighting", ["V", "P"])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_each_entry_is_the_scalar_divergence_plus_mi(self, case, weighting):
+        # every row's entry against the scalar divergence of its joint, the
+        # one the anchors and --refine evaluate, plus its I(X;Y|U)
+        law, w, lattices = self.CASES[case]
+        lm = _law_marginals(law)
+        for name, d in lattices:
+            spec = BRANCH_SPECS[name]
+            axes = _branch_axes(spec, law, w)
+            sizes = tuple(a.size for a in axes)
+            clear_lattice_cache()
+            cache = get_cache(spec, sizes, d, lm)
+            minimize_branch(cache, 1.0, 1.0, 0.0, lm, w.w, weighting)
+            (vector,) = cache.values.values()
+            want = np.array([
+                _divergence_term(v, w, law, weighting)
+                + conditional_mutual_information(v, ("X",), ("Y",), ("U",))
+                for v in (JointDist(axes, row.reshape(sizes) / d)
+                          for row in cache.counts)])
+            assert cache.total > 200
+            inf = np.isinf(want)
+            assert 0 < inf.sum() < cache.total
+            assert np.array_equal(np.isinf(vector), inf)
+            assert np.abs(vector[~inf] - want[~inf]).max() <= 1e-12
+
+
 class TestChunkedEvaluation:
     @pytest.mark.parametrize("weighting", ["V", "P"])
-    def test_chunks_and_threads_do_not_change_the_minimum(self, monkeypatch,
-                                                          weighting):
-        # many chunks filled and scanned by more threads than cores, with
-        # frequent thread switches, against one single-threaded chunk
+    def test_chunks_do_not_change_the_minimum(self, monkeypatch, weighting):
+        # many chunks against one
         clear_lattice_cache()
         law, spec, d = law_of((0.4, 0.6)), BRANCH_SPECS["XY"], 5
         w = chan([[[0.9, 0.1], [0.0, 1.0]], [[0.3, 0.7], [0.5, 0.5]]])
@@ -255,13 +295,7 @@ class TestChunkedEvaluation:
         want = minimize_branch(whole, 1.0, 0.9, 0.05, lm, w.w, weighting)
         split = cache_from_counts(spec, sizes, d, whole.counts)
         monkeypatch.setattr(lattice, "_EVAL_CHUNK", 250)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = minimize_branch(split, 1.0, 0.9, 0.05, lm, w.w, weighting,
-                                  threads=4)
-        finally:
-            sys.setswitchinterval(interval)
+        got = minimize_branch(split, 1.0, 0.9, 0.05, lm, w.w, weighting)
         assert whole.total > 40 * 250
         assert got[0] == want[0] and got[2] == want[2]
         assert np.array_equal(got[1], want[1])

@@ -43,7 +43,7 @@ from .fileio import (
     save_json,
     write_csv,
 )
-from .simulate import error_prob_exact, error_prob_mc
+from .simulate import check_exponent, error_prob_exact, error_prob_mc
 from .typeclasses import SymbolSequence
 
 
@@ -196,6 +196,9 @@ def cmd_expurgate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    check_delta(args.delta)
+    if args.exponent is not None:
+        check_exponent(args.exponent)
     pair = load_codebook(args.codebook)
     w = load_channel(args.channel)
     if args.exact:

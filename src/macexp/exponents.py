@@ -47,7 +47,6 @@ from .lattice import (
     pin_half_width,
     place,
     plan_lattice,
-    planning,
     present_constraints,
     rate_sum,
 )
@@ -558,16 +557,17 @@ def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
     return value, start, improved_any
 
 
-def _solve_branch(branch: str, spec: BranchSpec, rates: RatePair, w: Channel,
-                  p: InputLaw, delta: float, solver: SolverSpec) -> ExponentResult:
-    """The least of the branch's lattice minimum and its feasible anchors,
-    refined if asked; ties resolve to the lattice, then the anchors in
-    declaration order."""
+def _solve_branch(branch: str, spec: BranchSpec, planned: tuple,
+                  rates: RatePair, w: Channel, p: InputLaw, delta: float,
+                  solver: SolverSpec) -> ExponentResult:
+    """The least of the branch's lattice minimum, built from ``planned``
+    (see ``plan_lattice``), and its feasible anchors, refined if asked;
+    ties resolve to the lattice, then the anchors in declaration order."""
     axes = _branch_axes(spec, p, w)
     sizes = tuple(a.size for a in axes)
     d = solver.lattice_denominator
     lm = _law_marginals(p)
-    cache = get_cache(spec, sizes, d, lm)
+    cache = get_cache(spec, sizes, d, lm, planned)
     val, argmin_counts, any_feas = minimize_branch(
         cache, rates.rx, rates.ry, delta, lm, w.w,
         weighting=solver.divergence_weighting)
@@ -587,10 +587,7 @@ def _solve_branch(branch: str, spec: BranchSpec, rates: RatePair, w: Channel,
     if not candidates:
         return ExponentResult(math.inf, branch, None, d, delta,
                               feasible_empty=True)
-    best_val, best_src, best_joint = candidates[0]
-    for v2, s2, j2 in candidates[1:]:
-        if v2 < best_val:
-            best_val, best_src, best_joint = v2, s2, j2
+    best_val, best_src, best_joint = min(candidates, key=lambda c: c[0])
 
     if solver.refine_steps > 0 and best_joint is not None \
             and math.isfinite(best_val):
@@ -611,16 +608,12 @@ def _least_branch(specs: dict, rates: RatePair, w: Channel, p: InputLaw,
     built, so bad input stops the call before any build, and each lattice
     is then built from its plan."""
     check_delta(delta)
-    with planning():
-        for spec in specs.values():
-            plan_lattice(spec, _branch_sizes(spec, p, w),
-                         solver.lattice_denominator, _law_marginals(p))
-        best = None
-        for branch, spec in specs.items():
-            res = _solve_branch(branch, spec, rates, w, p, delta, solver)
-            if best is None or res.value < best.value:
-                best = res
-    return best
+    plans = {branch: plan_lattice(spec, _branch_sizes(spec, p, w),
+                                  solver.lattice_denominator, _law_marginals(p))
+             for branch, spec in specs.items()}
+    return min((_solve_branch(branch, spec, plans[branch], rates, w, p, delta,
+                              solver)
+                for branch, spec in specs.items()), key=lambda res: res.value)
 
 
 def _one_branch(specs: dict, branch: str) -> dict:

@@ -25,7 +25,7 @@ that passes the pin test, in ascending lexicographic order of the
 flattened count tensor.  Requests whose rows, cache and scratch memory
 would exceed ``LATTICE_BYTES`` raise ``ScaleGuardError`` before any large
 allocation; a solve plans all its lattices before building any, and then
-builds each from its plan (``planning``).
+hands each plan to ``get_cache``.
 
 Every entropic quantity of a type is a rational combination of integer
 "g*log2(g)" sums over marginal count tensors, so for a given (branch,
@@ -46,7 +46,6 @@ enumeration index.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -455,10 +454,6 @@ def _sum_chunk(spec: BranchSpec, sizes) -> tuple[list, int, int]:
     return subsets, max(1, SUM_BYTES // row), row
 
 
-# Plans made within a ``planning`` block, by cache key.
-_PLANS: dict[tuple, _PinnedPlan] | None = None
-
-
 class _PinnedPlan:
     """Dynamic program over the flat cells in C order for the rows whose
     pinned marginal counts are all admissible.
@@ -624,8 +619,6 @@ def plan_lattice(spec: BranchSpec, sizes: tuple[int, ...], d: int,
     key = (spec.name, sizes, d, admissible_counts(spec, d, law_marginals))
     if key in _CACHE:
         return key, None
-    if _PLANS is not None and key in _PLANS:
-        return key, _PLANS[key]
     plan = _PinnedPlan(spec, sizes, d, key[3], LATTICE_BYTES)
     stored, scratch = _row_bytes(spec, sizes, d)
     _, chunk, sums = _sum_chunk(spec, sizes)
@@ -634,42 +627,27 @@ def plan_lattice(spec: BranchSpec, sizes: tuple[int, ...], d: int,
         raise ScaleGuardError(
             f"branch {spec.name}: {rows} pinned types at denominator {d} "
             f"need over {LATTICE_BYTES} bytes, the lattice budget")
-    if _PLANS is not None:
-        _PLANS[key] = plan
     return key, plan
 
 
-@contextmanager
-def planning():
-    """Within the block, ``plan_lattice`` keeps the plans it makes and
-    ``get_cache`` builds from them, so a solve that plans every lattice
-    before building any makes each plan once.  The plans go with the
-    block."""
-    global _PLANS
-    outer, _PLANS = _PLANS, {}
-    try:
-        yield
-    finally:
-        _PLANS = outer
-
-
 def get_cache(spec: BranchSpec, sizes: tuple[int, ...], d: int,
-              law_marginals: dict) -> LatticeCache:
+              law_marginals: dict, planned: tuple | None = None) -> LatticeCache:
     """The cached lattice of one branch at denominator d, holding the types
-    that pass the pin test against ``law_marginals``.  Laws whose
-    admissible counts agree share one cache; the oldest caches are dropped
-    to keep every cache held, with its value vectors, within
-    ``LATTICE_BYTES``."""
-    key, plan = plan_lattice(spec, sizes, d, law_marginals)
-    if plan is None:
-        return _CACHE[key]
-
-    counts = plan.enumerate()
-    stored, _ = _row_bytes(spec, sizes, d)
-    _make_room(counts.shape[0] * stored)
-    cache = cache_from_counts(spec, sizes, d, counts)
-    _CACHE[key] = cache
-    return cache
+    that pass the pin test against ``law_marginals``, built from
+    ``planned``, what ``plan_lattice`` returned for it, or else planned
+    here.  Laws whose admissible counts agree share one cache; the oldest
+    caches are dropped to keep every cache held, with its value vectors,
+    within ``LATTICE_BYTES``."""
+    key, plan = planned or plan_lattice(spec, sizes, d, law_marginals)
+    if key not in _CACHE:
+        if plan is None:
+            # held when planned, then dropped by a build since
+            key, plan = plan_lattice(spec, sizes, d, law_marginals)
+        counts = plan.enumerate()
+        stored, _ = _row_bytes(spec, sizes, d)
+        _make_room(counts.shape[0] * stored)
+        _CACHE[key] = cache_from_counts(spec, sizes, d, counts)
+    return _CACHE[key]
 
 
 def channel_log_vector(spec: BranchSpec, sizes: tuple[int, ...], w: np.ndarray):
@@ -819,13 +797,9 @@ def minimize_branch(cache: LatticeCache, rx: float, ry: float, delta: float,
               for a in range(0, cache.total, _EVAL_CHUNK)]
     base = _value_vector(cache, w, weighting, law_marginals, ranges)
 
-    best_val, best_idx, any_feas = math.inf, -1, False
-    for a, b in ranges:
-        val, idx, feas = _chunk_value(cache, base, a, b, rhs, alpha, clamp_off)
-        any_feas = any_feas or feas
-        if val < best_val:
-            best_val, best_idx = val, idx
-    if best_idx >= 0 and math.isinf(best_val):
-        best_idx = -1
-    argmin = cache.counts[best_idx] if best_idx >= 0 else None
-    return best_val, argmin, any_feas
+    chunks = [_chunk_value(cache, base, a, b, rhs, alpha, clamp_off)
+              for a, b in ranges]
+    best_val, best_idx, _ = min(chunks, key=lambda c: c[0],
+                                default=(math.inf, -1, False))
+    argmin = cache.counts[best_idx] if math.isfinite(best_val) else None
+    return best_val, argmin, any(feas for _, _, feas in chunks)

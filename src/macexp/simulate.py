@@ -43,6 +43,7 @@ import numpy as np
 
 from .codebooks import CodebookPair
 from .errors import ScaleGuardError, ValidationError
+from .exponents import check_delta
 from .probability import ENTROPY_CELLS, Channel, term_sums
 from .typeclasses import code_places, distinct_rows, xlogx_table
 
@@ -290,8 +291,17 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
     return ErrorEstimate(float(p), float(stderr), trials, "mc")
 
 
+def check_exponent(exponent: float) -> None:
+    """Refuse an exponent that is NaN or negative; ``inf`` is one the
+    exponents report."""
+    if not exponent >= 0.0:
+        raise ValidationError(f"exponent must be >= 0 or inf, got {exponent!r}")
+
+
 def bound_curve(exponent: float, n_values, delta: float = 0.0) -> np.ndarray:
     """Upper-bound curve 2^(-n (exponent - delta)) over blocklengths."""
+    check_exponent(exponent)
+    check_delta(delta)
     ns = np.asarray(list(n_values), dtype=np.float64)
     if ns.size and ns.min() < 1:
         raise ValidationError("blocklengths must be >= 1")

@@ -332,6 +332,38 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--exponent", "-3"], "exponent must be >= 0 or inf, got -3.0"),
+        (["--exponent", "nan"], "exponent must be >= 0 or inf, got nan"),
+        (["--exponent", "0.2", "--delta", "nan"],
+         "delta must be finite and >= 0, got nan"),
+        (["--exponent", "0.2", "--delta", "inf"],
+         "delta must be finite and >= 0, got inf"),
+        (["--exponent", "0.2", "--delta", "-0.1"],
+         "delta must be finite and >= 0, got -0.1"),
+        (["--delta", "-0.1"], "delta must be finite and >= 0, got -0.1"),
+    ])
+    def test_bad_bound_exits_two_before_decoding(self, workdir, capsys,
+                                                 flags, message):
+        csv, out = workdir / "sim_bad.csv", workdir / "sim_bad.json"
+        argv = ["simulate", "--codebook", str(workdir / "clean.json"),
+                "--channel", str(workdir / "chan.json"), "--trials", "200",
+                "--seed", "5", "--csv", str(csv), "--out", str(out)] + flags
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"macexp: {message}\n"
+        assert "error probability" not in captured.out
+        assert not csv.exists() and not out.exists()
+
+    def test_infinite_exponent_gives_a_zero_bound(self, workdir):
+        csv = workdir / "sim_inf.csv"
+        argv = ["simulate", "--codebook", str(workdir / "clean.json"),
+                "--channel", str(workdir / "iden.json"), "--exact",
+                "--csv", str(csv), "--exponent", "inf", "--delta", "0.05"]
+        assert main(argv) == 0
+        row = csv.read_text().splitlines()[1].split(",")
+        assert row[8:10] == ["0.0", "inf"]
+
     def test_monte_carlo_rerun_is_byte_identical(self, workdir):
         outs = [workdir / "mc_a.json", workdir / "mc_b.json"]
         for out in outs:

@@ -678,6 +678,76 @@ class TestDominanceAndMonotonicity:
             assert base.value == 0.0
 
 
+# Relabelling cases: (|X|, |Y|, |Z|, P_U, P_X|U, P_Y|U), with dyadic laws so
+# that a law and its relabelled copy have bit-equal marginals, and a zero
+# channel entry.
+RELABEL_CASES = [
+    (2, 2, 2, [1.0], [[0.375, 0.625]], [[0.25, 0.75]]),
+    (2, 2, 2, [0.25, 0.75], [[0.5, 0.5], [0.125, 0.875]],
+     [[0.75, 0.25], [0.5, 0.5]]),
+    (3, 2, 2, [1.0], [[0.25, 0.25, 0.5]], [[0.625, 0.375]]),
+    (2, 2, 3, [1.0], [[0.75, 0.25]], [[0.375, 0.625]]),
+]
+RELABEL_RATES = [(0.1, 0.5), (0.4, 0.2), (0.7, 0.9), (1.2, 0.3)]
+
+
+def _relabel_channel(sx, sy, sz, seed):
+    w = np.random.default_rng(seed).gamma(1.0, 1.0, size=(sx, sy, sz)) + 0.05
+    w[0, 1, 0] = 0.0
+    return chan(w / w.sum(axis=2, keepdims=True))
+
+
+def _branch_values(w, law, d, swap=False):
+    """Every expurgated and baseline branch value at each rate pair, the
+    rates given in the order (R_Y, R_X) when ``swap``."""
+    solver = SolverSpec(lattice_denominator=d)
+    values = {}
+    for rx, ry in RELABEL_RATES:
+        rates = RatePair(ry, rx) if swap else RatePair(rx, ry)
+        for b in ("X", "Y", "XY"):
+            values[b, rx, ry] = branch_exponent(b, rates, w, law,
+                                                solver=solver).value
+            values["baseline_" + b, rx, ry] = baseline_branch_exponent(
+                b, rates, w, law, solver=solver).value
+    return values
+
+
+def _assert_values_agree(got, want):
+    """Equal within 1e-12 relative; an infinity only equals itself."""
+    assert got.keys() == want.keys()
+    for key in want:
+        assert math.isclose(got[key], want[key], rel_tol=1e-12), key
+
+
+class TestRelabelling:
+    """The exponents do not depend on how the senders or the output
+    symbols are named."""
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("case", range(len(RELABEL_CASES)))
+    def test_swapping_the_senders_swaps_branches_x_and_y(self, case, d):
+        sx, sy, sz, pu, px, py = RELABEL_CASES[case]
+        w = _relabel_channel(sx, sy, sz, case)
+        law = InputLaw.from_components(pu, px, py)
+        swapped = _branch_values(chan(w.w.transpose(1, 0, 2)),
+                                 InputLaw.from_components(pu, py, px), d,
+                                 swap=True)
+        rename = {"X": "Y", "Y": "X", "XY": "XY", "baseline_X": "baseline_Y",
+                  "baseline_Y": "baseline_X", "baseline_XY": "baseline_XY"}
+        _assert_values_agree(
+            {(rename[b], rx, ry): v for (b, rx, ry), v in swapped.items()},
+            _branch_values(w, law, d))
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("case", range(len(RELABEL_CASES)))
+    def test_permuting_the_outputs_changes_no_branch(self, case, d):
+        sx, sy, sz, pu, px, py = RELABEL_CASES[case]
+        w = _relabel_channel(sx, sy, sz, case)
+        law = InputLaw.from_components(pu, px, py)
+        _assert_values_agree(_branch_values(chan(w.w[..., ::-1]), law, d),
+                             _branch_values(w, law, d))
+
+
 ANCHORS = ([(spec, kind) for spec in BRANCH_SPECS.values()
             for kind in ("fresh", "diag")]
            + [(spec, "product") for spec in BASELINE_SPECS.values()])

@@ -9,8 +9,10 @@ it must give the same value, argmin and feasibility flag as minimizing over
 the rows of a cache of all compositions that the test's own filter keeps.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -375,12 +377,13 @@ class TestCacheSharing:
 
     def test_each_lattice_is_planned_once(self, monkeypatch, tmp_path):
         clear_lattice_cache()
-        plans, builds = [], []
+        plans, builds, alive = [], [], []
         plan = lattice._PinnedPlan.__init__
         build = lattice.cache_from_counts
 
         def planned(self, spec, *args):
             plans.append(spec.name)
+            alive.append(weakref.ref(self))
             plan(self, spec, *args)
 
         def built(spec, *args):
@@ -397,7 +400,9 @@ class TestCacheSharing:
                               solver=d6)
         assert plans == builds == ["X", "Y", "XY",
                                    "baseline_X", "baseline_Y", "baseline_XY"]
-        assert lattice._PLANS is None
+        # no plan outlives the solve that made it
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * 6
         # at d = 13 branch XY is refused after X and Y are planned: nothing
         # is built, and no plan outlives the command
         save_json(tmp_path / "chan.json", channel_to_dict(xor_bsc(0.1)))
@@ -408,7 +413,52 @@ class TestCacheSharing:
                      "--branch", "all"]) == 3
         assert plans[6:] == ["X", "Y", "XY"]
         assert len(builds) == 6
-        assert lattice._PLANS is None
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * 9
+
+    def test_a_cache_dropped_after_planning_is_planned_again(self, monkeypatch):
+        # baseline_Y is held when the solve plans its branches, and an
+        # expurgated cache built after it fills the budget: building
+        # baseline_X drops both, so baseline_Y is planned again and rebuilt
+        rates, w, law = RatePair(0.4, 0.4), xor_bsc(0.1), uniform_law()
+        d5 = SolverSpec(lattice_denominator=5)
+        clear_lattice_cache()
+        fresh = baseline_exponent(rates, w, law, solver=d5)
+        clear_lattice_cache()
+        baseline_branch_exponent("Y", rates, w, law, solver=d5)
+        branch_exponent("X", rates, w, law, solver=d5)
+        projected = []
+        for spec in BASELINE_SPECS.values():
+            sizes = _branch_sizes(spec, law, w)
+            rows = lattice._PinnedPlan(
+                spec, sizes, 5, admissible_counts(spec, 5, _law_marginals(law)),
+                lattice.LATTICE_BYTES).rows
+            stored, scratch = lattice._row_bytes(spec, sizes, 5)
+            _, chunk, sums = lattice._sum_chunk(spec, sizes)
+            projected.append(rows * (stored + scratch) + min(rows, chunk) * sums)
+        budget = max(projected)
+        assert sum(c.nbytes for c in lattice._CACHE.values()) > budget
+        monkeypatch.setattr(lattice, "LATTICE_BYTES", budget)
+        plans, builds = [], []
+        plan = lattice._PinnedPlan.__init__
+        build = lattice.cache_from_counts
+
+        def planned(self, spec, *args):
+            plans.append(spec.name)
+            plan(self, spec, *args)
+
+        def built(spec, *args):
+            builds.append(spec.name)
+            return build(spec, *args)
+
+        monkeypatch.setattr(lattice._PinnedPlan, "__init__", planned)
+        monkeypatch.setattr(lattice, "cache_from_counts", built)
+        res = baseline_exponent(rates, w, law, solver=d5)
+        assert plans == ["baseline_X", "baseline_XY", "baseline_Y"]
+        assert builds == ["baseline_X", "baseline_Y", "baseline_XY"]
+        assert (res.value, res.branch, res.source) == (
+            fresh.value, fresh.branch, fresh.source)
+        assert np.array_equal(res.argmin.probs, fresh.argmin.probs)
 
     def test_held_caches_stay_within_the_byte_budget(self, monkeypatch):
         clear_lattice_cache()

@@ -473,3 +473,13 @@ class TestBoundCurve:
     def test_blocklengths_must_be_positive(self):
         with pytest.raises(ValidationError):
             bound_curve(0.5, [0, 1])
+
+    @pytest.mark.parametrize("exponent, delta", [
+        (-3.0, 0.0), (math.nan, 0.0), (0.5, math.nan), (0.5, math.inf),
+        (0.5, -0.1)])
+    def test_bad_exponent_or_slack_is_refused(self, exponent, delta):
+        with pytest.raises(ValidationError):
+            bound_curve(exponent, [1, 2], delta=delta)
+
+    def test_infinite_exponent_gives_a_zero_bound(self):
+        assert bound_curve(math.inf, [1, 2], delta=0.1).tolist() == [0.0, 0.0]

@@ -43,7 +43,12 @@ from .fileio import (
     save_json,
     write_csv,
 )
-from .simulate import check_exponent, error_prob_exact, error_prob_mc
+from .simulate import (
+    MAX_EXACT_OUTPUTS,
+    check_exponent,
+    error_prob_exact,
+    error_prob_mc,
+)
 from .typeclasses import SymbolSequence
 
 
@@ -119,6 +124,14 @@ def cmd_exponent(args) -> int:
 def cmd_verify_packing(args) -> int:
     check_delta(args.delta)
     pair = load_codebook(args.codebook)
+    if args.channel:
+        w = load_channel(args.channel)
+        got = (w.x_alphabet.size, w.y_alphabet.size)
+        want = (pair.x_alphabet.size, pair.y_alphabet.size)
+        if got != want:
+            raise ValidationError(
+                f"channel input alphabets {got[0]}x{got[1]} do not match "
+                f"the books' {want[0]}x{want[1]}")
     avg, peak = packing_reports(pair)
     u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
     su_x = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
@@ -299,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-packing", help="codebook tally checks")
     p_ver.add_argument("--codebook", required=True)
     p_ver.add_argument("--delta", type=float, required=True)
-    p_ver.add_argument("--channel", help="echoed into the manifest only")
+    p_ver.add_argument("--channel",
+                       help="checked against the books' alphabets and "
+                       "hashed into the manifest")
     p_ver.add_argument("--out", help="JSON report path")
     p_ver.set_defaults(func=cmd_verify_packing)
 
@@ -316,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--exact", action="store_true")
     p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--max-outputs", type=int, default=1 << 22)
+    p_sim.add_argument("--max-outputs", type=int, default=MAX_EXACT_OUTPUTS)
     p_sim.add_argument("--out", help="JSON results path")
     p_sim.add_argument("--csv", help="CSV results path")
     p_sim.add_argument("--exponent", type=float,

@@ -457,6 +457,7 @@ def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> Joint
 # for every call, so identity would never hit.
 _LAW_MARGINALS = memo()
 _ANCHORS = memo()
+_ONE_CODEWORD = memo()
 
 
 def _law_key(p: InputLaw) -> tuple:
@@ -473,6 +474,15 @@ def _law_marginals(p: InputLaw) -> dict:
         ("U", "Y"): p.marginal_flat(("U", "Y")),
         ("U", "X", "Y"): p.joint.probs.ravel(),
     })
+
+
+def _one_codeword_senders(p: InputLaw) -> frozenset:
+    """The senders ("X", "Y") that ``p`` leaves one possible codeword: at
+    every u of positive mass all of P(.|u) is on one symbol."""
+    probs = p.joint.probs
+    return memoised(_ONE_CODEWORD, _law_key(p), lambda: frozenset(
+        sender for sender, other in (("X", 2), ("Y", 1))
+        if (probs.any(axis=other).sum(axis=1) <= 1).all()))
 
 
 def _anchor(spec: BranchSpec, p: InputLaw, w: Channel, kind: str,
@@ -604,10 +614,19 @@ def _least_branch(specs: dict, rates: RatePair, w: Channel, p: InputLaw,
                   delta: float, solver: SolverSpec) -> ExponentResult:
     """The least minimum over the branches of ``specs``, each result named
     by its key; ties resolve to the earlier branch (X, then Y, then XY).
-    The slack is checked and every branch's lattice planned before any is
-    built, so bad input stops the call before any build, and each lattice
-    is then built from its plan."""
+    A key names the senders its branch confuses, and a branch that
+    confuses a sender with one possible codeword cannot occur, so it is
+    skipped.  The slack is checked and every branch's lattice planned
+    before any is built, so bad input stops the call before any build,
+    and each lattice is then built from its plan."""
     check_delta(delta)
+    fixed = _one_codeword_senders(p)
+    specs = {branch: spec for branch, spec in specs.items()
+             if fixed.isdisjoint(branch)}
+    if not specs:
+        raise ValidationError(
+            "no branch left: each confuses a sender that has one possible "
+            "codeword under the law")
     plans = {branch: plan_lattice(spec, _branch_sizes(spec, p, w),
                                   solver.lattice_denominator, _law_marginals(p))
              for branch, spec in specs.items()}

@@ -15,8 +15,9 @@ implement.
 bit as the scalar functions evaluate each: it holds its probabilities
 cell-major, so every marginal, renormalisation total and entropy is a few
 additions of whole rows of joints, made in the order numpy sums one
-C-ordered joint.  ``term_sums`` is that order for one row of terms; the
-decoder and the lattice build sum their x log x terms with it too.
+C-ordered joint.  ``term_sums`` is numpy's pairwise order for one row of
+terms, and the only code that writes it out: the totals, the entropies,
+the decoder and the lattice build all sum through it.
 """
 
 from __future__ import annotations
@@ -209,17 +210,14 @@ def _entropy_columns(p: np.ndarray, overwrite: bool) -> np.ndarray:
     batch; the terms overwrite ``p`` if ``overwrite``.
 
     A column adds the terms -(p log2 p) of its positive cells in numpy's
-    row-sum order, which depends on their number k.  A zero cell's term is
-    a zero here, which can only change the sign of a zero partial sum, and
-    every sum ends by adding +0.0; so a column with k below 8 is one
-    in-order sum over all its cells.  From k = 8 the r-th positive term
-    (r from 0) joins running sum r mod 8 while r is below k - k mod 8, and
-    from there on is a leftover, added in order after the running sums are
-    combined.  One ``np.bincount`` adds every term into its column's slot,
-    in cell order; a column of more than 128 positive terms is summed
-    apart, with the columns of its count.
+    row-sum order (``term_sums``), which depends on their number k.  A
+    zero cell's term is a zero here, which can only change the sign of a
+    zero partial sum, and every sum ends by adding +0.0; so a column with
+    k below 8 is one in-order sum over all its cells.  The columns with k
+    of 8 or more are then summed again, those of each k as one
+    (k, columns) block of their positive terms.
     """
-    cells, n = p.shape
+    cells = len(p)
     positive = p > 0.0 if cells >= 8 else None
     # log2(0) would take numpy's slow special-value path; 0 times the
     # log of _SMALLEST is a zero
@@ -229,49 +227,23 @@ def _entropy_columns(p: np.ndarray, overwrite: bool) -> np.ndarray:
     np.negative(t, out=t)
     if cells < 8:
         return term_sums(t)
-    # each cell's rank among its column's positive cells, from 0 (a zero
-    # cell takes the rank before it, so its zero joins a used slot)
-    if n < cells:
-        rank = np.cumsum(positive, axis=0, dtype=np.intp)
-    else:
-        # numpy accumulates one element at a time; whole rows are faster
-        rank = np.empty(t.shape, dtype=np.intp)
-        rank[0] = positive[0]
-        for c in range(1, cells):
-            np.add(rank[c - 1], positive[c], out=rank[c])
-    rank -= 1
-    k = rank[-1] + 1
-    few = k < 8
-    # slots 0-7 hold the running sums and 8-14 the leftovers, fewer than
-    # cells - 8 below 16 cells; 15 holds the columns summed apart, and a
-    # column with k below 8 leaves its terms in the running sums
-    leftover = rank >= np.where(few, cells, k - k % 8)
-    rank &= 7
-    rank += np.left_shift(leftover.view(np.uint8), 3)
-    del leftover
-    big = k > 128
-    if big.any():
-        rank[:, big] = 15
-    rank *= n
-    rank += np.arange(n)
-    width = min(cells, 16)
-    slots = np.bincount(rank.ravel(), weights=t.ravel(),
-                        minlength=width * n).reshape(width, n)
-    del rank
-    h = term_sums(slots[:8])
-    for left in slots[8:15]:
-        h += left
+    h = t[0] + t[1]
+    for row in t[2:]:
+        h += row
     h += 0.0
-    if few.any():
-        ordered = t[0] + t[1]
-        for row in t[2:]:
-            ordered += row
-        ordered += 0.0
-        h[few] = ordered[few]
-    for kk in set(k[big].tolist()):
-        cols = np.flatnonzero(k == kk)
-        terms = t[:, cols].T[positive[:, cols].T]
-        h[cols] = term_sums(terms.reshape(len(cols), kk).T)
+    k = np.count_nonzero(positive, axis=0)
+    many = k >= 8
+    if many.any():
+        positive &= many
+        # each such column's positive terms, column by column in cell order
+        terms = np.compress(positive.T.ravel(), t.T.ravel())
+        k = k[many]
+        ends = np.cumsum(k)
+        cols = np.flatnonzero(many)
+        for kk in set(k.tolist()):
+            group = np.flatnonzero(k == kk)
+            block = terms[(ends[group] - kk) + np.arange(kk)[:, None]]
+            h[cols[group]] = term_sums(block)
     return h
 
 
@@ -333,7 +305,8 @@ class JointBatch:
     ``labels`` stores.  Marginals, entropies and (conditional) mutual
     informations equal the scalar functions of each row's JointDist bit for
     bit: a marginal is summed and renormalised as ``marginalize`` does, and
-    its entropy as ``_entropy_of_probs`` does.
+    its entropy adds each row's positive terms as ``_entropy_of_probs``
+    does (``_entropy_columns``).
 
     The evaluator holds its probabilities cell-major, as (axis sizes...,
     N), so every sum adds whole rows of N values, in the order numpy sums

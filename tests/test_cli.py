@@ -28,7 +28,7 @@ from helpers import (
     xor_bsc,
 )
 import macexp
-from macexp import lattice, typeclasses
+from macexp import cli, lattice, typeclasses
 from macexp.cli import build_parser, main
 from macexp.fileio import (
     channel_to_dict,
@@ -229,6 +229,33 @@ class TestVerifyPackingCommand:
                                for k in ("avg", "per_word")}
         assert max(single.values()) > 0.2
         assert max(v for k, v in needs.items() if k not in single) <= 0.2
+
+    # a missing file and a law file are refused before any tally
+    @pytest.mark.parametrize("channel", ["missing.json", "law.json"])
+    def test_unreadable_channel_exits_two(self, workdir, capsys, monkeypatch,
+                                          channel):
+        def no_tally(pair):
+            raise AssertionError("tallied before the channel was read")
+        monkeypatch.setattr(cli, "packing_reports", no_tally)
+        out = workdir / f"verify_{channel}"
+        argv = ["verify-packing", "--codebook", str(workdir / "books.json"),
+                "--delta", "1.0", "--channel", str(workdir / channel),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "need delta" not in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_channel_of_other_alphabets_exits_two(self, workdir, capsys):
+        # ternary X books against the binary-input chan.json
+        out = workdir / "verify_mixed.json"
+        argv = ["verify-packing", "--codebook", str(workdir / "mixed.json"),
+                "--delta", "1.0", "--channel", str(workdir / "chan.json"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "do not match the books' 3x2" in captured.err
+        assert "need delta" not in captured.out
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir):
         a = workdir / "verify_a.json"

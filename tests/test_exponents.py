@@ -528,6 +528,43 @@ class TestBranchExponents:
             branch_exponent("Z", RatePair(0.1, 0.1), xor_bsc(0.1),
                             uniform_law(), solver=D4)
 
+    # Y has one possible codeword: |Y| = 1 (a BSC), or |Y| = 2 with all of
+    # P(y|u) on one symbol; branches Y and XY cannot occur, so X decides
+    @pytest.mark.parametrize("w, law, d, want", [
+        (chan([[[0.9, 0.1]], [[0.1, 0.9]]]),
+         InputLaw.from_components([1.0], [[0.5, 0.5]], [[1.0]]),
+         8, (0.3444843438056281, 0.22192809488736218)),
+        (chan([[[0.9, 0.1], [0.9, 0.1]], [[0.1, 0.9], [0.1, 0.9]]]),
+         InputLaw.from_components([1.0], [[0.5, 0.5]], [[0.0, 1.0]]),
+         4, (0.8444843438056281, 0.4310044064107187))],
+        ids=["one_symbol", "point_mass"])
+    def test_a_sender_with_one_codeword_confuses_no_branch(self, w, law, d,
+                                                            want):
+        solver = SolverSpec(lattice_denominator=d)
+        rates = RatePair(0.1, 0.0)
+        ex = expurgated_exponent(rates, w, law, solver=solver)
+        base = baseline_exponent(rates, w, law, solver=solver)
+        assert (ex.branch, base.branch) == ("X", "X")
+        assert ex.value == branch_exponent("X", rates, w, law,
+                                           solver=solver).value
+        assert base.value == baseline_branch_exponent("X", rates, w, law,
+                                                      solver=solver).value
+        assert abs(ex.value - want[0]) <= 1e-9
+        assert abs(base.value - want[1]) <= 1e-9
+        assert base.value <= ex.value
+        for branch in ("Y", "XY"):
+            with pytest.raises(ValidationError, match="one possible codeword"):
+                branch_exponent(branch, rates, w, law, solver=solver)
+            with pytest.raises(ValidationError, match="one possible codeword"):
+                baseline_branch_exponent(branch, rates, w, law, solver=solver)
+
+    def test_two_senders_with_one_codeword_leave_no_branch(self):
+        law = InputLaw.from_components([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]],
+                                       [[0.0, 1.0], [0.0, 1.0]])
+        for fn in (expurgated_exponent, baseline_exponent):
+            with pytest.raises(ValidationError, match="one possible codeword"):
+                fn(RatePair(0.1, 0.1), xor_bsc(0.1), law, solver=D4)
+
     def test_large_output_alphabet_runs(self):
         # branch XY over (U,X,Y,X~,Y~,Z) with |Z|=4: 128 cells, within bytes
         clear_lattice_cache()
@@ -720,8 +757,8 @@ def _assert_values_agree(got, want):
 
 
 class TestRelabelling:
-    """The exponents do not depend on how the senders or the output
-    symbols are named."""
+    """The exponents do not depend on how the senders, the X symbols or
+    the output symbols are named."""
 
     @pytest.mark.parametrize("d", [4, 5])
     @pytest.mark.parametrize("case", range(len(RELABEL_CASES)))
@@ -744,8 +781,16 @@ class TestRelabelling:
         sx, sy, sz, pu, px, py = RELABEL_CASES[case]
         w = _relabel_channel(sx, sy, sz, case)
         law = InputLaw.from_components(pu, px, py)
+        values = _branch_values(w, law, d)
         _assert_values_agree(_branch_values(chan(w.w[..., ::-1]), law, d),
-                             _branch_values(w, law, d))
+                             values)
+        # the X symbols, in the channel's rows and the law's columns alike
+        perm = np.roll(np.arange(sx), 1)
+        _assert_values_agree(
+            _branch_values(chan(w.w[perm]),
+                           InputLaw.from_components(pu, np.asarray(px)[:, perm],
+                                                    py), d),
+            values)
 
 
 ANCHORS = ([(spec, kind) for spec in BRANCH_SPECS.values()

@@ -326,7 +326,7 @@ class TestJointBatchKernels:
                 assert np.ascontiguousarray(got.T).tobytes() == want.tobytes(), (
                     shape, n, drop)
 
-    @pytest.mark.parametrize("cells", [4, 8, 16, 32, 200])
+    @pytest.mark.parametrize("cells", [1, 4, 8, 16, 32, 200])
     def test_entropy_equals_the_scalar_sum_at_every_positive_count(self, cells):
         rng = np.random.default_rng(cells)
         columns = []
@@ -347,6 +347,13 @@ class TestJointBatchKernels:
         want = [probability._entropy_of_probs(p[:, j]) for j in range(p.shape[1])]
         together = probability._entropy_columns(p.copy(), True)
         assert together.tolist() == want
+        # chunks in which no column, or every column, has 8 or more
+        # positive cells
+        k = np.count_nonzero(p, axis=0)
+        for cols in (k < 8, k >= 8):
+            if cols.any():
+                part = probability._entropy_columns(p[:, cols], True)
+                assert part.tolist() == np.asarray(want)[cols].tolist()
         # one column at a time, and the input kept unless it may be overwritten
         kept = p.copy()
         alone = [probability._entropy_columns(kept[:, [j]], False)[0]

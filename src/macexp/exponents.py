@@ -457,7 +457,6 @@ def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> Joint
 # for every call, so identity would never hit.
 _LAW_MARGINALS = memo()
 _ANCHORS = memo()
-_ONE_CODEWORD = memo()
 
 
 def _law_key(p: InputLaw) -> tuple:
@@ -476,13 +475,14 @@ def _law_marginals(p: InputLaw) -> dict:
     })
 
 
-def _one_codeword_senders(p: InputLaw) -> frozenset:
-    """The senders ("X", "Y") that ``p`` leaves one possible codeword: at
-    every u of positive mass all of P(.|u) is on one symbol."""
+def _one_message_senders(p: InputLaw, rates: RatePair) -> set:
+    """The senders ("X", "Y") with one message: a rate of exactly 0 and one
+    possible codeword, all of P(.|u) on one symbol at every u of positive
+    mass."""
     probs = p.joint.probs
-    return memoised(_ONE_CODEWORD, _law_key(p), lambda: frozenset(
-        sender for sender, other in (("X", 2), ("Y", 1))
-        if (probs.any(axis=other).sum(axis=1) <= 1).all()))
+    return {sender for sender, rate, other in (("X", rates.rx, 2),
+                                               ("Y", rates.ry, 1))
+            if rate == 0.0 and (probs.any(axis=other).sum(axis=1) <= 1).all()}
 
 
 def _anchor(spec: BranchSpec, p: InputLaw, w: Channel, kind: str,
@@ -614,19 +614,21 @@ def _least_branch(specs: dict, rates: RatePair, w: Channel, p: InputLaw,
                   delta: float, solver: SolverSpec) -> ExponentResult:
     """The least minimum over the branches of ``specs``, each result named
     by its key; ties resolve to the earlier branch (X, then Y, then XY).
-    A key names the senders its branch confuses, and a branch that
-    confuses a sender with one possible codeword cannot occur, so it is
-    skipped.  The slack is checked and every branch's lattice planned
-    before any is built, so bad input stops the call before any build,
-    and each lattice is then built from its plan."""
+    A key names the senders its branch confuses.  A sender at rate 0 that
+    has one possible codeword sends one fixed word, so a branch that
+    confuses it cannot occur and is skipped; at a positive rate its
+    messages share that word, and the branch's anchors give 0.  The slack
+    is checked and every branch's lattice planned before any is built, so
+    bad input stops the call before any build, and each lattice is then
+    built from its plan."""
     check_delta(delta)
-    fixed = _one_codeword_senders(p)
+    fixed = _one_message_senders(p, rates)
     specs = {branch: spec for branch, spec in specs.items()
              if fixed.isdisjoint(branch)}
     if not specs:
         raise ValidationError(
-            "no branch left: each confuses a sender that has one possible "
-            "codeword under the law")
+            "no branch left: each confuses a sender at rate 0 that has one "
+            "possible codeword under the law")
     plans = {branch: plan_lattice(spec, _branch_sizes(spec, p, w),
                                   solver.lattice_denominator, _law_marginals(p))
              for branch, spec in specs.items()}

@@ -232,14 +232,12 @@ def _entropy_columns(p: np.ndarray, overwrite: bool) -> np.ndarray:
         h += row
     h += 0.0
     k = np.count_nonzero(positive, axis=0)
-    many = k >= 8
-    if many.any():
-        positive &= many
+    cols = np.flatnonzero(k >= 8)
+    if len(cols):
         # each such column's positive terms, column by column in cell order
-        terms = np.compress(positive.T.ravel(), t.T.ravel())
-        k = k[many]
+        terms = np.compress(positive.T[cols].ravel(), t.T[cols].ravel())
+        k = k[cols]
         ends = np.cumsum(k)
-        cols = np.flatnonzero(many)
         for kk in set(k.tolist()):
             group = np.flatnonzero(k == kk)
             block = terms[(ends[group] - kk) + np.arange(kk)[:, None]]

@@ -529,7 +529,8 @@ class TestBranchExponents:
                             uniform_law(), solver=D4)
 
     # Y has one possible codeword: |Y| = 1 (a BSC), or |Y| = 2 with all of
-    # P(y|u) on one symbol; branches Y and XY cannot occur, so X decides
+    # P(y|u) on one symbol; at R_Y = 0 branches Y and XY cannot occur, so X
+    # decides, and at R_Y > 0 the Y messages share one word, so Y gives 0
     @pytest.mark.parametrize("w, law, d, want", [
         (chan([[[0.9, 0.1]], [[0.1, 0.9]]]),
          InputLaw.from_components([1.0], [[0.5, 0.5]], [[1.0]]),
@@ -557,13 +558,25 @@ class TestBranchExponents:
                 branch_exponent(branch, rates, w, law, solver=solver)
             with pytest.raises(ValidationError, match="one possible codeword"):
                 baseline_branch_exponent(branch, rates, w, law, solver=solver)
+        rates = RatePair(0.1, 0.2)
+        ex = expurgated_exponent(rates, w, law, solver=solver)
+        base = baseline_exponent(rates, w, law, solver=solver)
+        assert (ex.value, ex.branch) == (base.value, base.branch) == (0.0, "Y")
+        assert branch_exponent("Y", rates, w, law, solver=solver).value == 0.0
 
-    def test_two_senders_with_one_codeword_leave_no_branch(self):
+    def test_two_senders_with_one_codeword_leave_no_branch_at_rate_0(self):
+        # X and Y each have one possible codeword: at rate 0 a sender sends
+        # one word, and at a positive rate its messages share that word
         law = InputLaw.from_components([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]],
                                        [[0.0, 1.0], [0.0, 1.0]])
         for fn in (expurgated_exponent, baseline_exponent):
             with pytest.raises(ValidationError, match="one possible codeword"):
-                fn(RatePair(0.1, 0.1), xor_bsc(0.1), law, solver=D4)
+                fn(RatePair(0.0, 0.0), xor_bsc(0.1), law, solver=D4)
+            for rates, branch in ((RatePair(0.1, 0.0), "X"),
+                                  (RatePair(0.0, 0.1), "Y"),
+                                  (RatePair(0.1, 0.1), "X")):
+                res = fn(rates, xor_bsc(0.1), law, solver=D4)
+                assert (res.value, res.branch) == (0.0, branch)
 
     def test_large_output_alphabet_runs(self):
         # branch XY over (U,X,Y,X~,Y~,Z) with |Z|=4: 128 cells, within bytes

@@ -72,7 +72,6 @@ from .simulate import (
     DecodeOutcome,
     ErrorEstimate,
     alpha_decode,
-    bound_curve,
     error_prob_exact,
     error_prob_mc,
 )
@@ -85,9 +84,9 @@ __all__ = [
     "JointDist", "PackingExponents", "Pentagon", "RatePair", "RegionWitness",
     "ScaleGuardError", "SolverSpec", "SymbolSequence", "TypeVector",
     "ValidationError", "alpha_decode", "audit_confusability",
-    "baseline_branch_exponent", "baseline_exponent", "bound_curve",
-    "branch_exponent", "branch_objective", "capacity_pentagon",
-    "compositions_count", "conditional_entropy", "conditional_kl_divergence",
+    "baseline_branch_exponent", "baseline_exponent", "branch_exponent",
+    "branch_objective", "capacity_pentagon", "compositions_count",
+    "conditional_entropy", "conditional_kl_divergence",
     "conditional_mutual_information", "confusability_feasible", "empirical_type",
     "entropy", "enumerate_lattice", "enumerate_types", "error_prob_exact",
     "error_prob_mc", "expurgate", "expurgated_exponent", "generate_codebooks",

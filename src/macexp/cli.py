@@ -18,6 +18,7 @@ import json
 import sys
 
 from .codebooks import (
+    check_channel,
     expurgate,
     packing_reports,
     single_user_packing_check,
@@ -43,12 +44,7 @@ from .fileio import (
     save_json,
     write_csv,
 )
-from .simulate import (
-    MAX_EXACT_OUTPUTS,
-    check_exponent,
-    error_prob_exact,
-    error_prob_mc,
-)
+from .simulate import MAX_EXACT_OUTPUTS, error_prob_exact, error_prob_mc
 from .typeclasses import SymbolSequence
 
 
@@ -125,13 +121,7 @@ def cmd_verify_packing(args) -> int:
     check_delta(args.delta)
     pair = load_codebook(args.codebook)
     if args.channel:
-        w = load_channel(args.channel)
-        got = (w.x_alphabet.size, w.y_alphabet.size)
-        want = (pair.x_alphabet.size, pair.y_alphabet.size)
-        if got != want:
-            raise ValidationError(
-                f"channel input alphabets {got[0]}x{got[1]} do not match "
-                f"the books' {want[0]}x{want[1]}")
+        check_channel(pair, load_channel(args.channel))
     avg, peak = packing_reports(pair)
     u_seq = SymbolSequence(pair.u_alphabet, tuple(pair.u_seq.tolist()))
     su_x = single_user_packing_check(u_seq, pair.x_book, pair.x_alphabet)
@@ -209,9 +199,6 @@ def cmd_expurgate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    check_delta(args.delta)
-    if args.exponent is not None:
-        check_exponent(args.exponent)
     pair = load_codebook(args.codebook)
     w = load_channel(args.channel)
     if args.exact:
@@ -242,19 +229,12 @@ def cmd_simulate(args) -> int:
         })
     if args.csv:
         rates = pair.rates
-        if args.exponent is not None:
-            bound = _full(2.0 ** (-pair.n * (args.exponent - args.delta)))
-            exponent = _full(args.exponent)
-        else:
-            bound = ""
-            exponent = ""
         write_csv(args.csv,
                   ["n", "m_x", "m_y", "rate_x", "rate_y", "trials", "error",
-                   "stderr", "bound", "exponent", "branch"],
+                   "stderr"],
                   [[str(pair.n), str(pair.m_x), str(pair.m_y),
                     _full(rates.rx), _full(rates.ry), str(est.trials),
-                    _full(est.p), _full(est.stderr), bound, exponent,
-                    args.branch or ""]])
+                    _full(est.p), _full(est.stderr)]])
     return 0
 
 
@@ -334,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--max-outputs", type=int, default=MAX_EXACT_OUTPUTS)
     p_sim.add_argument("--out", help="JSON results path")
     p_sim.add_argument("--csv", help="CSV results path")
-    p_sim.add_argument("--exponent", type=float,
-                       help="exponent value for the reported bound column")
-    p_sim.add_argument("--branch", help="branch label echoed into the CSV")
-    p_sim.add_argument("--delta", type=float, default=0.0,
-                       help="slack subtracted from the exponent in the bound")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_reg = sub.add_parser("region", help="achievable-region membership")

@@ -54,7 +54,7 @@ from .exponents import (
     confusability_checks,
     family_exponents,
 )
-from .probability import ENTROPY_CELLS, Alphabet, JointBatch
+from .probability import ENTROPY_CELLS, Alphabet, Channel, JointBatch
 from .typeclasses import (
     SymbolSequence,
     TypeVector,
@@ -62,6 +62,7 @@ from .typeclasses import (
     code_places,
     distinct_rows,
     sample_conditional_type_class,
+    type_class_size,
 )
 
 FAMILY_ORDER = tuple(PACKING_FAMILIES)
@@ -155,17 +156,23 @@ class CodebookPair:
                             self.x_alphabet, self.y_alphabet, self.p_ux, self.p_uy)
 
 
+def check_channel(pair: CodebookPair, w: Channel) -> None:
+    """Refuse a channel whose input alphabets are not the books'."""
+    got = (w.x_alphabet.size, w.y_alphabet.size)
+    want = (pair.x_alphabet.size, pair.y_alphabet.size)
+    if got != want:
+        raise ValidationError(
+            f"channel input alphabets {got[0]}x{got[1]} do not match "
+            f"the books' {want[0]}x{want[1]}")
+
+
 def _conditional_class_size(p_joint: TypeVector) -> int:
-    su = p_joint.axes[0].size
-    counts = p_joint.counts.reshape(su, -1)
-    total = 1
-    for u in range(su):
-        row = counts[u]
-        size = math.factorial(int(row.sum()))
-        for c in row:
-            size //= math.factorial(int(c))
-        total *= size
-    return total
+    # words with joint type p_joint along a u of its U marginal: the joint
+    # class size over the marginal's, an exact big-integer quotient
+    u_type = TypeVector(p_joint.axes[:1],
+                        p_joint.counts.reshape(p_joint.axes[0].size, -1)
+                        .sum(axis=1), p_joint.n)
+    return type_class_size(p_joint) // type_class_size(u_type)
 
 
 def generate_codebooks(p_ux: TypeVector, p_uy: TypeVector, u_seq: SymbolSequence,

@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .lattice import (
     ALPHA_TOL,
     BASELINE_SPECS,
@@ -93,12 +93,10 @@ class SolverSpec:
     divergence_weighting: str = "V"  # weight D by the candidate V or by the law P
 
     def __post_init__(self) -> None:
-        if self.lattice_denominator < 2:
-            raise ValidationError("lattice_denominator must be >= 2")
+        check_count("lattice_denominator", self.lattice_denominator, 2)
         if self.divergence_weighting not in ("V", "P"):
             raise ValidationError("divergence_weighting must be 'V' or 'P'")
-        if self.refine_steps < 0:
-            raise ValidationError("refine_steps must be >= 0")
+        check_count("refine_steps", self.refine_steps, 0)
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,12 @@ decoder's bit for bit (``tests/decoder_oracle.py`` is such a decoder).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import CodebookPair
-from .errors import ScaleGuardError, ValidationError
-from .exponents import check_delta
+from .codebooks import CodebookPair, check_channel
+from .errors import ScaleGuardError, ValidationError, check_count
 from .probability import ENTROPY_CELLS, Channel, term_sums
 from .typeclasses import code_places, distinct_rows, xlogx_table
 
@@ -69,12 +67,6 @@ class ErrorEstimate:
     trials: int
     method: str
     per_pair: np.ndarray | None = None
-
-
-def _check_channel(pair: CodebookPair, w: Channel) -> None:
-    if (w.x_alphabet.size != pair.x_alphabet.size
-            or w.y_alphabet.size != pair.y_alphabet.size):
-        raise ValidationError("channel alphabets do not match the codebooks")
 
 
 class _BlockScorer:
@@ -157,7 +149,7 @@ class _BlockScorer:
 
 
 def _score_one(pair: CodebookPair, w: Channel, z_seq):
-    _check_channel(pair, w)
+    check_channel(pair, w)
     z = np.asarray(z_seq)
     if z.shape != (pair.n,):
         raise ValidationError(f"z_seq must have shape ({pair.n},)")
@@ -193,7 +185,7 @@ def error_prob_exact(pair: CodebookPair, w: Channel,
     refuses beyond ``max_outputs`` output sequences.  Outputs are generated
     chunk by chunk in lexicographic order, never all at once.
     """
-    _check_channel(pair, w)
+    check_channel(pair, w)
     sz = w.z_alphabet.size
     n = pair.n
     total = sz ** n
@@ -227,13 +219,6 @@ def error_prob_exact(pair: CodebookPair, w: Channel,
     return ErrorEstimate(float(err.mean()), 0.0, 0, "exact", per_pair)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer")
-    if value < least:
-        raise ValidationError(f"{name} must be >= {least}")
-
-
 def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
                   ) -> ErrorEstimate:
     """Monte Carlo error estimate under uniform messages.
@@ -244,9 +229,9 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
     earlier trials.  Each distinct received sequence of a block is decoded
     once, and remembered decisions are reused in later blocks.
     """
-    _check_channel(pair, w)
-    _check_count("trials", trials, 1)
-    _check_count("seed", seed, 0)
+    check_channel(pair, w)
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
     sz = w.z_alphabet.size
     n = pair.n
     scorer = _BlockScorer(pair, sz)
@@ -290,19 +275,3 @@ def error_prob_mc(pair: CodebookPair, w: Channel, trials: int, seed: int
     stderr = math.sqrt(p * (1.0 - p) / trials)
     return ErrorEstimate(float(p), float(stderr), trials, "mc")
 
-
-def check_exponent(exponent: float) -> None:
-    """Refuse an exponent that is NaN or negative; ``inf`` is one the
-    exponents report."""
-    if not exponent >= 0.0:
-        raise ValidationError(f"exponent must be >= 0 or inf, got {exponent!r}")
-
-
-def bound_curve(exponent: float, n_values, delta: float = 0.0) -> np.ndarray:
-    """Upper-bound curve 2^(-n (exponent - delta)) over blocklengths."""
-    check_exponent(exponent)
-    check_delta(delta)
-    ns = np.asarray(list(n_values), dtype=np.float64)
-    if ns.size and ns.min() < 1:
-        raise ValidationError("blocklengths must be >= 1")
-    return np.exp2(-ns * (exponent - delta))

@@ -88,9 +88,8 @@ GOLDEN_CODEBOOK = {
         "--report": "4967fcb5c85636499422d14cc75da6a0ee8a4ab7b60c16bc3143c34de363257c"}),
 }
 
-SIM_CSV = ("n,m_x,m_y,rate_x,rate_y,trials,error,stderr,bound,exponent,branch\n"
-           "6,2,2,0.16666666666666666,0.16666666666666666,0,0.0,0.0,"
-           "0.5358867312681466,0.2,X\n")
+SIM_CSV = ("n,m_x,m_y,rate_x,rate_y,trials,error,stderr\n"
+           "6,2,2,0.16666666666666666,0.16666666666666666,0,0.0,0.0\n")
 
 
 @pytest.fixture(scope="module")
@@ -246,16 +245,19 @@ class TestVerifyPackingCommand:
         assert not out.exists()
 
     def test_channel_of_other_alphabets_exits_two(self, workdir, capsys):
-        # ternary X books against the binary-input chan.json
-        out = workdir / "verify_mixed.json"
-        argv = ["verify-packing", "--codebook", str(workdir / "mixed.json"),
-                "--delta", "1.0", "--channel", str(workdir / "chan.json"),
-                "--out", str(out)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert "do not match the books' 3x2" in captured.err
-        assert "need delta" not in captured.out
-        assert not out.exists()
+        # ternary X books against the binary-input chan.json, refused alike
+        # by verify-packing and by simulate
+        out = workdir / "mismatch_mixed.json"
+        for argv, done in ((["verify-packing", "--delta", "1.0"], "need delta"),
+                           (["simulate", "--exact"], "error probability")):
+            argv += ["--codebook", str(workdir / "mixed.json"),
+                     "--channel", str(workdir / "chan.json"), "--out", str(out)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ("macexp: channel input alphabets 2x2 do "
+                                    "not match the books' 3x2\n")
+            assert done not in captured.out
+            assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir):
         a = workdir / "verify_a.json"
@@ -329,24 +331,14 @@ class TestExpurgateCommand:
 
 
 class TestSimulateCommand:
-    def test_exact_identity_run_with_bound_column(self, workdir, capsys):
+    def test_exact_identity_run_writes_the_csv(self, workdir, capsys):
         csv = workdir / "sim.csv"
-        argv = ["simulate", "--codebook", str(workdir / "clean.json"),
-                "--channel", str(workdir / "iden.json"), "--exact",
-                "--csv", str(csv), "--exponent", "0.2", "--delta", "0.05",
-                "--branch", "X"]
-        assert main(argv) == 0
-        assert "exact error probability 0" in capsys.readouterr().out
-        assert csv.read_text() == SIM_CSV
-
-    def test_blank_bound_columns_without_exponent(self, workdir):
-        csv = workdir / "sim_blank.csv"
         argv = ["simulate", "--codebook", str(workdir / "clean.json"),
                 "--channel", str(workdir / "iden.json"), "--exact",
                 "--csv", str(csv)]
         assert main(argv) == 0
-        row = csv.read_text().splitlines()[1].split(",")
-        assert row[8:] == ["", "", ""]
+        assert "exact error probability 0" in capsys.readouterr().out
+        assert csv.read_text() == SIM_CSV
 
     def test_monte_carlo_requires_a_seed(self, workdir):
         argv = ["simulate", "--codebook", str(workdir / "clean.json"),
@@ -359,37 +351,21 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--exponent", "-3"], "exponent must be >= 0 or inf, got -3.0"),
-        (["--exponent", "nan"], "exponent must be >= 0 or inf, got nan"),
-        (["--exponent", "0.2", "--delta", "nan"],
-         "delta must be finite and >= 0, got nan"),
-        (["--exponent", "0.2", "--delta", "inf"],
-         "delta must be finite and >= 0, got inf"),
-        (["--exponent", "0.2", "--delta", "-0.1"],
-         "delta must be finite and >= 0, got -0.1"),
-        (["--delta", "-0.1"], "delta must be finite and >= 0, got -0.1"),
-    ])
-    def test_bad_bound_exits_two_before_decoding(self, workdir, capsys,
-                                                 flags, message):
+    # simulate takes no exponent to echo: a typed exponent is no bound
+    @pytest.mark.parametrize("flags", [
+        ["--exponent", "0.2"], ["--delta", "0.1"], ["--branch", "X"]])
+    def test_removed_bound_options_are_refused(self, workdir, capsys, flags):
         csv, out = workdir / "sim_bad.csv", workdir / "sim_bad.json"
         argv = ["simulate", "--codebook", str(workdir / "clean.json"),
                 "--channel", str(workdir / "chan.json"), "--trials", "200",
                 "--seed", "5", "--csv", str(csv), "--out", str(out)] + flags
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == f"macexp: {message}\n"
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
         assert "error probability" not in captured.out
         assert not csv.exists() and not out.exists()
-
-    def test_infinite_exponent_gives_a_zero_bound(self, workdir):
-        csv = workdir / "sim_inf.csv"
-        argv = ["simulate", "--codebook", str(workdir / "clean.json"),
-                "--channel", str(workdir / "iden.json"), "--exact",
-                "--csv", str(csv), "--exponent", "inf", "--delta", "0.05"]
-        assert main(argv) == 0
-        row = csv.read_text().splitlines()[1].split(",")
-        assert row[8:10] == ["0.0", "inf"]
 
     def test_monte_carlo_rerun_is_byte_identical(self, workdir):
         outs = [workdir / "mc_a.json", workdir / "mc_b.json"]
@@ -582,15 +558,23 @@ class TestErrorHandling:
 
 
 def test_readme_names_every_option_of_the_parser():
+    # each subcommand's "### <name>" part of "## Command line" names every
+    # option of that subcommand and no other, so a deleted option cannot
+    # linger in its prose even where another subcommand still has it
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = text[text.index("\n## Command line\n"):]
     section = section[:section.index("\n## ", 1)]
+    intro, *parts = re.split(r"\n### (\S+)\n", section)
+    named = {name: set(re.findall(r"--[a-z][a-z-]*", part))
+             for name, part in zip(parts[::2], parts[1::2])}
     parser = build_parser()
     (commands,) = [a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction)]
-    options = {flag for sub in commands.choices.values()
-               for flag in sub._option_string_actions if flag.startswith("--")}
-    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options - {"--help"}
+    options = {name: {flag for flag in sub._option_string_actions
+                      if flag.startswith("--") and flag != "--help"}
+               for name, sub in commands.choices.items()}
+    assert not re.findall(r"--[a-z][a-z-]*", intro)
+    assert named == options
 
 
 class TestColdProcess:

@@ -97,8 +97,17 @@ class TestGeneration:
         assert len({r.tobytes() for r in pair.y_book}) == 16
 
     def test_book_larger_than_class_is_refused(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="has only 6 members, "
+                           "cannot hold 7 distinct words"):
             binary_codebooks(4, 7, 2, seed=0, x_ones=2)
+        # along u = 0001111, words of type [[2, 1], [1, 3]] number
+        # C(3, 1) C(4, 1) = 12: a product over u
+        u_alph, x_alph = Alphabet(2, "U"), Alphabet(2, "X")
+        u_seq = SymbolSequence(u_alph, (0,) * 3 + (1,) * 4)
+        p = TypeVector((u_alph, x_alph), np.asarray([[2, 1], [1, 3]]), 7)
+        assert generate_codebooks(p, p, u_seq, 12, 1, rng=0).m_x == 12
+        with pytest.raises(ConstructionError, match="has only 12 members"):
+            generate_codebooks(p, p, u_seq, 13, 1, rng=0)
 
     def test_exhausted_budget_is_reported(self):
         u_alph, x_alph = Alphabet(1, "U"), Alphabet(2, "X")

@@ -108,6 +108,17 @@ class TestRatePairAndSpec:
         with pytest.raises(ValidationError):
             SolverSpec(lattice_denominator=1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lattice_denominator", 4.0, "must be an integer"),
+        ("lattice_denominator", True, "must be an integer"),
+        ("refine_steps", 1.5, "must be an integer"),
+        ("refine_steps", True, "must be an integer"),
+        ("refine_steps", -1, "must be >= 0"),
+    ])
+    def test_solver_counts_must_be_integers(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"{field} {message}"):
+            SolverSpec(**{field: value})
+
 
 class TestInputLaw:
     def test_components_round_trip(self):

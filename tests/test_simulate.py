@@ -26,7 +26,6 @@ from macexp.probability import Channel, product_channel_likelihood
 from macexp.simulate import (
     _BlockScorer,
     alpha_decode,
-    bound_curve,
     equivocation_scores,
     error_prob_exact,
     error_prob_mc,
@@ -458,28 +457,3 @@ class TestDecoderInvariance:
         a = alpha_decode(pair, w, z)
         b = alpha_decode(permuted, w, z[perm])
         assert (a.i, a.j, a.ambiguous, a.score) == (b.i, b.j, b.ambiguous, b.score)
-
-
-class TestBoundCurve:
-    def test_zero_exponent_gives_trivial_bound(self):
-        assert (bound_curve(0.0, range(1, 9)) == 1.0).all()
-
-    def test_unit_exponent_halves_per_step(self):
-        assert bound_curve(1.0, [1, 2, 3]).tolist() == [0.5, 0.25, 0.125]
-
-    def test_delta_offsets_the_exponent(self):
-        assert (bound_curve(0.3, [4, 9], delta=0.3) == 1.0).all()
-
-    def test_blocklengths_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            bound_curve(0.5, [0, 1])
-
-    @pytest.mark.parametrize("exponent, delta", [
-        (-3.0, 0.0), (math.nan, 0.0), (0.5, math.nan), (0.5, math.inf),
-        (0.5, -0.1)])
-    def test_bad_exponent_or_slack_is_refused(self, exponent, delta):
-        with pytest.raises(ValidationError):
-            bound_curve(exponent, [1, 2], delta=delta)
-
-    def test_infinite_exponent_gives_a_zero_bound(self):
-        assert bound_curve(math.inf, [1, 2], delta=0.1).tolist() == [0.0, 0.0]

@@ -186,6 +186,7 @@ def error_prob_exact(pair: CodebookPair, w: Channel,
     chunk by chunk in lexicographic order, never all at once.
     """
     check_channel(pair, w)
+    check_count("max_outputs", max_outputs, 1)
     sz = w.z_alphabet.size
     n = pair.n
     total = sz ** n

@@ -345,6 +345,18 @@ class TestSimulateCommand:
                 "--channel", str(workdir / "iden.json")]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_bad_enumeration_guard_exits_two(self, workdir, capsys, guard):
+        out = workdir / "sim_guard.json"
+        argv = ["simulate", "--codebook", str(workdir / "clean.json"),
+                "--channel", str(workdir / "chan.json"), "--exact",
+                "--max-outputs", guard, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "macexp: max_outputs must be >= 1\n"
+        assert "error probability" not in captured.out
+        assert not out.exists()
+
     def test_negative_seed_exits_two(self, workdir, capsys):
         argv = ["simulate", "--codebook", str(workdir / "clean.json"),
                 "--channel", str(workdir / "chan.json"), "--seed", "-1"]

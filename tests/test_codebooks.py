@@ -109,6 +109,22 @@ class TestGeneration:
         with pytest.raises(ConstructionError, match="has only 12 members"):
             generate_codebooks(p, p, u_seq, 13, 1, rng=0)
 
+    @pytest.mark.parametrize("counts", [
+        [[3, 4]], [[2, 1], [1, 3]], [[0, 0], [5, 2]], [[2, 0, 1], [0, 4, 0],
+                                                        [1, 1, 1]]],
+        ids=["one_u", "two_u", "empty_u", "three_u"])
+    def test_conditional_class_size_is_a_product_over_u(self, counts):
+        # the words of joint type counts along a fixed u: one multinomial
+        # per u symbol, an exact integer
+        counts = np.asarray(counts, dtype=np.int64)
+        p = TypeVector((Alphabet(counts.shape[0], "U"),
+                        Alphabet(counts.shape[1], "X")),
+                       counts, int(counts.sum()))
+        want = math.prod(math.factorial(int(row.sum()))
+                         // math.prod(math.factorial(int(c)) for c in row)
+                         for row in counts)
+        assert codebooks._conditional_class_size(p) == want
+
     def test_exhausted_budget_is_reported(self):
         u_alph, x_alph = Alphabet(1, "U"), Alphabet(2, "X")
         u_seq = SymbolSequence(u_alph, (0,) * 4)

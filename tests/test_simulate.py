@@ -111,6 +111,21 @@ class TestAlphaDecode:
         with pytest.raises(ValidationError):
             alpha_decode(pair, wide, (0,) * 6)
 
+    @pytest.mark.parametrize("entry", [
+        lambda pair, w: alpha_decode(pair, w, (0,) * 6),
+        lambda pair, w: equivocation_scores(pair, w, (0,) * 6),
+        lambda pair, w: error_prob_exact(pair, w),
+        lambda pair, w: error_prob_mc(pair, w, 10, seed=1),
+    ], ids=["alpha_decode", "equivocation_scores", "error_prob_exact",
+            "error_prob_mc"])
+    def test_every_entry_point_names_both_alphabet_sizes(self, entry):
+        # binary books against a channel with the X and Y sizes swapped
+        swapped = Channel(Alphabet(2, "X"), Alphabet(3, "Y"), Alphabet(2, "Z"),
+                          np.full((2, 3, 2), 0.5))
+        with pytest.raises(ValidationError, match=r"^channel input alphabets "
+                           r"2x3 do not match the books' 2x2$"):
+            entry(clean_pair(), swapped)
+
 
 class TestExactError:
     def test_identity_channel_is_error_free(self):
@@ -158,6 +173,15 @@ class TestExactError:
             error_prob_exact(pair, w, max_outputs=7)
         assert error_prob_exact(pair, w, max_outputs=8).p == \
             error_prob_exact(pair, w).p
+
+    @pytest.mark.parametrize("max_outputs, message", [
+        (0, "must be >= 1"), (-5, "must be >= 1"),
+        (2.5, "must be an integer"), (True, "must be an integer")])
+    def test_guard_must_be_a_positive_integer(self, max_outputs, message):
+        # bad input, not a scale refusal: no guard value is reported
+        with pytest.raises(ValidationError, match=f"max_outputs {message}"):
+            error_prob_exact(noisy_pair(), xor_bsc(0.1),
+                             max_outputs=max_outputs)
 
 
 class TestMonteCarlo:

@@ -70,7 +70,6 @@ def cmd_exponent(args) -> int:
     solver = SolverSpec(lattice_denominator=args.denominator,
                         refine_steps=args.refine,
                         divergence_weighting=args.weighting)
-    rows = []
     results = []
     for rates in [RatePair(rx, ry) for rx in args.rx for ry in args.ry]:
         rx, ry = rates.rx, rates.ry
@@ -82,15 +81,11 @@ def cmd_exponent(args) -> int:
             "rx": rx, "ry": ry, "value": res.value, "branch": res.branch,
             "source": res.source, "feasible_empty": res.feasible_empty,
         }
-        row = [_full(rx), _full(ry), _full(res.value), res.branch,
-               res.source]
         if args.baseline:
             base = baseline_exponent(rates, w, p, args.delta, solver)
             entry["baseline_value"] = base.value
             entry["baseline_branch"] = base.branch
-            row += [_full(base.value), base.branch]
         results.append(entry)
-        rows.append(row)
         line = (f"rx={_fmt(rx)} ry={_fmt(ry)} exponent={_fmt(res.value)} "
                 f"branch={res.branch} source={res.source}")
         if args.baseline:
@@ -110,10 +105,11 @@ def cmd_exponent(args) -> int:
             "manifest": run_manifest("exponent", config),
         })
     if args.csv:
-        header = ["rx", "ry", "value", "branch", "source"]
-        if args.baseline:
-            header += ["baseline_value", "baseline_branch"]
-        write_csv(args.csv, header, rows)
+        # every field of an entry but feasible_empty, floats in full
+        header = [k for k in results[0] if k != "feasible_empty"]
+        write_csv(args.csv, header, [
+            [_full(e[k]) if isinstance(e[k], float) else e[k] for k in header]
+            for e in results])
     return 0
 
 
@@ -338,10 +334,7 @@ def main(argv=None) -> int:
     except ScaleGuardError as exc:
         print(f"macexp: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ConstructionError) as exc:
-        print(f"macexp: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, ConstructionError, OSError) as exc:
         print(f"macexp: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

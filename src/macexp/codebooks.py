@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstructionError, ValidationError
+from .errors import ConstructionError, ValidationError, check_count, check_symbols
 from .exponents import (
     PACKING_FAMILIES,
     InputLaw,
@@ -66,15 +66,8 @@ from .typeclasses import (
 )
 
 FAMILY_ORDER = tuple(PACKING_FAMILIES)
-
-
-def _as_int_matrix(a, name: str) -> np.ndarray:
-    arr = np.asarray(a)
-    if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"{name} must be a 2-D integer array")
-    out = arr.astype(np.int64)
-    out.setflags(write=False)
-    return out
+# slack on a report's needs when it is checked against a delta
+NEED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,25 +84,21 @@ class CodebookPair:
     p_uy: TypeVector
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u_seq)
-        if u.ndim != 1 or not np.issubdtype(u.dtype, np.integer):
-            raise ValidationError("u_seq must be a 1-D integer array")
-        u = u.astype(np.int64)
-        u.setflags(write=False)
-        object.__setattr__(self, "u_seq", u)
-        object.__setattr__(self, "x_book", _as_int_matrix(self.x_book, "x_book"))
-        object.__setattr__(self, "y_book", _as_int_matrix(self.y_book, "y_book"))
+        for name, ndim, alph in (("u_seq", 1, self.u_alphabet),
+                                 ("x_book", 2, self.x_alphabet),
+                                 ("y_book", 2, self.y_alphabet)):
+            arr = check_symbols(getattr(self, name), alph.size, name)
+            if arr.ndim != ndim:
+                raise ValidationError(f"{name} must be a {ndim}-D integer array")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        u = self.u_seq
         n = u.size
         if n == 0:
             raise ValidationError("blocklength must be positive")
-        for book, alph, name in ((self.x_book, self.x_alphabet, "x_book"),
-                                 (self.y_book, self.y_alphabet, "y_book")):
+        for book, name in ((self.x_book, "x_book"), (self.y_book, "y_book")):
             if book.shape[0] == 0 or book.shape[1] != n:
                 raise ValidationError(f"{name} must be nonempty with row length {n}")
-            if book.min() < 0 or book.max() >= alph.size:
-                raise ValidationError(f"{name} contains symbols outside its alphabet")
-        if u.min() < 0 or u.max() >= self.u_alphabet.size:
-            raise ValidationError("u_seq contains symbols outside its alphabet")
         for book, target, name in ((self.x_book, self.p_ux, "x_book"),
                                    (self.y_book, self.p_uy, "y_book")):
             if target.n != n:
@@ -185,8 +174,10 @@ def generate_codebooks(p_ux: TypeVector, p_uy: TypeVector, u_seq: SymbolSequence
     ConstructionError immediately.  Every word comes from one stream:
     ``rng`` is a Generator or a seed ``numpy.random.default_rng`` takes.
     """
-    if m_x < 1 or m_y < 1:
-        raise ValidationError("book sizes must be >= 1")
+    check_count("m_x", m_x, 1)
+    check_count("m_y", m_y, 1)
+    if max_draws is not None:
+        check_count("max_draws", max_draws, 1)
     rng = _as_rng(rng)
     u_arr = u_seq.array()
     for target, m, name in ((p_ux, m_x, "x"), (p_uy, m_y, "y")):
@@ -496,9 +487,9 @@ class PackingReport:
     kind: str                     # "average" or "per_pair_max"
     families: dict[str, FamilyReport]
 
-    def satisfied(self, delta: float, tol: float = 1e-12) -> bool:
+    def satisfied(self, delta: float) -> bool:
         check_delta(delta)
-        return all(rep.worst_need_delta <= delta + tol
+        return all(rep.worst_need_delta <= delta + NEED_TOL
                    for rep in self.families.values())
 
 
@@ -686,10 +677,10 @@ class SingleUserReport:
     per_word_worst_need_delta: float
     avg: TypeNeeds = field(repr=False)
 
-    def satisfied(self, delta: float, tol: float = 1e-12) -> bool:
+    def satisfied(self, delta: float) -> bool:
         check_delta(delta)
-        return (self.avg_worst_need_delta <= delta + tol
-                and self.per_word_worst_need_delta <= delta + tol)
+        return (self.avg_worst_need_delta <= delta + NEED_TOL
+                and self.per_word_worst_need_delta <= delta + NEED_TOL)
 
 
 def single_user_packing_check(u_seq: SymbolSequence, book: np.ndarray,
@@ -701,13 +692,11 @@ def single_user_packing_check(u_seq: SymbolSequence, book: np.ndarray,
     2^(-n (I - R - 2 delta)), the per-word maximum to
     2^(-n (I - 2R - 3 delta)).
     """
-    book = _as_int_matrix(book, "book")
-    m, n = book.shape
+    book = check_symbols(book, alphabet.size, "book")
     u = u_seq.array()
-    if m < 1 or n != u.size:
+    if book.ndim != 2 or len(book) == 0 or book.shape[1] != u.size:
         raise ValidationError("book shape does not match the shared sequence")
-    if book.min() < 0 or book.max() >= alphabet.size:
-        raise ValidationError("book contains symbols outside its alphabet")
+    m, n = book.shape
     rate = math.log2(m) / n
     su, s = u_seq.alphabet.size, alphabet.size
     tally = _tally(u, su, ((book, s),), (0,))

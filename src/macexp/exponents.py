@@ -57,6 +57,7 @@ from .probability import (
     Channel,
     JointBatch,
     JointDist,
+    check_law_channel,
     joint_from_law_and_channel,
     marginalize,
 )
@@ -114,21 +115,15 @@ class InputLaw:
             raise ValidationError(
                 f"InputLaw joint must have axes ('U','X','Y'), got {self.joint.labels}"
             )
-        p = self.joint.probs
-        pu = p.sum(axis=(1, 2))
-        for u in range(p.shape[0]):
-            if pu[u] == 0.0:
-                continue
-            px = p[u].sum(axis=1) / pu[u]
-            py = p[u].sum(axis=0) / pu[u]
-            prod = pu[u] * px[:, None] * py[None, :]
-            gap = np.abs(p[u] - prod)
-            if gap.max() > EQ_TOL:
-                x, y = np.unravel_index(int(np.argmax(gap)), gap.shape)
-                raise ValidationError(
-                    f"senders are not independent given U: cell (u={u}, x={x}, "
-                    f"y={y}) deviates by {gap.max():.3e}"
-                )
+        pu, px, py = self.conditionals()
+        gap = np.abs(self.joint.probs
+                     - pu[:, None, None] * px[:, :, None] * py[:, None, :])
+        if gap.max() > EQ_TOL:
+            u, x, y = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            raise ValidationError(
+                f"senders are not independent given U: cell (u={u}, x={x}, "
+                f"y={y}) deviates by {gap.max():.3e}"
+            )
 
     @classmethod
     def from_components(cls, p_u, p_x_given_u, p_y_given_u) -> "InputLaw":
@@ -496,9 +491,8 @@ def _anchor(spec: BranchSpec, p: InputLaw, w: Channel, kind: str,
 def _branch_axes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[Alphabet, ...]:
     """The branch's axes: the law's alphabets, wrong words as copies of
     the true ones, and the channel's output."""
+    check_law_channel(p.joint, w)
     u_ax, x_ax, y_ax = p.joint.axes
-    if x_ax.size != w.x_alphabet.size or y_ax.size != w.y_alphabet.size:
-        raise ValidationError("input law and channel alphabets disagree")
     by_label = {
         "U": u_ax, "X": x_ax, "Y": y_ax,
         "X~": x_ax.relabel("X~"), "Y~": y_ax.relabel("Y~"),
@@ -744,8 +738,7 @@ def region_contains(rates: RatePair, w: Channel, u_grid: int = 8) -> RegionWitne
     inner approximation: a found witness is a true member certificate, a
     miss only means the grid found nothing.
     """
-    if u_grid < 1:
-        raise ValidationError("u_grid must be >= 1")
+    check_count("u_grid", u_grid, 1)
     sx, sy = w.x_alphabet.size, w.y_alphabet.size
     if (rates.rx > math.log2(sx) or rates.ry > math.log2(sy)
             or rates.rx + rates.ry > math.log2(sx) + math.log2(sy)):

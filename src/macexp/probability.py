@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_symbols
 
 # Tolerance ladder.  EQ_TOL is for semantic equality checks between
 # quantities that are computed along different float paths; RENORM_TOL
@@ -45,8 +45,7 @@ class Alphabet:
     label: str
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValidationError(f"alphabet {self.label!r} must have size >= 1")
+        check_count(f"alphabet {self.label!r} size", self.size, 1)
         if not self.label:
             raise ValidationError("alphabet label must be nonempty")
 
@@ -56,14 +55,34 @@ class Alphabet:
         return Alphabet(self.size, label)
 
 
+def _check_entries(arr: np.ndarray, what: str) -> None:
+    """Refuse a non-finite or negative entry of an array of probabilities
+    (or of integer counts)."""
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValidationError(f"{what}: non-finite entries")
+    if arr.dtype.kind in "fi" and (arr < 0).any():
+        raise ValidationError(f"{what}: negative entries")
+
+
+def _axis_indices(labels: tuple[str, ...], wanted) -> tuple[int, ...]:
+    """The positions among the axis ``labels`` of the distinct labels
+    ``wanted``."""
+    wanted = tuple(wanted)
+    idx = []
+    for label in wanted:
+        if label not in labels:
+            raise ValidationError(f"no axis {label!r} among {labels}")
+        idx.append(labels.index(label))
+    if len(set(idx)) != len(idx):
+        raise ValidationError(f"repeated axis labels in {wanted}")
+    return tuple(idx)
+
+
 def _clean_probs(raw, shape, what: str) -> np.ndarray:
     p = np.asarray(raw, dtype=np.float64)
     if p.shape != shape:
         raise ValidationError(f"{what}: expected shape {shape}, got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError(f"{what}: non-finite entries")
-    if np.any(p < 0.0):
-        raise ValidationError(f"{what}: negative probability entries")
+    _check_entries(p, what)
     total = float(p.sum())
     if abs(total - 1.0) > RENORM_TOL:
         raise ValidationError(f"{what}: total mass {total!r} is not 1")
@@ -109,20 +128,6 @@ class JointDist:
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.axes)
 
-    def axis_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(
-                f"no axis {label!r}; joint has {self.labels}"
-            ) from None
-
-    def _axis_indices(self, labels) -> tuple[int, ...]:
-        idx = tuple(self.axis_index(l) for l in labels)
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"repeated axis labels in {tuple(labels)}")
-        return idx
-
 
 def marginalize(joint: JointDist, keep) -> JointDist:
     """Marginal of ``joint`` over the axes whose labels are in ``keep``.
@@ -132,7 +137,7 @@ def marginalize(joint: JointDist, keep) -> JointDist:
     none yields the zero-axis distribution with scalar mass 1.
     """
     keep = tuple(keep)
-    keep_idx = set(joint._axis_indices(keep))
+    keep_idx = set(_axis_indices(joint.labels, keep))
     drop = tuple(i for i in range(len(joint.axes)) if i not in keep_idx)
     probs = joint.probs.sum(axis=drop) if drop else joint.probs
     axes = tuple(a for i, a in enumerate(joint.axes) if i in keep_idx)
@@ -288,14 +293,6 @@ def _marginal_sums(cells: np.ndarray, kept) -> np.ndarray:
 ENTROPY_CELLS = 1 << 16
 
 
-def _check_entries(rows: np.ndarray) -> None:
-    """Refuse what ``_clean_probs`` refuses entry by entry."""
-    if rows.dtype.kind == "f" and not np.isfinite(rows).all():
-        raise ValidationError("JointBatch: non-finite entries")
-    if rows.dtype.kind in "fi" and (rows < 0).any():
-        raise ValidationError("JointBatch: negative entries")
-
-
 class JointBatch:
     """N joints over the same labeled axes, evaluated together.
 
@@ -325,7 +322,7 @@ class JointBatch:
             raise ValidationError(
                 f"JointBatch: expected {len(self.labels) + 1} dimensions, "
                 f"got {rows.ndim}")
-        _check_entries(rows)
+        _check_entries(rows, "JointBatch")
         if n is not None and not n > 0:
             raise ValidationError(f"JointBatch: count total {n!r} is not positive")
 
@@ -399,15 +396,7 @@ class JointBatch:
         return self._cells
 
     def _key(self, labels) -> frozenset:
-        idx = []
-        for label in labels:
-            if label not in self.labels:
-                raise ValidationError(
-                    f"no axis {label!r}; batch has {self.labels}")
-            idx.append(self.labels.index(label))
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"repeated axis labels in {tuple(labels)}")
-        return frozenset(idx)
+        return frozenset(_axis_indices(self.labels, labels))
 
     def _marginal(self, key: frozenset) -> np.ndarray:
         """(cells, N): ``marginalize(row, keep).probs`` of every row."""
@@ -463,7 +452,7 @@ def conditional_entropy(joint: JointDist, target, given=()) -> float:
     """H(target | given) in bits, computed as H(target, given) - H(given)."""
     target = tuple(target)
     given = tuple(given)
-    joint._axis_indices(target + given)  # validates disjointness
+    _axis_indices(joint.labels, target + given)  # validates disjointness
     h_both = entropy(marginalize(joint, target + given))
     if not given:
         return h_both
@@ -473,7 +462,7 @@ def conditional_entropy(joint: JointDist, target, given=()) -> float:
 def conditional_mutual_information(joint: JointDist, a, b, c=()) -> float:
     """I(a ; b | c) in bits.  ``c`` may be empty for plain mutual information."""
     a, b, c = tuple(a), tuple(b), tuple(c)
-    joint._axis_indices(a + b + c)  # validates disjointness
+    _axis_indices(joint.labels, a + b + c)  # validates disjointness
     return conditional_entropy(joint, a, c) - conditional_entropy(joint, a, b + c)
 
 
@@ -510,10 +499,7 @@ class Channel:
         w = np.asarray(self.w, dtype=np.float64)
         if w.shape != shape:
             raise ValidationError(f"Channel: expected w shape {shape}, got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("Channel: non-finite entries")
-        if np.any(w < 0.0):
-            raise ValidationError("Channel: negative entries")
+        _check_entries(w, "Channel")
         sums = w.sum(axis=2)
         if np.any(np.abs(sums - 1.0) > RENORM_TOL):
             bad = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
@@ -561,26 +547,29 @@ def conditional_kl_divergence(v: Channel, w: Channel, p) -> float:
 
 def product_channel_likelihood(w: Channel, x_seq, y_seq, z_seq) -> float:
     """Probability of the output word under memoryless use of the channel."""
-    x = np.asarray(x_seq, dtype=np.intp)
-    y = np.asarray(y_seq, dtype=np.intp)
-    z = np.asarray(z_seq, dtype=np.intp)
+    x, y, z = (check_symbols(seq, alph.size,
+                             f"product_channel_likelihood: {alph.label} word")
+               for seq, alph in ((x_seq, w.x_alphabet), (y_seq, w.y_alphabet),
+                                 (z_seq, w.z_alphabet)))
     if not (len(x) == len(y) == len(z)) or len(x) == 0:
         raise ValidationError("product_channel_likelihood: equal nonzero lengths required")
-    for arr, alph in ((x, w.x_alphabet), (y, w.y_alphabet), (z, w.z_alphabet)):
-        if arr.min() < 0 or arr.max() >= alph.size:
-            raise ValidationError(
-                f"product_channel_likelihood: symbol out of range for {alph.label}"
-            )
     return float(np.prod(w.w[x, y, z]))
 
 
-def joint_from_law_and_channel(law_joint: JointDist, w: Channel,
-                               z_label: str = "Z") -> JointDist:
-    """Extend a (U, X, Y) input joint by the channel: P(u,x,y) * W(z|x,y)."""
+def check_law_channel(law_joint: JointDist, w: Channel) -> None:
+    """Refuse a (U, X, Y) input joint whose sender alphabets are not the
+    channel's inputs."""
     if len(law_joint.axes) != 3:
         raise ValidationError("expected a three-axis (U, X, Y) joint")
-    u_ax, x_ax, y_ax = law_joint.axes
+    _, x_ax, y_ax = law_joint.axes
     if x_ax.size != w.x_alphabet.size or y_ax.size != w.y_alphabet.size:
-        raise ValidationError("input law does not match channel alphabets")
+        raise ValidationError(
+            f"input law alphabets {x_ax.size}x{y_ax.size} do not match the "
+            f"channel's {w.x_alphabet.size}x{w.y_alphabet.size}")
+
+
+def joint_from_law_and_channel(law_joint: JointDist, w: Channel) -> JointDist:
+    """Extend a (U, X, Y) input joint by the channel: P(u,x,y) * W(z|x,y)."""
+    check_law_channel(law_joint, w)
     probs = law_joint.probs[:, :, :, None] * w.w[None, :, :, :]
-    return JointDist((u_ax, x_ax, y_ax, w.z_alphabet.relabel(z_label)), probs)
+    return JointDist(law_joint.axes + (w.z_alphabet.relabel("Z"),), probs)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebooks import CodebookPair, check_channel
-from .errors import ScaleGuardError, ValidationError, check_count
+from .errors import ScaleGuardError, ValidationError, check_count, check_symbols
 from .probability import ENTROPY_CELLS, Channel, term_sums
 from .typeclasses import code_places, distinct_rows, xlogx_table
 
@@ -150,16 +150,11 @@ class _BlockScorer:
 
 def _score_one(pair: CodebookPair, w: Channel, z_seq):
     check_channel(pair, w)
-    z = np.asarray(z_seq)
+    sz = w.z_alphabet.size
+    z = check_symbols(z_seq, sz, "z_seq")
     if z.shape != (pair.n,):
         raise ValidationError(f"z_seq must have shape ({pair.n},)")
-    if z.dtype.kind not in "iu":
-        raise ValidationError("z_seq must hold integer symbols")
-    sz = w.z_alphabet.size
-    if z.min() < 0 or z.max() >= sz:
-        raise ValidationError("z_seq contains symbols outside the output alphabet")
-    scores, winner, ambiguous = _BlockScorer(pair, sz).score(
-        z.astype(np.int64)[None, :])
+    scores, winner, ambiguous = _BlockScorer(pair, sz).score(z[None, :])
     return scores[0], int(winner[0]), bool(ambiguous[0])
 
 

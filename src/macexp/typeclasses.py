@@ -20,7 +20,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConstructionError, ScaleGuardError, ValidationError
+from .errors import (
+    ConstructionError,
+    ScaleGuardError,
+    ValidationError,
+    check_count,
+    check_symbols,
+)
 from .probability import Alphabet, JointDist
 
 # Rows x cells of one enumeration, at one byte a count.  compositions_array
@@ -37,13 +43,13 @@ class SymbolSequence:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
         if len(self.symbols) == 0:
             raise ValidationError("SymbolSequence must have length >= 1")
-        if any(s < 0 or s >= self.alphabet.size for s in self.symbols):
-            raise ValidationError(
-                f"symbol out of range for alphabet {self.alphabet.label!r}"
-            )
+        symbols = check_symbols(self.symbols, self.alphabet.size,
+                                f"word over alphabet {self.alphabet.label!r}")
+        if symbols.ndim != 1:
+            raise ValidationError("SymbolSequence must be a 1-D word")
+        object.__setattr__(self, "symbols", tuple(symbols.tolist()))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -71,8 +77,7 @@ class TypeVector:
         counts = counts.astype(np.int64)
         if np.any(counts < 0):
             raise ValidationError("TypeVector: negative counts")
-        if self.n < 1:
-            raise ValidationError("TypeVector: n must be >= 1")
+        check_count("TypeVector: n", self.n, 1)
         if int(counts.sum()) != self.n:
             raise ValidationError(
                 f"TypeVector: counts sum {int(counts.sum())} != n {self.n}"
@@ -134,8 +139,7 @@ def enumerate_types(n: int, axes) -> Iterator[TypeVector]:
     solver's array enumeration mirrors this order exactly.
     """
     axes = tuple(axes)
-    if n < 1:
-        raise ValidationError("enumerate_types: n must be >= 1")
+    check_count("enumerate_types: n", n, 1)
     shape = tuple(a.size for a in axes)
     num_cells = int(np.prod(shape))
     _check_enum_bytes(num_cells, n)
@@ -302,4 +306,4 @@ def sample_conditional_type_class(p_cond: TypeVector, u: SymbolSequence,
             continue
         section = np.repeat(np.arange(p_cond.axes[1].size), p_cond.counts[a])
         out[positions] = rng.permutation(section)
-    return SymbolSequence(p_cond.axes[1], tuple(int(s) for s in out))
+    return SymbolSequence(p_cond.axes[1], out)

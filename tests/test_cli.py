@@ -589,6 +589,20 @@ def test_readme_names_every_option_of_the_parser():
     assert named == options
 
 
+def test_readme_library_map_names_every_export():
+    # each export of macexp.__all__ appears, in backquotes, in the row of
+    # the module that defines it
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## Library map\n"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = dict(re.findall(r"^\| `(macexp\.\w+)` \| (.*) \|$", section,
+                           re.MULTILINE))
+    missing = [name for name in macexp.__all__
+               if f"`{name}`" not in rows.get(getattr(macexp, name).__module__,
+                                              "")]
+    assert missing == []
+
+
 class TestColdProcess:
     # numpy imports numpy.ma on first use of some functions, which costs a
     # fresh process 15-25 ms; no command needs it

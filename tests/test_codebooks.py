@@ -141,6 +141,35 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             binary_codebooks(6, 0, 1, seed=2)
 
+    @pytest.mark.parametrize("counts, message", [
+        ({"m_x": 2.5}, "m_x must be an integer"),
+        ({"m_y": True}, "m_y must be an integer"),
+        ({"m_y": 0}, "m_y must be >= 1"),
+        ({"max_draws": 0}, "max_draws must be >= 1"),
+        ({"max_draws": 2.5}, "max_draws must be an integer")],
+        ids=["float_m_x", "bool_m_y", "zero_m_y", "zero_draws",
+             "float_draws"])
+    def test_counts_must_be_positive_integers(self, counts, message):
+        u_alph, x_alph = Alphabet(1, "U"), Alphabet(2, "X")
+        u_seq = SymbolSequence(u_alph, (0,) * 4)
+        p = TypeVector((u_alph, x_alph), np.asarray([[2, 2]]), 4)
+        args = {"m_x": 2, "m_y": 2, "max_draws": None} | counts
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            generate_codebooks(p, p, u_seq, args["m_x"], args["m_y"], rng=0,
+                               max_draws=args["max_draws"])
+
+    @pytest.mark.parametrize("field, change, message", [
+        ("u_seq", lambda a: a + 2, "u_seq contains symbols outside its alphabet"),
+        ("x_book", lambda a: a.astype(float), "x_book must hold integer symbols"),
+        ("y_book", lambda a: -a, "y_book contains symbols outside its alphabet"),
+        ("x_book", lambda a: a[0], "x_book must be a 2-D integer array"),
+        ("u_seq", lambda a: a[None], "u_seq must be a 1-D integer array")],
+        ids=["u_outside", "x_floats", "y_negative", "x_one_word", "u_matrix"])
+    def test_container_checks_every_word_alike(self, field, change, message):
+        pair = binary_codebooks(6, 2, 2, seed=8)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dataclasses.replace(pair, **{field: change(getattr(pair, field))})
+
     def test_rates_are_log_size_over_n(self):
         pair = binary_codebooks(8, 8, 4, seed=1)
         assert pair.rates.rx == pytest.approx(3.0 / 8.0, abs=0)

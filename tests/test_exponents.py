@@ -138,6 +138,28 @@ class TestInputLaw:
         with pytest.raises(ValidationError):
             InputLaw(JointDist(axes, np.full((1, 2, 2), 0.25)))
 
+    def test_refusal_names_the_cell_of_the_largest_deviation(self):
+        # u = 0 deviates by 5e-10 and u = 1 by 5e-7: both past EQ_TOL
+        axes = (Alphabet(2, "U"), Alphabet(2, "X"), Alphabet(2, "Y"))
+        p = np.full((2, 2, 2), 0.125)
+        p[0, 0] += (1e-9, -1e-9)
+        p[1, 1] += (1e-6, -1e-6)
+        with pytest.raises(ValidationError, match=(
+                r"^senders are not independent given U: cell \(u=1, x=\d, "
+                r"y=\d\) deviates by 5\.000e-07$")):
+            InputLaw(JointDist(axes, p))
+
+    def test_law_of_other_alphabets_is_refused_alike(self):
+        w = chan(np.full((3, 2, 2), 0.5))
+        message = "^input law alphabets 2x2 do not match the channel's 3x2$"
+        law = uniform_law()
+        for call in (lambda: joint_from_law_and_channel(law.joint, w),
+                     lambda: capacity_pentagon(law, w),
+                     lambda: expurgated_exponent(RatePair(0.1, 0.1), w, law),
+                     lambda: baseline_exponent(RatePair(0.1, 0.1), w, law)):
+            with pytest.raises(ValidationError, match=message):
+                call()
+
     def test_zero_mass_u_row_tolerated(self):
         law = InputLaw.from_components([1.0, 0.0],
                                        [[0.5, 0.5], [0.5, 0.5]],
@@ -739,31 +761,45 @@ class TestDominanceAndMonotonicity:
             assert base.value == 0.0
 
 
-# Relabelling cases: (|X|, |Y|, |Z|, P_U, P_X|U, P_Y|U), with dyadic laws so
-# that a law and its relabelled copy have bit-equal marginals, and a zero
-# channel entry.
-RELABEL_CASES = [
-    (2, 2, 2, [1.0], [[0.375, 0.625]], [[0.25, 0.75]]),
-    (2, 2, 2, [0.25, 0.75], [[0.5, 0.5], [0.125, 0.875]],
-     [[0.75, 0.25], [0.5, 0.5]]),
-    (3, 2, 2, [1.0], [[0.25, 0.25, 0.5]], [[0.625, 0.375]]),
-    (2, 2, 3, [1.0], [[0.75, 0.25]], [[0.375, 0.625]]),
-]
-RELABEL_RATES = [(0.1, 0.5), (0.4, 0.2), (0.7, 0.9), (1.2, 0.3)]
+# Relabelling cases: the shape (|X|, |Y|, |Z|, |U|) of each drawn case.
+RELABEL_SHAPES = [(2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1)]
 
 
-def _relabel_channel(sx, sy, sz, seed):
-    w = np.random.default_rng(seed).gamma(1.0, 1.0, size=(sx, sy, sz)) + 0.05
+def _dyadic_row(draw, size, denominator):
+    """A distribution over ``size`` symbols whose entries are positive
+    multiples of 1 / denominator."""
+    cuts = draw(st.lists(st.integers(1, denominator - 1), min_size=size - 1,
+                         max_size=size - 1, unique=True))
+    return np.diff([0, *sorted(cuts), denominator]) / denominator
+
+
+@st.composite
+def relabel_inputs(draw, case):
+    """A law of the case's shape, a random channel with zero entries and
+    rate pairs, 0 among the rates drawn.  The law's entries are multiples
+    of 1/8 (P_U of 1/4), so a law and its relabelled copy have bit-equal
+    marginals and pin alike."""
+    sx, sy, sz, su = RELABEL_SHAPES[case]
+    pu = _dyadic_row(draw, su, 4)
+    px = [_dyadic_row(draw, sx, 8) for _ in range(su)]
+    py = [_dyadic_row(draw, sy, 8) for _ in range(su)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.gamma(1.0, 1.0, size=(sx, sy, sz)) + 0.05
+    # some entries zero, w[0, 1, 0] among them; each row keeps one positive
+    w[rng.random(w.shape) < draw(st.sampled_from([0.0, 0.25, 0.5]))] = 0.0
     w[0, 1, 0] = 0.0
-    return chan(w / w.sum(axis=2, keepdims=True))
+    w[~w.any(axis=2), -1] = 1.0
+    rate = st.sampled_from([0.0, 0.1, 0.4, 0.7, 1.2]) | st.floats(0.0, 1.6)
+    rates = draw(st.lists(st.tuples(rate, rate), min_size=2, max_size=3))
+    return chan(w / w.sum(axis=2, keepdims=True)), (pu, px, py), rates
 
 
-def _branch_values(w, law, d, swap=False):
+def _branch_values(w, law, d, rate_pairs, swap=False):
     """Every expurgated and baseline branch value at each rate pair, the
     rates given in the order (R_Y, R_X) when ``swap``."""
     solver = SolverSpec(lattice_denominator=d)
     values = {}
-    for rx, ry in RELABEL_RATES:
+    for rx, ry in rate_pairs:
         rates = RatePair(ry, rx) if swap else RatePair(rx, ry)
         for b in ("X", "Y", "XY"):
             values[b, rx, ry] = branch_exponent(b, rates, w, law,
@@ -780,40 +816,45 @@ def _assert_values_agree(got, want):
         assert math.isclose(got[key], want[key], rel_tol=1e-12), key
 
 
+RELABEL_SETTINGS = settings(max_examples=5, deadline=None, derandomize=True)
+
+
 class TestRelabelling:
     """The exponents do not depend on how the senders, the X symbols or
     the output symbols are named."""
 
     @pytest.mark.parametrize("d", [4, 5])
-    @pytest.mark.parametrize("case", range(len(RELABEL_CASES)))
-    def test_swapping_the_senders_swaps_branches_x_and_y(self, case, d):
-        sx, sy, sz, pu, px, py = RELABEL_CASES[case]
-        w = _relabel_channel(sx, sy, sz, case)
+    @pytest.mark.parametrize("case", range(len(RELABEL_SHAPES)))
+    @RELABEL_SETTINGS
+    @given(data=st.data())
+    def test_swapping_the_senders_swaps_branches_x_and_y(self, case, d, data):
+        w, (pu, px, py), rate_pairs = data.draw(relabel_inputs(case))
         law = InputLaw.from_components(pu, px, py)
         swapped = _branch_values(chan(w.w.transpose(1, 0, 2)),
                                  InputLaw.from_components(pu, py, px), d,
-                                 swap=True)
+                                 rate_pairs, swap=True)
         rename = {"X": "Y", "Y": "X", "XY": "XY", "baseline_X": "baseline_Y",
                   "baseline_Y": "baseline_X", "baseline_XY": "baseline_XY"}
         _assert_values_agree(
             {(rename[b], rx, ry): v for (b, rx, ry), v in swapped.items()},
-            _branch_values(w, law, d))
+            _branch_values(w, law, d, rate_pairs))
 
     @pytest.mark.parametrize("d", [4, 5])
-    @pytest.mark.parametrize("case", range(len(RELABEL_CASES)))
-    def test_permuting_the_outputs_changes_no_branch(self, case, d):
-        sx, sy, sz, pu, px, py = RELABEL_CASES[case]
-        w = _relabel_channel(sx, sy, sz, case)
+    @pytest.mark.parametrize("case", range(len(RELABEL_SHAPES)))
+    @RELABEL_SETTINGS
+    @given(data=st.data())
+    def test_permuting_the_outputs_changes_no_branch(self, case, d, data):
+        w, (pu, px, py), rate_pairs = data.draw(relabel_inputs(case))
         law = InputLaw.from_components(pu, px, py)
-        values = _branch_values(w, law, d)
-        _assert_values_agree(_branch_values(chan(w.w[..., ::-1]), law, d),
-                             values)
+        values = _branch_values(w, law, d, rate_pairs)
+        _assert_values_agree(
+            _branch_values(chan(w.w[..., ::-1]), law, d, rate_pairs), values)
         # the X symbols, in the channel's rows and the law's columns alike
-        perm = np.roll(np.arange(sx), 1)
+        perm = np.roll(np.arange(w.w.shape[0]), 1)
         _assert_values_agree(
             _branch_values(chan(w.w[perm]),
                            InputLaw.from_components(pu, np.asarray(px)[:, perm],
-                                                    py), d),
+                                                    py), d, rate_pairs),
             values)
 
 
@@ -1026,6 +1067,13 @@ class TestPentagonAndRegion:
         assert p.contains(RatePair(1.0, 0.5))
         assert p.contains(RatePair(0.75, 0.75))
         assert not p.contains(RatePair(0.8, 0.8))
+
+    @pytest.mark.parametrize("u_grid, message", [
+        (2.5, "must be an integer"), (True, "must be an integer"),
+        (0, "must be >= 1")], ids=["float", "bool", "zero"])
+    def test_grid_must_be_a_positive_integer(self, u_grid, message):
+        with pytest.raises(ValidationError, match=f"^u_grid {message}$"):
+            region_contains(RatePair(0.1, 0.1), xor_bsc(0.1), u_grid=u_grid)
 
     def test_origin_always_inside(self):
         witness = region_contains(RatePair(0.0, 0.0), xor_bsc(0.3))

@@ -1,6 +1,7 @@
 """Distributions, channels and the information measures built on them."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ class TestConstruction:
     def test_joint_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
             _joint("XX", np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("size", [2.5, True, np.float64(2.0), 0],
+                             ids=["float", "bool", "float64", "zero"])
+    def test_alphabet_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValidationError, match="^alphabet 'X' size must be"):
+            Alphabet(size, "X")
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "non-finite entries"), (math.inf, "non-finite entries"),
+        (-0.25, "negative entries")], ids=["nan", "inf", "negative"])
+    def test_every_constructor_refuses_an_entry_alike(self, bad, message):
+        w = np.full((2, 2, 2), 0.5)
+        w[0, 1, 0] = bad
+        for what, make in (
+                ("Dist", lambda: _dist(w[0, 1])),
+                ("JointDist", lambda: _joint("XY", w[0] / 2)),
+                ("Channel", lambda: Channel(_alpha("X"), _alpha("Y"),
+                                            _alpha("Z"), w)),
+                ("JointBatch", lambda: probability.JointBatch(("Z",), w[0]))):
+            with pytest.raises(ValidationError, match=f"^{what}: {message}$"):
+                make()
 
 
 class TestEntropy:
@@ -249,6 +271,16 @@ class TestProductChannelLikelihood:
         with pytest.raises(ValidationError):
             product_channel_likelihood(xor_bsc(0.1), [0, 1], [0], [1])
 
+    @pytest.mark.parametrize("x, message", [
+        ([0.5, 1.9], "must hold integer symbols"),
+        ([True, False], "must hold integer symbols"),
+        ([0, 2], "contains symbols outside its alphabet")],
+        ids=["floats", "bools", "past_the_end"])
+    def test_symbols_must_be_integers_of_the_alphabet(self, x, message):
+        with pytest.raises(ValidationError, match=(
+                f"^product_channel_likelihood: X word {message}$")):
+            product_channel_likelihood(xor_bsc(0.1), x, [0, 1], [1, 1])
+
 
 class TestMarginalize:
     def test_keep_all_is_identity(self):
@@ -272,6 +304,20 @@ class TestMarginalize:
         j = _joint("XY", np.full((2, 2), 0.25))
         with pytest.raises(ValidationError):
             marginalize(j, ("Q",))
+
+    @pytest.mark.parametrize("labels, message", [
+        (("Q",), "no axis 'Q' among ('X', 'Y')"),
+        (("X", "X"), "repeated axis labels in ('X', 'X')")],
+        ids=["unknown", "repeated"])
+    def test_joint_and_batch_resolve_labels_alike(self, labels, message):
+        j = _joint("XY", np.full((2, 2), 0.25))
+        batch = probability.JointBatch.of(j)
+        for resolve in (lambda: marginalize(j, labels),
+                        lambda: conditional_entropy(j, labels),
+                        lambda: batch.marginal(labels),
+                        lambda: batch.entropy(labels)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                resolve()
 
 
 def test_measures_invariant_under_relabeling():

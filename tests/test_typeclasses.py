@@ -61,6 +61,40 @@ class TestEmpiricalType:
             empirical_type([_seq([0, 1]), _seq([0], label="Y")])
 
 
+class TestRefusedInput:
+    @pytest.mark.parametrize("symbols, message", [
+        ((0.9, 1.7), "must hold integer symbols"),
+        ((True, False), "must hold integer symbols"),
+        ((0, 2), "contains symbols outside its alphabet"),
+        ((-1, 0), "contains symbols outside its alphabet")],
+        ids=["floats", "bools", "past_the_end", "negative"])
+    def test_words_hold_integer_symbols_of_their_alphabet(self, symbols,
+                                                           message):
+        with pytest.raises(ValidationError,
+                           match=f"^word over alphabet 'X' {message}$"):
+            _seq(symbols)
+
+    def test_a_word_is_one_dimensional(self):
+        with pytest.raises(ValidationError, match="1-D word"):
+            _seq([(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("n, message", [
+        (4.0, "must be an integer"), (np.float64(4.0), "must be an integer"),
+        (0, "must be >= 1")], ids=["float", "float64", "zero"])
+    def test_type_denominator_is_a_positive_integer(self, n, message):
+        counts = np.asarray([1, 3] if n else [0, 0])
+        with pytest.raises(ValidationError, match=f"^TypeVector: n {message}$"):
+            TypeVector(_axes(2), counts, n)
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "must be an integer"), (True, "must be an integer"),
+        (0, "must be >= 1")], ids=["float", "bool", "zero"])
+    def test_enumeration_denominator_is_a_positive_integer(self, n, message):
+        with pytest.raises(ValidationError,
+                           match=f"^enumerate_types: n {message}$"):
+            next(enumerate_types(n, _axes(2)))
+
+
 class TestEnumerateTypes:
     def test_stars_and_bars_counts(self):
         assert len(list(enumerate_types(2, _axes(2)))) == 3

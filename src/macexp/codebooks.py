@@ -54,7 +54,7 @@ from .exponents import (
     confusability_checks,
     family_exponents,
 )
-from .probability import ENTROPY_CELLS, Alphabet, Channel, JointBatch
+from .probability import ENTROPY_CELLS, Alphabet, Channel, JointBatch, check_sizes
 from .typeclasses import (
     SymbolSequence,
     TypeVector,
@@ -181,8 +181,7 @@ def generate_codebooks(p_ux: TypeVector, p_uy: TypeVector, u_seq: SymbolSequence
     rng = _as_rng(rng)
     u_arr = u_seq.array()
     for target, m, name in ((p_ux, m_x, "x"), (p_uy, m_y, "y")):
-        if target.axes[0].size != u_seq.alphabet.size:
-            raise ValidationError(f"p_u{name}: U alphabet size mismatch")
+        check_sizes(f"generate_codebooks: p_u{name}", target.axes[:1], (u_seq.alphabet,))
         have = _conditional_class_size(target)
         if have < m:
             raise ConstructionError(

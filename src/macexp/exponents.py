@@ -13,12 +13,13 @@ competitor coupling and keeps only the relaxed constraint set, which makes
 it provably no larger than the expurgated value on a shared lattice.
 
 Minimization is exact over the denominator-d type lattice (see
-``lattice``), augmented with zero-divergence anchor candidates of the form
-"input law x channel" with the competitor word either an independent fresh
-copy or an exact duplicate of the true one.  The duplicate anchor is the
-one that realizes value 0 once both rates exceed the alphabet entropies;
-anchors are feasibility-tested like any other candidate and never bypass a
-constraint.
+``lattice``), augmented with zero-divergence anchors "input law x channel"
+whose competitor word is a fresh copy or a duplicate of the true one (the
+duplicate realizes 0 once both rates exceed the alphabet entropies).  Each
+candidate off the lattice, an anchor, a ``--refine`` move or a
+``branch_objective`` joint, is a row of a ``JointBatch`` that one verdict
+(``_judge``) tests, so none bypasses a constraint; ties resolve to the
+lattice, then the anchors in declaration order, then the refined joint.
 """
 
 from __future__ import annotations
@@ -262,22 +263,23 @@ def _check_names(pins, constraints) -> tuple[str, ...]:
                  + [c.name for c in constraints])
 
 
-def _violations(names, lhs, rhs, broken) -> list[ConstraintViolation]:
-    """The checks one row breaks, with both sides."""
-    return [ConstraintViolation(name, value, bound)
-            for name, value, bound, bad in zip(names, lhs, rhs, broken) if bad]
-
-
 @dataclass(frozen=True)
 class ConfusabilityChecks:
     """Each check's left side at every row of a batch (N, checks), its right
     side and which rows break it: marginal pins first (the largest
-    deviation against the tolerance), then the rate constraints."""
+    deviation against the tolerance), then the rate constraints, and for a
+    branch with a competitor the equivocation order."""
 
     names: tuple[str, ...]
     lhs: np.ndarray
     rhs: tuple[float, ...]
     violated: np.ndarray
+
+    def violations(self, row: int) -> list[ConstraintViolation]:
+        """The checks one row breaks, with both sides."""
+        return [ConstraintViolation(name, value, bound) for name, value, bound, bad
+                in zip(self.names, self.lhs[row].tolist(), self.rhs,
+                       self.violated[row]) if bad]
 
 
 def confusability_checks(batch: JointBatch, p: InputLaw, rates: RatePair,
@@ -304,9 +306,8 @@ def confusability_feasible(v: JointDist, p: InputLaw, rates: RatePair,
     checked, alongside the marginal pinning of every present axis to the
     input law.  Returns (feasible, violations).
     """
-    checks = confusability_checks(JointBatch.of(v), p, rates, delta, tol)
-    violations = _violations(checks.names, checks.lhs[0].tolist(), checks.rhs,
-                             checks.violated[0])
+    violations = confusability_checks(JointBatch.of(v), p, rates, delta,
+                                      tol).violations(0)
     return (len(violations) == 0), violations
 
 
@@ -320,112 +321,118 @@ class ObjectiveReport:
     violations: tuple[ConstraintViolation, ...]
 
 
-def _divergence_term(v: JointDist, w: Channel, p: InputLaw | None,
-                     weighting: str) -> float:
-    vm = marginalize(v, ("U", "X", "Y", "Z"))
-    probs = vm.probs  # axes (U, X, Y, Z) in branch label order
-    if weighting == "V":
+def _divergences(batch: JointBatch, w: Channel, p: InputLaw,
+                 weighting: str) -> np.ndarray:
+    """D(V_{Z|XYU} || W | .) of every row from its own (U, X, Y, Z)
+    marginal, weighted by the row itself (V) or by the law (P)."""
+    shape = p.joint.probs.shape + (w.z_alphabet.size,)
+    rows = np.ascontiguousarray(
+        batch.marginal(("U", "X", "Y", "Z")).reshape((-1,) + shape))
+    if weighting == "P":
+        return np.array([_p_weighted_divergence(probs, p.joint.probs, w.w)
+                         for probs in rows])
+    h = JointBatch(("U", "X", "Y", "Z"), rows).conditional_entropy(
+        ("Z",), ("U", "X", "Y")).tolist()
+    wb = np.broadcast_to(w.w[None], shape)
+    out = np.empty(len(rows))
+    for i, probs in enumerate(rows):
         mask = probs > 0.0
-        wb = np.broadcast_to(w.w[None], probs.shape)
-        if np.any(wb[mask] == 0.0):
-            return math.inf
-        lin = float((probs[mask] * -np.log2(wb[mask])).sum())
-        h = JointBatch.of(vm).conditional_entropy(("Z",), ("U", "X", "Y"))[0]
-        return lin - float(h)
-    # weighting == "P": conditioning weights come from the law, the kernel
-    # from V; zero-mass V cells contribute nothing (free conditional).
-    law = p.joint.probs
+        out[i] = (math.inf if np.any(wb[mask] == 0.0)
+                  else float((probs[mask] * -np.log2(wb[mask])).sum()) - h[i])
+    return out
+
+
+def _p_weighted_divergence(probs: np.ndarray, law: np.ndarray,
+                           w: np.ndarray) -> float:
+    """D(V_{Z|XYU} || W | P) of one (U, X, Y, Z) joint: conditioning weights
+    from the law, the kernel from V; zero-mass V cells contribute nothing
+    (free conditional)."""
     total = 0.0
     m_uxy = probs.sum(axis=3)
-    for u in range(probs.shape[0]):
-        for x in range(probs.shape[1]):
-            for y in range(probs.shape[2]):
-                mass = float(law[u, x, y])
-                if mass == 0.0 or m_uxy[u, x, y] == 0.0:
-                    continue
-                cond = probs[u, x, y] / m_uxy[u, x, y]
-                row = w.w[x, y]
-                for z in range(cond.size):
-                    if cond[z] == 0.0:
-                        continue
-                    if row[z] == 0.0:
-                        return math.inf
-                    total += mass * cond[z] * math.log2(cond[z] / row[z])
+    for u, x, y in np.ndindex(m_uxy.shape):
+        mass = float(law[u, x, y])
+        if mass == 0.0 or m_uxy[u, x, y] == 0.0:
+            continue
+        for c, r in zip(probs[u, x, y] / m_uxy[u, x, y], w[x, y]):
+            if c == 0.0:
+                continue
+            if r == 0.0:
+                return math.inf
+            total += mass * c * math.log2(c / r)
     return total
 
 
-@dataclass(frozen=True)
-class _ObjectiveTerms:
-    """The parts of one branch objective at one joint that no rate changes."""
-
-    lhs: tuple[float, ...]      # ``_check_lhs`` of the branch's pins and constraints
-    alpha_diff: float | None    # equivocation of true minus competitor pair
-    divergence: float
-    mi_xy: float
-    clamp_base: float
-
-
-def _objective_terms(spec: BranchSpec, v: JointDist, w: Channel, p: InputLaw,
-                     weighting: str) -> _ObjectiveTerms:
-    batch = JointBatch.of(v)
+def _objective_terms(spec: BranchSpec, batch: JointBatch, w: Channel,
+                     p: InputLaw, weighting: str) -> tuple:
+    """Every row's parts of the branch objective that no rate changes: the
+    ``_check_lhs`` left sides, the equivocation of the true pair less the
+    competitor's (None without a competitor), the divergence, I(X;Y|U)
+    and the clamp's sum of mutual informations."""
     alpha_diff = None
     if spec.alpha_competitor is not None:
-        alpha_diff = pair_equivocation(v) - float(
-            batch.conditional_entropy(spec.alpha_competitor, ("Z", "U"))[0])
-    mi_xy = float(batch.conditional_mutual_information(("X",), ("Y",), ("U",))[0])
+        alpha_diff = (batch.conditional_entropy(("X", "Y"), ("Z", "U"))
+                      - batch.conditional_entropy(spec.alpha_competitor, ("Z", "U")))
+    divergence = _divergences(batch, w, p, weighting)
+    mi_xy = batch.conditional_mutual_information(("X",), ("Y",), ("U",))
     # every term is a divergence or mutual information, hence >= 0; clamp
-    # away the ulp-scale negatives float cancellation can leave behind
-    return _ObjectiveTerms(
-        lhs=tuple(_check_lhs(batch, p, spec.marginal_eq,
-                             spec.constraints)[0].tolist()),
-        alpha_diff=alpha_diff,
-        divergence=max(0.0, _divergence_term(v, w, p, weighting)),
-        mi_xy=max(0.0, mi_xy),
-        clamp_base=float(_mi_sum(batch, spec.clamp_terms)[0]),
-    )
+    # away the ulp-scale negatives float cancellation can leave behind (and
+    # -0.0, as max(0.0, x) does and np.maximum need not)
+    return (_check_lhs(batch, p, spec.marginal_eq, spec.constraints), alpha_diff,
+            np.where(divergence > 0.0, divergence, 0.0),
+            np.where(mi_xy > 0.0, mi_xy, 0.0), _mi_sum(batch, spec.clamp_terms))
 
 
-def _objective_report(spec: BranchSpec, terms: _ObjectiveTerms,
-                      rates: RatePair, delta: float,
-                      marginal_tol: float) -> ObjectiveReport:
-    """The objective and feasibility at these rates from its terms."""
-    rhs, broken = _verdict(np.array(terms.lhs), len(spec.marginal_eq),
-                           spec.constraints, rates, delta, marginal_tol)
-    violations = _violations(_check_names(spec.marginal_eq, spec.constraints),
-                             terms.lhs, rhs, broken)
-    diff = terms.alpha_diff
-    if diff is not None and not diff >= -ALPHA_TOL:
-        violations.append(ConstraintViolation("equivocation_order", diff, -ALPHA_TOL))
-    clamp = max(0.0, terms.clamp_base - rate_sum(spec.clamp_offset,
-                                                 rates.rx, rates.ry))
-    value = terms.divergence + terms.mi_xy + clamp
-    if value < ZERO_SNAP:
-        value = 0.0
-    return ObjectiveReport(value, terms.divergence, terms.mi_xy, clamp,
-                           len(violations) == 0, tuple(violations))
+def _judge(spec: BranchSpec, terms: tuple, rates: RatePair, delta: float,
+           marginal_tol: float) -> tuple[np.ndarray, np.ndarray, ConfusabilityChecks]:
+    """Every row's value, clamp and checks at these rates, from its
+    ``_objective_terms``: the ``_verdict``, then with a competitor the
+    equivocation order against -ALPHA_TOL."""
+    lhs, alpha_diff, divergence, mi_xy, clamp_base = terms
+    names = _check_names(spec.marginal_eq, spec.constraints)
+    rhs, broken = _verdict(lhs, len(spec.marginal_eq), spec.constraints,
+                           rates, delta, marginal_tol)
+    if alpha_diff is not None:
+        names, rhs = names + ("equivocation_order",), rhs + (-ALPHA_TOL,)
+        lhs = np.column_stack([lhs, alpha_diff])
+        broken = np.column_stack([broken, ~(alpha_diff >= -ALPHA_TOL)])
+    clamp = clamp_base - rate_sum(spec.clamp_offset, rates.rx, rates.ry)
+    clamp = np.where(clamp > 0.0, clamp, 0.0)
+    value = divergence + mi_xy + clamp
+    return (np.where(value < ZERO_SNAP, 0.0, value), clamp,
+            ConfusabilityChecks(names, lhs, rhs, broken))
 
 
 def branch_objective(spec: BranchSpec | str, v: JointDist, rates: RatePair,
                      w: Channel, p: InputLaw, delta: float = 0.0,
                      weighting: str = "V", marginal_tol: float = EQ_TOL
                      ) -> ObjectiveReport:
-    """Scalar evaluation of one branch's objective and feasibility at V.
+    """One branch's objective and feasibility at V, judged as the solver
+    judges each candidate (here a batch of one).  A name is an expurgated
+    branch's key or a baseline one's with the prefix "baseline_".
 
     The value is computed regardless of feasibility so results can be
     re-verified at reported argmins; violations list what fails.
     """
     if isinstance(spec, str):
-        spec = BRANCH_SPECS.get(spec) or BASELINE_SPECS[spec.removeprefix("baseline_")]
+        named = {**BRANCH_SPECS, **{f"baseline_{branch}": s
+                                    for branch, s in BASELINE_SPECS.items()}}
+        (spec,) = _one_branch(named, spec).values()
     if v.labels != spec.labels:
         raise ValidationError(
             f"branch {spec.name}: expected axes {spec.labels}, got {v.labels}"
         )
-    return _objective_report(spec, _objective_terms(spec, v, w, p, weighting),
-                             rates, delta, marginal_tol)
+    terms = _objective_terms(spec, JointBatch.of(v), w, p, weighting)
+    value, clamp, checks = _judge(spec, terms, rates, delta, marginal_tol)
+    divergence, mi_xy = terms[2:4]
+    violations = tuple(checks.violations(0))
+    return ObjectiveReport(float(value[0]), float(divergence[0]), float(mi_xy[0]),
+                           float(clamp[0]), not violations, violations)
 
 
-def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> JointDist:
-    """Zero-divergence candidate: law x competitor copies x channel.
+def _anchor_joint(spec: BranchSpec, axes: tuple[Alphabet, ...], p: InputLaw,
+                  w: Channel, kind: str) -> JointDist:
+    """Zero-divergence candidate over the branch's ``axes``: law x
+    competitor copies x channel.
 
     kind 'fresh' draws each competitor axis independently from the same
     conditional law; kind 'diag' makes it an exact duplicate of the true
@@ -443,7 +450,7 @@ def _anchor_joint(spec: BranchSpec, p: InputLaw, w: Channel, kind: str) -> Joint
                 cond = place(cond, ("U", wrong), labels)
             arr = arr * cond
     arr = arr * place(w.w, ("X", "Y", "Z"), labels)
-    return JointDist(_branch_axes(spec, p, w), arr)
+    return JointDist(axes, arr)
 
 
 # Content-keyed memos: the command line loads fresh law and channel objects
@@ -478,42 +485,41 @@ def _one_message_senders(p: InputLaw, rates: RatePair) -> set:
             if rate == 0.0 and (probs.any(axis=other).sum(axis=1) <= 1).all()}
 
 
-def _anchor(spec: BranchSpec, p: InputLaw, w: Channel, kind: str,
-            weighting: str) -> tuple[JointDist, _ObjectiveTerms]:
-    """An anchor joint and its objective terms, computed once per content."""
+def _anchors(spec: BranchSpec, axes: tuple[Alphabet, ...], p: InputLaw,
+             w: Channel, weighting: str) -> tuple[tuple[JointDist, ...], tuple]:
+    """The branch's anchor joints in declaration order and their
+    ``_objective_terms`` as rows of one batch, computed once per content."""
     def compute():
-        joint = _anchor_joint(spec, p, w, kind)
-        return joint, _objective_terms(spec, joint, w, p, weighting)
-    return memoised(_ANCHORS, (spec, kind, weighting, _law_key(p), _channel_key(w)),
+        joints = tuple(_anchor_joint(spec, axes, p, w, kind)
+                       for kind in spec.anchors)
+        batch = JointBatch(spec.labels, np.stack([j.probs for j in joints]))
+        return joints, _objective_terms(spec, batch, w, p, weighting)
+    return memoised(_ANCHORS, (spec, weighting, _law_key(p), _channel_key(w)),
                     compute)
 
 
 def _branch_axes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[Alphabet, ...]:
-    """The branch's axes: the law's alphabets, wrong words as copies of
-    the true ones, and the channel's output."""
-    check_law_channel(p.joint, w)
+    """The branch's axes: the law's alphabets, wrong words as copies of the
+    true ones, and the channel's output, relabelled where a label differs."""
     u_ax, x_ax, y_ax = p.joint.axes
-    by_label = {
-        "U": u_ax, "X": x_ax, "Y": y_ax,
-        "X~": x_ax.relabel("X~"), "Y~": y_ax.relabel("Y~"),
-        "Z": w.z_alphabet.relabel("Z"),
-    }
-    return tuple(by_label[lab] for lab in spec.labels)
+    source = {"U": u_ax, "X": x_ax, "Y": y_ax, "X~": x_ax, "Y~": y_ax,
+              "Z": w.z_alphabet}
+    return tuple(source[lab] if source[lab].label == lab
+                 else source[lab].relabel(lab) for lab in spec.labels)
 
 
-def _branch_sizes(spec: BranchSpec, p: InputLaw, w: Channel) -> tuple[int, ...]:
-    return tuple(a.size for a in _branch_axes(spec, p, w))
-
-
-def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
+def _refine_result(spec: BranchSpec, start: JointDist, value: float,
                    rates: RatePair, w: Channel, p: InputLaw, delta: float,
-                   solver: SolverSpec) -> tuple[float, JointDist, bool]:
-    """Greedy local descent around the lattice argmin.
+                   solver: SolverSpec) -> tuple[float, JointDist]:
+    """Greedy local descent around the lattice argmin; ``start`` itself
+    when no step improves on it.
 
     Steps of size 1/(4d) along cell-pair exchange directions projected
     onto the null space of the pinned-marginal map, so the argmin's
     realized marginals are preserved exactly; candidates are accepted only
-    when they stay feasible and strictly improve the objective.
+    when they stay feasible and strictly improve the objective.  The moves
+    from each cell i are one batch; a step keeps the first strict best in
+    (i, j) order.
     """
     d = solver.lattice_denominator
     sizes = start.probs.shape
@@ -527,45 +533,39 @@ def _refine_result(spec: BranchSpec, start: JointDist, start_value: float,
     projector = np.eye(cells) - np.linalg.pinv(a_mat) @ a_mat
 
     step = 1.0 / (4.0 * d)
-    vec = start.probs.ravel().copy()
-    value = start_value
-    improved_any = False
+    tol = pin_half_width(d) + 1e-9
     for _ in range(solver.refine_steps):
-        best = None
+        vec, best = start.probs.ravel(), None
         for i in range(cells):
-            for j in range(cells):
-                if i == j:
-                    continue
-                direction = projector[:, i] - projector[:, j]
-                peak = np.abs(direction).max()
-                if peak < 1e-12:
-                    continue
-                cand = vec + direction * (step / peak)
-                if cand.min() < -1e-12:
-                    continue
-                cand = np.clip(cand, 0.0, None)
-                joint = JointDist(start.axes, cand.reshape(sizes))
-                rep = branch_objective(spec, joint, rates, w, p, delta,
-                                       solver.divergence_weighting,
-                                       marginal_tol=pin_half_width(d) + 1e-9)
-                if rep.feasible and rep.value < value:
-                    if best is None or rep.value < best[0]:
-                        best = (rep.value, joint)
+            # row j: projector[:, i] - projector[:, j]; the peak test drops j = i
+            directions = (projector[:, i, None] - projector).T
+            peak = np.abs(directions).max(axis=1)
+            moved = ~(peak < 1e-12)
+            cands = vec + directions[moved] * (step / peak[moved])[:, None]
+            cands = np.clip(cands[~(cands.min(axis=1) < -1e-12)], 0.0, None)
+            if not len(cands):
+                continue
+            batch = JointBatch.renormalised(spec.labels,
+                                            cands.reshape((-1,) + sizes))
+            values, _, checks = _judge(spec, _objective_terms(
+                spec, batch, w, p, solver.divergence_weighting),
+                rates, delta, tol)
+            values[checks.violated.any(axis=1)] = math.inf
+            k = int(np.argmin(values))
+            if values[k] < value:
+                value, best = float(values[k]), cands[k]
         if best is None:
             break
-        value, start = best
-        vec = start.probs.ravel().copy()
-        improved_any = True
-    return value, start, improved_any
+        start = JointDist(start.axes, best.reshape(sizes))
+    return value, start
 
 
-def _solve_branch(branch: str, spec: BranchSpec, planned: tuple,
-                  rates: RatePair, w: Channel, p: InputLaw, delta: float,
-                  solver: SolverSpec) -> ExponentResult:
-    """The least of the branch's lattice minimum, built from ``planned``
-    (see ``plan_lattice``), and its feasible anchors, refined if asked;
-    ties resolve to the lattice, then the anchors in declaration order."""
-    axes = _branch_axes(spec, p, w)
+def _solve_branch(branch: str, spec: BranchSpec, axes: tuple[Alphabet, ...],
+                  planned: tuple, rates: RatePair, w: Channel, p: InputLaw,
+                  delta: float, solver: SolverSpec) -> ExponentResult:
+    """The least of the lattice minimum over ``axes``, built from ``planned``
+    (see ``plan_lattice``), and the feasible anchors, refined if asked; ties
+    resolve to the lattice, then the anchors in declaration order."""
     sizes = tuple(a.size for a in axes)
     d = solver.lattice_denominator
     lm = _law_marginals(p)
@@ -580,11 +580,11 @@ def _solve_branch(branch: str, spec: BranchSpec, planned: tuple,
     elif any_feas:
         # feasible points exist but every objective is infinite
         candidates.append((math.inf, "lattice", None))
-    for kind in spec.anchors:
-        joint, terms = _anchor(spec, p, w, kind, solver.divergence_weighting)
-        rep = _objective_report(spec, terms, rates, delta, pin_half_width(d))
-        if rep.feasible:
-            candidates.append((rep.value, f"anchor_{kind}", joint))
+    joints, terms = _anchors(spec, axes, p, w, solver.divergence_weighting)
+    values, _, checks = _judge(spec, terms, rates, delta, pin_half_width(d))
+    candidates += [(value, f"anchor_{kind}", joint) for kind, joint, value, bad
+                   in zip(spec.anchors, joints, values.tolist(),
+                          checks.violated.any(axis=1)) if not bad]
 
     if not candidates:
         return ExponentResult(math.inf, branch, None, d, delta,
@@ -593,9 +593,9 @@ def _solve_branch(branch: str, spec: BranchSpec, planned: tuple,
 
     if solver.refine_steps > 0 and best_joint is not None \
             and math.isfinite(best_val):
-        new_val, new_joint, moved = _refine_result(
+        new_val, new_joint = _refine_result(
             spec, best_joint, best_val, rates, w, p, delta, solver)
-        if moved:
+        if new_joint is not best_joint:
             best_val, best_joint, best_src = new_val, new_joint, "refined"
 
     return ExponentResult(best_val, branch, best_joint, d, delta,
@@ -621,11 +621,13 @@ def _least_branch(specs: dict, rates: RatePair, w: Channel, p: InputLaw,
         raise ValidationError(
             "no branch left: each confuses a sender at rate 0 that has one "
             "possible codeword under the law")
-    plans = {branch: plan_lattice(spec, _branch_sizes(spec, p, w),
+    check_law_channel(p.joint, w)
+    axes = {branch: _branch_axes(spec, p, w) for branch, spec in specs.items()}
+    plans = {branch: plan_lattice(spec, tuple(a.size for a in axes[branch]),
                                   solver.lattice_denominator, _law_marginals(p))
              for branch, spec in specs.items()}
-    return min((_solve_branch(branch, spec, plans[branch], rates, w, p, delta,
-                              solver)
+    return min((_solve_branch(branch, spec, axes[branch], plans[branch], rates,
+                              w, p, delta, solver)
                 for branch, spec in specs.items()), key=lambda res: res.value)
 
 

@@ -55,6 +55,13 @@ class Alphabet:
         return Alphabet(self.size, label)
 
 
+def check_sizes(what: str, got, want) -> None:
+    """Refuse alphabets ``got`` unless their sizes are those of ``want``."""
+    got, want = tuple(a.size for a in got), tuple(a.size for a in want)
+    if got != want:
+        raise ValidationError(f"{what}: alphabet sizes {got} do not match {want}")
+
+
 def _check_entries(arr: np.ndarray, what: str) -> None:
     """Refuse a non-finite or negative entry of an array of probabilities
     (or of integer counts)."""
@@ -118,9 +125,7 @@ class JointDist:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
-        labels = [a.label for a in self.axes]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate axis labels {labels}")
+        _axis_indices(self.labels, self.labels)  # refuses repeated labels
         shape = tuple(a.size for a in self.axes)
         object.__setattr__(self, "probs", _clean_probs(self.probs, shape, "JointDist"))
 
@@ -316,8 +321,7 @@ class JointBatch:
     def __init__(self, labels, probs, n: int | None = None) -> None:
         rows = np.asarray(probs, dtype=np.float64 if n is None else None)
         self._setup(labels, rows, n)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError(f"duplicate axis labels {self.labels}")
+        _axis_indices(self.labels, self.labels)  # refuses repeated labels
         if rows.ndim != len(self.labels) + 1:
             raise ValidationError(
                 f"JointBatch: expected {len(self.labels) + 1} dimensions, "
@@ -468,8 +472,7 @@ def conditional_mutual_information(joint: JointDist, a, b, c=()) -> float:
 
 def kl_divergence(p: Dist, q: Dist) -> float:
     """D(p || q) in bits; +inf when p puts mass where q has none."""
-    if p.alphabet.size != q.alphabet.size:
-        raise ValidationError("kl_divergence: alphabet size mismatch")
+    check_sizes("kl_divergence", (p.alphabet,), (q.alphabet,))
     return _kl_rows(p.probs, q.probs)
 
 
@@ -519,10 +522,8 @@ def conditional_kl_divergence(v: Channel, w: Channel, p) -> float:
     (extra axes, e.g. a time-sharing variable the channels ignore, are
     marginalized away) or a plain 2-D JointDist over (x, y).
     """
-    for a, b in ((v.x_alphabet, w.x_alphabet), (v.y_alphabet, w.y_alphabet),
-                 (v.z_alphabet, w.z_alphabet)):
-        if a.size != b.size:
-            raise ValidationError("conditional_kl_divergence: alphabet mismatch")
+    check_sizes("conditional_kl_divergence", (v.x_alphabet, v.y_alphabet, v.z_alphabet),
+                (w.x_alphabet, w.y_alphabet, w.z_alphabet))
     if not isinstance(p, JointDist):
         raise ValidationError("conditional_kl_divergence: p must be a JointDist")
     xl, yl = v.x_alphabet.label, v.y_alphabet.label

@@ -27,7 +27,7 @@ from .errors import (
     check_count,
     check_symbols,
 )
-from .probability import Alphabet, JointDist
+from .probability import Alphabet, JointDist, _check_entries, check_sizes
 
 # Rows x cells of one enumeration, at one byte a count.  compositions_array
 # holds only its result while it builds; a caller that converts the rows to
@@ -75,8 +75,7 @@ class TypeVector:
         if not np.issubdtype(counts.dtype, np.integer):
             raise ValidationError("TypeVector: counts must be integers")
         counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            raise ValidationError("TypeVector: negative counts")
+        _check_entries(counts, "TypeVector")
         check_count("TypeVector: n", self.n, 1)
         if int(counts.sum()) != self.n:
             raise ValidationError(
@@ -264,8 +263,7 @@ def in_type_class(t: TypeVector, seqs) -> bool:
     if any(len(s) != t.n for s in seqs):
         return False
     e = empirical_type(seqs)
-    if tuple(a.size for a in e.axes) != tuple(a.size for a in t.axes):
-        raise ValidationError("in_type_class: alphabet size mismatch")
+    check_sizes("in_type_class", e.axes, t.axes)
     return bool(np.array_equal(e.counts, t.counts))
 
 
@@ -288,8 +286,7 @@ def sample_conditional_type_class(p_cond: TypeVector, u: SymbolSequence,
         raise ValidationError("sample_conditional_type_class: p_cond must be (U, X)")
     if len(u) != p_cond.n:
         raise ValidationError("sample_conditional_type_class: u length != type n")
-    if u.alphabet.size != p_cond.axes[0].size:
-        raise ValidationError("sample_conditional_type_class: u alphabet mismatch")
+    check_sizes("sample_conditional_type_class: u", (u.alphabet,), p_cond.axes[:1])
     rng = _as_rng(rng)
     u_arr = u.array()
     u_counts = np.bincount(u_arr, minlength=u.alphabet.size)

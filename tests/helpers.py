@@ -9,6 +9,7 @@ import numpy as np
 
 from macexp import Alphabet, Channel, InputLaw, SymbolSequence, TypeVector
 from macexp.codebooks import generate_codebooks
+from macexp.exponents import _branch_axes
 
 
 def chan(rows3) -> Channel:
@@ -61,6 +62,11 @@ UNIFORM_COMPONENTS = ([1.0], [[0.5, 0.5]], [[0.5, 0.5]])
 
 def uniform_law() -> InputLaw:
     return InputLaw.from_components(*UNIFORM_COMPONENTS)
+
+
+def branch_sizes(spec, law: InputLaw, w: Channel) -> tuple[int, ...]:
+    """The axis sizes of a branch over this law and channel."""
+    return tuple(a.size for a in _branch_axes(spec, law, w))
 
 
 def binary_codebooks(n: int, m_x: int, m_y: int, seed: int,

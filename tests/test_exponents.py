@@ -6,6 +6,7 @@ independently coded objective) and frozen after the engine matched each
 one to within 1e-12; frozen-value comparisons run at 1e-9.
 """
 
+import hashlib
 import math
 from itertools import combinations, combinations_with_replacement
 
@@ -41,14 +42,13 @@ from macexp import exponents, lattice, probability
 from macexp.exponents import (
     PACKING_FAMILIES,
     ConstraintViolation,
-    _anchor,
     _anchor_joint,
-    _branch_sizes,
-    _divergence_term,
+    _anchors,
+    _branch_axes,
+    _judge,
     _law_marginals,
-    _objective_report,
     _objective_terms,
-    _ObjectiveTerms,
+    _p_weighted_divergence,
     _pareto_front,
     confusability_checks,
     family_exponents,
@@ -68,6 +68,7 @@ from macexp.typeclasses import TypeVector, compositions_array
 import exhaustive_oracle as oracle
 from helpers import (
     adder_channel,
+    branch_sizes,
     chan,
     identity_channel,
     random_channel,
@@ -210,9 +211,10 @@ def _violations(v: JointDist, p: InputLaw, pins, constraints, rates: RatePair,
 
 
 def _scalar_terms(spec, v: JointDist, w: Channel, p: InputLaw,
-                  weighting: str) -> _ObjectiveTerms:
-    """``_objective_terms`` of one joint.  Under P weighting the divergence
-    is the package's own scalar loop, which has no batched twin."""
+                  weighting: str) -> tuple:
+    """``_objective_terms`` of one joint, as ``_row_terms`` gives a row's.
+    Under P weighting the divergence is the package's own scalar loop,
+    which has no batched twin."""
     alpha_diff = None
     if spec.alpha_competitor is not None:
         alpha_diff = (conditional_entropy(v, ("X", "Y"), ("Z", "U"))
@@ -226,16 +228,23 @@ def _scalar_terms(spec, v: JointDist, w: Channel, p: InputLaw,
             divergence = (float((vm.probs[mask] * -np.log2(wb[mask])).sum())
                           - conditional_entropy(vm, ("Z",), ("U", "X", "Y")))
     else:
-        divergence = _divergence_term(v, w, p, "P")
-    return _ObjectiveTerms(
-        lhs=tuple(_pin_gaps(v, p, spec.marginal_eq)
+        divergence = _p_weighted_divergence(
+            marginalize(v, ("U", "X", "Y", "Z")).probs, p.joint.probs, w.w)
+    return (tuple(_pin_gaps(v, p, spec.marginal_eq)
                   + [_constraint_lhs(v, c) for c in spec.constraints]),
-        alpha_diff=alpha_diff,
-        divergence=max(0.0, divergence),
-        mi_xy=max(0.0, conditional_mutual_information(v, ("X",), ("Y",), ("U",))),
-        clamp_base=sum(conditional_mutual_information(v, t.a, t.b, t.c)
-                       for t in spec.clamp_terms),
-    )
+            alpha_diff,
+            max(0.0, divergence),
+            max(0.0, conditional_mutual_information(v, ("X",), ("Y",), ("U",))),
+            sum(conditional_mutual_information(v, t.a, t.b, t.c)
+                for t in spec.clamp_terms))
+
+
+def _row_terms(terms, i: int) -> tuple:
+    """Row i of batched ``_objective_terms`` as Python floats."""
+    lhs, alpha_diff, divergence, mi_xy, clamp_base = terms
+    return (tuple(lhs[i].tolist()),
+            None if alpha_diff is None else float(alpha_diff[i]),
+            float(divergence[i]), float(mi_xy[i]), float(clamp_base[i]))
 
 
 class TestPackingExponents:
@@ -634,6 +643,26 @@ class TestBranchExponents:
         assert abs(rep.value - res.value) <= 1e-9
 
 
+class TestBranchObjectiveNames:
+    @pytest.mark.parametrize("name", ["Q", "baseline_Q", "baseline_", "x"])
+    def test_an_unknown_name_lists_the_valid_ones(self, name):
+        joint = joint_from_law_and_channel(uniform_law().joint, xor_bsc(0.1))
+        with pytest.raises(ValidationError, match=(
+                r"^branch must be one of \['X', 'XY', 'Y', 'baseline_X', "
+                r"'baseline_XY', 'baseline_Y'\]$")):
+            branch_objective(name, joint, RatePair(0.1, 0.1), xor_bsc(0.1),
+                             uniform_law())
+
+    @pytest.mark.parametrize("name", ["X", "baseline_XY"])
+    def test_a_name_resolves_to_its_spec(self, name):
+        spec = {**BRANCH_SPECS, "baseline_XY": BASELINE_SPECS["XY"]}[name]
+        axes = _branch_axes(spec, uniform_law(), xor_bsc(0.1))
+        joint = _anchor_joint(spec, axes, uniform_law(), xor_bsc(0.1),
+                              spec.anchors[0])
+        args = (joint, RatePair(0.3, 0.2), xor_bsc(0.1), uniform_law())
+        assert branch_objective(name, *args) == branch_objective(spec, *args)
+
+
 class TestExponentResultContracts:
     def test_value_reevaluates_at_argmin(self):
         law = uniform_law()
@@ -709,6 +738,27 @@ class TestExponentResultContracts:
             refined = branch_exponent(branch, RatePair(0.7, 0.7), w, law,
                                       solver=spec)
             assert refined.value <= plain.value + 1e-12
+
+    # recorded before the moves were scored as batches: each value as its
+    # repr, and a SHA-256 of the argmin's probabilities
+    @pytest.mark.parametrize("weighting,rate,value,branch,digest", [
+        ("V", 0.3, 0.29520609628010536, "Y",
+         "cfb2a69ff3525e51c8323c62f0de7eb398a868144ee637dd61546b54908bc785"),
+        ("V", 0.6, 0.348243718625339, "XY",
+         "6a48499260be5e434c643dc9b14ff8ecfd3911f2a2f17d9ba417173fd7c6320f"),
+        ("P", 0.3, 0.28325077425506584, "X",
+         "b6edb79d87117b2e98bb5573c0fc0e5a87675adc0d9a7b3458749e63f2b9f451"),
+        ("P", 0.6, 0.35764215567461655, "XY",
+         "c4df5a48e3732a35ef1c73586e53a00c0fe1a4cc7777969c122a2167cc3c62a5"),
+    ])
+    def test_refined_minimum_is_pinned(self, weighting, rate, value, branch,
+                                       digest):
+        solver = SolverSpec(lattice_denominator=6, refine_steps=8,
+                            divergence_weighting=weighting)
+        res = expurgated_exponent(RatePair(rate, rate), xor_bsc(0.1),
+                                  uniform_law(), solver=solver)
+        assert (res.value, res.branch, res.source) == (value, branch, "refined")
+        assert hashlib.sha256(res.argmin.probs.tobytes()).hexdigest() == digest
 
     def test_p_weighting_variant_runs(self):
         law = uniform_law()
@@ -867,21 +917,24 @@ def law_of(px, py=(0.5, 0.5)):
     return InputLaw.from_components([1.0], [list(px)], [list(py)])
 
 
+LAWS = [uniform_law(), SKEW_LAW, TS_LAW, law_of((0.3, 0.7), (0.6, 0.4))]
+CHANNELS = [xor_bsc(0.1), zeros_channel(), adder_channel(),
+            random_channel(np.random.default_rng(7))]
+
+
 @st.composite
 def anchor_cases(draw):
     spec, kind = draw(st.sampled_from(ANCHORS))
-    law = draw(st.sampled_from([uniform_law(), SKEW_LAW, TS_LAW,
-                                law_of((0.3, 0.7), (0.6, 0.4))]))
-    w = draw(st.sampled_from([xor_bsc(0.1), zeros_channel(), adder_channel(),
-                              random_channel(np.random.default_rng(7))]))
+    law = draw(st.sampled_from(LAWS))
+    w = draw(st.sampled_from(CHANNELS))
     weighting = draw(st.sampled_from(["V", "P"]))
     d = draw(st.integers(2, 10))
     delta = draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.2))
     # on a boundary: a rate equal to a constraint's left side, or to the
     # clamp's base, with the other rate random or equal
-    joint = _anchor_joint(spec, law, w, kind)
+    joint = _anchor_joint(spec, _branch_axes(spec, law, w), law, w, kind)
     edges = ([_constraint_lhs(joint, c) for c in spec.constraints]
-             + [_scalar_terms(spec, joint, w, law, weighting).clamp_base])
+             + [_scalar_terms(spec, joint, w, law, weighting)[-1]])
     rate = st.floats(0.0, 2.5) | st.sampled_from(edges)
     rx = draw(rate)
     ry = draw(st.just(rx) | rate)
@@ -893,16 +946,66 @@ class TestAnchorMemo:
     @given(case=anchor_cases())
     def test_memoised_anchor_matches_a_fresh_evaluation(self, case):
         spec, kind, law, w, weighting, d, delta, rates = case
-        joint, terms = _anchor(spec, law, w, kind, weighting)
-        assert _anchor(spec, law, w, kind, weighting)[1] is terms
-        got = _objective_report(spec, terms, rates, delta, 0.5 / d)
-        want = branch_objective(spec, _anchor_joint(spec, law, w, kind), rates,
-                                w, law, delta, weighting, marginal_tol=0.5 / d)
-        assert got.value == want.value
-        assert got.feasible == want.feasible
-        assert got == want
-        assert np.array_equal(joint.probs, _anchor_joint(spec, law, w, kind).probs)
-        assert terms == _scalar_terms(spec, joint, w, law, weighting)
+        axes = _branch_axes(spec, law, w)
+        joints, terms = _anchors(spec, axes, law, w, weighting)
+        assert _anchors(spec, axes, law, w, weighting)[1] is terms
+        i = spec.anchors.index(kind)
+        values, _, checks = _judge(spec, terms, rates, delta, 0.5 / d)
+        fresh = _anchor_joint(spec, axes, law, w, kind)
+        want = branch_objective(spec, fresh, rates, w, law, delta, weighting,
+                                marginal_tol=0.5 / d)
+        assert values[i] == want.value
+        assert tuple(checks.violations(i)) == want.violations
+        assert np.array_equal(joints[i].probs, fresh.probs)
+        assert _row_terms(terms, i) == _scalar_terms(spec, joints[i], w, law,
+                                                     weighting)
+
+
+@st.composite
+def candidate_batches(draw):
+    """A branch's anchors and joints perturbed from them, shuffled into one
+    batch; some perturbations put mass where the anchors have none."""
+    spec = draw(st.sampled_from(list(BRANCH_SPECS.values())
+                                + list(BASELINE_SPECS.values())))
+    law = draw(st.sampled_from(LAWS))
+    w = draw(st.sampled_from(CHANNELS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = _branch_axes(spec, law, w)
+    anchors = [_anchor_joint(spec, axes, law, w, kind).probs
+               for kind in spec.anchors]
+    rows = list(anchors)
+    for _ in range(draw(st.integers(0, 6))):
+        anchor = anchors[rng.integers(len(anchors))]
+        noisy = anchor * rng.uniform(0.5, 1.5, anchor.shape)
+        if rng.random() < 0.5:
+            noisy = noisy + rng.uniform(0.0, 0.05, noisy.shape)
+        rows.append(noisy / noisy.sum())
+    rows = np.stack(rows)[rng.permutation(len(rows))]
+    rates = RatePair(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
+    return (spec, law, w, draw(st.sampled_from(["V", "P"])), rows, rates,
+            draw(st.floats(0.0, 0.2)), draw(st.sampled_from([EQ_TOL, 0.125])))
+
+
+class TestCandidateBatch:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=candidate_batches())
+    def test_each_row_gets_the_bits_it_gets_alone(self, case):
+        spec, law, w, weighting, rows, rates, delta, tol = case
+        terms = _objective_terms(spec, JointBatch(spec.labels, rows), w, law,
+                                 weighting)
+        value, clamp, checks = _judge(spec, terms, rates, delta, tol)
+        for i in range(len(rows)):
+            alone = _objective_terms(spec, JointBatch(spec.labels, rows[i:i + 1]),
+                                     w, law, weighting)
+            for a, b in zip(terms, alone):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a[i].tobytes() == b[0].tobytes()
+            one_value, one_clamp, one = _judge(spec, alone, rates, delta, tol)
+            assert (one.names, one.rhs) == (checks.names, checks.rhs)
+            for a, b in ((value, one_value), (clamp, one_clamp),
+                         (checks.lhs, one.lhs), (checks.violated, one.violated)):
+                assert a[i].tobytes() == b[0].tobytes()
 
 
 def _same_result(a, b):
@@ -918,8 +1021,9 @@ class TestMemoKeys:
     def test_equal_content_laws_share_one_entry(self):
         clear_lattice_cache()
         spec = BRANCH_SPECS["X"]
-        first = _anchor(spec, uniform_law(), xor_bsc(0.1), "diag", "V")
-        assert _anchor(spec, uniform_law(), xor_bsc(0.1), "diag", "V") is first
+        axes = _branch_axes(spec, uniform_law(), xor_bsc(0.1))
+        first = _anchors(spec, axes, uniform_law(), xor_bsc(0.1), "V")
+        assert _anchors(spec, axes, uniform_law(), xor_bsc(0.1), "V") is first
         assert _law_marginals(uniform_law()) is _law_marginals(uniform_law())
         assert len(exponents._ANCHORS) == 1
 
@@ -930,12 +1034,17 @@ class TestMemoKeys:
         bumped = w.w.copy()
         bumped[1, 0, 0] = np.nextafter(bumped[1, 0, 0], 1.0)
         relabelled = Channel(w.x_alphabet, w.y_alphabet, Alphabet(2, "Q"), w.w)
-        first = _anchor(spec, law, w, "fresh", "V")
+        axes = _branch_axes(spec, law, w)
+        first = _anchors(spec, axes, law, w, "V")
         for other in (chan(bumped), relabelled):
-            entry = _anchor(spec, law, other, "fresh", "V")
+            entry = _anchors(spec, axes, law, other, "V")
             assert entry is not first
-            fresh = _anchor_joint(spec, law, other, "fresh")
-            assert entry[1] == _objective_terms(spec, fresh, other, law, "V")
+            fresh = JointBatch(spec.labels, np.stack([
+                _anchor_joint(spec, axes, law, other, kind).probs
+                for kind in spec.anchors]))
+            want = _objective_terms(spec, fresh, other, law, "V")
+            for i in range(len(spec.anchors)):
+                assert _row_terms(entry[1], i) == _row_terms(want, i)
         assert len(exponents._ANCHORS) == 3
 
     @pytest.mark.parametrize("weighting", ["V", "P"])
@@ -982,7 +1091,7 @@ class TestMemoKeys:
         clear_lattice_cache()
         law, spec = uniform_law(), BRANCH_SPECS["XY"]
         lm = _law_marginals(law)
-        cache = get_cache(spec, _branch_sizes(spec, law, xor_bsc(0.1)), 4, lm)
+        cache = get_cache(spec, branch_sizes(spec, law, xor_bsc(0.1)), 4, lm)
         bare = cache.nbytes
         minimize_branch(cache, 0.4, 0.4, 0.0, lm, xor_bsc(0.1).w)
         assert cache.nbytes == bare + 8 * cache.total

@@ -32,8 +32,7 @@ from macexp import (
 )
 from macexp import lattice
 from macexp.cli import main
-from macexp.exponents import (_branch_axes, _branch_sizes, _divergence_term,
-                              _law_marginals)
+from macexp.exponents import _branch_axes, _divergences, _law_marginals
 from macexp.fileio import channel_to_dict, law_to_dict, save_json
 from macexp.lattice import (
     BASELINE_SPECS,
@@ -45,10 +44,10 @@ from macexp.lattice import (
     get_cache,
     minimize_branch,
 )
-from macexp.probability import JointDist, conditional_mutual_information
+from macexp.probability import JointBatch, JointDist, conditional_mutual_information
 from macexp.typeclasses import compositions_array, xlogx_table
-from helpers import (adder_channel, chan, identity_channel, uniform_law,
-                     xor_bsc)
+from helpers import (adder_channel, branch_sizes, chan, identity_channel,
+                     uniform_law, xor_bsc)
 
 SPECS = {**BRANCH_SPECS, **{s.name: s for s in BASELINE_SPECS.values()}}
 
@@ -177,7 +176,7 @@ class TestPinnedEnumeration:
     @staticmethod
     def check(spec, law, w, d, rx, ry, delta):
         lm = _law_marginals(law)
-        sizes = _branch_sizes(spec, law, w)
+        sizes = branch_sizes(spec, law, w)
         pinned = get_cache(spec, sizes, d, lm)
         full, keep = reference_rows(spec, sizes, d, lm)
         assert np.array_equal(pinned.counts, full[keep])
@@ -204,7 +203,7 @@ class TestPinnedEnumeration:
                                       admissible_counts(spec, 6, lm)):
                 if base == ("U", "X"):     # no count passes for the 3/4 cell
                     assert pin == ((2,), ())
-            cache = get_cache(spec, _branch_sizes(spec, law, xor_bsc(0.1)), 6, lm)
+            cache = get_cache(spec, branch_sizes(spec, law, xor_bsc(0.1)), 6, lm)
             assert cache.total == 0
             assert minimize_branch(cache, 0.5, 0.5, 0.0, lm,
                                    xor_bsc(0.1).w) == (math.inf, None, False)
@@ -260,8 +259,9 @@ class TestValueVector:
     @pytest.mark.parametrize("weighting", ["V", "P"])
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_each_entry_is_the_scalar_divergence_plus_mi(self, case, weighting):
-        # every row's entry against the scalar divergence of its joint, the
-        # one the anchors and --refine evaluate, plus its I(X;Y|U)
+        # every row's entry against the divergence of its joint alone, as a
+        # batch of one row of the candidate batch the anchors and --refine
+        # judge, plus its I(X;Y|U)
         law, w, lattices = self.CASES[case]
         lm = _law_marginals(law)
         for name, d in lattices:
@@ -273,7 +273,7 @@ class TestValueVector:
             minimize_branch(cache, 1.0, 1.0, 0.0, lm, w.w, weighting)
             (vector,) = cache.values.values()
             want = np.array([
-                _divergence_term(v, w, law, weighting)
+                _divergences(JointBatch.of(v), w, law, weighting)[0]
                 + conditional_mutual_information(v, ("X",), ("Y",), ("U",))
                 for v in (JointDist(axes, row.reshape(sizes) / d)
                           for row in cache.counts)])
@@ -292,7 +292,7 @@ class TestChunkedEvaluation:
         law, spec, d = law_of((0.4, 0.6)), BRANCH_SPECS["XY"], 5
         w = chan([[[0.9, 0.1], [0.0, 1.0]], [[0.3, 0.7], [0.5, 0.5]]])
         lm = _law_marginals(law)
-        sizes = _branch_sizes(spec, law, w)
+        sizes = branch_sizes(spec, law, w)
         whole = get_cache(spec, sizes, d, lm)
         want = minimize_branch(whole, 1.0, 0.9, 0.05, lm, w.w, weighting)
         split = cache_from_counts(spec, sizes, d, whole.counts)
@@ -322,7 +322,7 @@ class TestChunkedEvaluation:
         # and of branch X under P_X = (1/4, 3/4) do not
         spec = SPECS[name]
         for law, w in self.BUILD_CASES:
-            lm, sizes = _law_marginals(law), _branch_sizes(spec, law, w)
+            lm, sizes = _law_marginals(law), branch_sizes(spec, law, w)
             for d in (*range(2, 9), 16):
                 plan = lattice._PinnedPlan(spec, sizes, d,
                                            admissible_counts(spec, d, lm),
@@ -341,7 +341,7 @@ class TestChunkedEvaluation:
         # build at the default chunk bytes
         law = law_of((0.4, 0.6))
         for spec in SPECS.values():
-            sizes = _branch_sizes(spec, law, xor_bsc(0.1))
+            sizes = branch_sizes(spec, law, xor_bsc(0.1))
             counts = get_cache(spec, sizes, 5, _law_marginals(law)).counts
             whole = cache_from_counts(spec, sizes, 5, counts)
             row = lattice._sum_chunk(spec, sizes)[2]
@@ -429,7 +429,7 @@ class TestCacheSharing:
         branch_exponent("X", rates, w, law, solver=d5)
         projected = []
         for spec in BASELINE_SPECS.values():
-            sizes = _branch_sizes(spec, law, w)
+            sizes = branch_sizes(spec, law, w)
             rows = lattice._PinnedPlan(
                 spec, sizes, 5, admissible_counts(spec, 5, _law_marginals(law)),
                 lattice.LATTICE_BYTES).rows
@@ -465,11 +465,11 @@ class TestCacheSharing:
         law = uniform_law()
         lm = _law_marginals(law)
         xy = BRANCH_SPECS["XY"]
-        sizes = _branch_sizes(xy, law, xor_bsc(0.1))
+        sizes = branch_sizes(xy, law, xor_bsc(0.1))
         budget = get_cache(xy, sizes, 4, lm).nbytes + 1
         monkeypatch.setattr(lattice, "LATTICE_BYTES", budget)
         x = BRANCH_SPECS["X"]
-        get_cache(x, _branch_sizes(x, law, xor_bsc(0.1)), 4, lm)
+        get_cache(x, branch_sizes(x, law, xor_bsc(0.1)), 4, lm)
         assert [c.spec.name for c in lattice._CACHE.values()] == ["X"]
         assert sum(c.nbytes for c in lattice._CACHE.values()) <= budget
 
@@ -478,7 +478,7 @@ class TestByteGuard:
     def test_denominator_8_runs_branch_xy(self):
         law = uniform_law()
         xy = BRANCH_SPECS["XY"]
-        cache = get_cache(xy, _branch_sizes(xy, law, xor_bsc(0.1)), 8,
+        cache = get_cache(xy, branch_sizes(xy, law, xor_bsc(0.1)), 8,
                           _law_marginals(law))
         assert cache.total == 240_828
         res = branch_exponent("XY", RatePair(0.4, 0.4), xor_bsc(0.1), law,
@@ -491,7 +491,7 @@ class TestByteGuard:
         # plan_lattice projects before allowing them
         clear_lattice_cache()
         law, xy, d = uniform_law(), BRANCH_SPECS["XY"], 8
-        sizes = _branch_sizes(xy, law, xor_bsc(0.1))
+        sizes = branch_sizes(xy, law, xor_bsc(0.1))
         _, chunk, scratch_row = lattice._sum_chunk(xy, sizes)
         stored_row, enum_row = lattice._row_bytes(xy, sizes, d)
         fixed = 1 << 16                     # indicator, cell maps, plan

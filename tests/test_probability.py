@@ -11,6 +11,8 @@ from macexp import (
     Channel,
     Dist,
     JointDist,
+    SymbolSequence,
+    TypeVector,
     ValidationError,
     conditional_entropy,
     conditional_kl_divergence,
@@ -22,6 +24,8 @@ from macexp import (
     product_channel_likelihood,
 )
 from macexp import probability
+from macexp.codebooks import generate_codebooks
+from macexp.typeclasses import in_type_class, sample_conditional_type_class
 from helpers import uniform_law, xor_bsc
 
 # entropy of (3/4, 1/4), direct summation
@@ -422,3 +426,46 @@ class TestJointBatchKernels:
         with pytest.raises(ValidationError, match="JointBatch"):
             probability.JointBatch.from_counts(
                 ("X",), np.asarray([[3, 1], [5, -1]], dtype=np.int8), 4)
+
+
+def _size_mismatches():
+    """Each entry point that compares alphabet sizes, handed a mismatch."""
+    u1, u2, x2 = _alpha("U", 1), _alpha("U", 2), _alpha("X")
+    ux = TypeVector((u2, x2), np.asarray([[1, 1], [1, 1]]), 4)
+    wide = Channel(_alpha("X", 3), _alpha("Y"), _alpha("Z"),
+                   np.full((3, 2, 2), 0.5))
+    return {
+        "kl_divergence": lambda: kl_divergence(_dist([0.5, 0.5]),
+                                               _dist([0.2, 0.3, 0.5])),
+        "conditional_kl_divergence": lambda: conditional_kl_divergence(
+            wide, xor_bsc(0.1), marginalize(uniform_law().joint, ("X", "Y"))),
+        "in_type_class": lambda: in_type_class(
+            TypeVector((_alpha("X", 3),), np.asarray([1, 1, 0]), 2),
+            [SymbolSequence(x2, (0, 1))]),
+        "sample_conditional_type_class": lambda: sample_conditional_type_class(
+            ux, SymbolSequence(u1, (0, 0, 0, 0)), 1),
+        "generate_codebooks": lambda: generate_codebooks(
+            ux, ux, SymbolSequence(_alpha("U", 3), (0, 1, 2, 0)), 1, 1, 1),
+    }
+
+
+@pytest.mark.parametrize("site", list(_size_mismatches()))
+def test_every_site_refuses_an_alphabet_size_mismatch(site):
+    with pytest.raises(ValidationError,
+                       match=rf"^{site}\b.*: alphabet sizes \(.*\) do not match \("):
+        _size_mismatches()[site]()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _joint("XX", np.full((2, 2), 0.25)),
+    lambda: probability.JointBatch(("X", "X"), np.full((1, 2, 2), 0.25)),
+], ids=["JointDist", "JointBatch"])
+def test_repeated_labels_are_refused_alike(build):
+    with pytest.raises(ValidationError,
+                       match=r"^repeated axis labels in \('X', 'X'\)$"):
+        build()
+
+
+def test_type_vector_refuses_a_negative_count_as_probabilities_do():
+    with pytest.raises(ValidationError, match="^TypeVector: negative entries$"):
+        TypeVector((_alpha("X"),), np.asarray([3, -1]), 2)

@@ -68,7 +68,7 @@ from .typeclasses import compositions_array
 def check_delta(delta: float) -> None:
     """Refuse a slack that is negative or not a finite number."""
     if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValidationError(f"delta must be finite and >= 0, got {delta!r}")
+        raise ValidationError(f"delta must be finite and >= 0, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class RatePair:
     def __post_init__(self) -> None:
         if not all(math.isfinite(r) and r >= 0.0 for r in (self.rx, self.ry)):
             raise ValidationError(
-                f"rates must be finite and >= 0, got ({self.rx!r}, {self.ry!r})")
+                f"rates must be finite and >= 0, got ({self.rx}, {self.ry})")
 
     @property
     def lower(self) -> float:

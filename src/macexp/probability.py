@@ -507,8 +507,8 @@ class Channel:
         if np.any(np.abs(sums - 1.0) > RENORM_TOL):
             bad = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
             raise ValidationError(
-                f"Channel: row {bad} sums to {sums[bad]!r}, not 1"
-            )
+                f"Channel: row (x={bad[0]}, y={bad[1]}) sums to "
+                f"{float(sums[bad])}, not 1")
         w = w / sums[:, :, None]
         w = np.ascontiguousarray(w)
         w.flags.writeable = False

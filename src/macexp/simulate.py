@@ -11,19 +11,27 @@ Error probability under uniform messages is computed exactly by output
 enumeration for small |Z|^n, or by Monte Carlo with block-indexed seeding
 so estimates are reproducible and independent of block scheduling.
 
-One block scorer serves every decoder.  It counts the joint types of a
-chunk of received sequences against all candidate pairs with one 2-D
-matrix product: a fixed cell-major 0/1 matrix that marks where each pair
-sits in each (u, x, y) cell, times the chunk's one-hot outputs.  The
-counts are sums of 0/1 products, exact in any summation order.  A pair's
-score adds its x log x terms over the cells in C order; the scorer adds
-them a whole (pair, sequence) block at a time, in the order numpy sums
-one row of them (``probability.term_sums``), so every score keeps the bits
-of a row sum.  It works in chunks whose scratch arrays hold at most
-ENTROPY_CELLS entries each, and decides each chunk along the pair axis
-before scoring the next.  Monte Carlo packs each received sequence
-into int64 code words of radix |Z| (``typeclasses.code_places``), scores
-each distinct code of an RNG block once, and remembers up to MEMO_ENTRIES
+One block scorer serves every decoder.  A score depends only on the
+joint type of (u, x_i, y_j, z), so the scorer sums each type's x log x
+terms once, into a table built per codebook pair.  Pairs with equal
+(u, x, y) counts n_c form a class; a sequence's type with a pair of the
+class is fixed by its counts k_{c,z}, z < |Z| - 1, which the class numbers
+in mixed radix n_c + 1.  One 2-D matrix product gives a chunk of received
+sequences its entries: fixed rows that hold each pair's place of every
+(position, symbol) in its class's numbering, times the chunk's one-hot
+outputs.  The table is built only when all classes together hold at most
+ENTROPY_CELLS entries.  Otherwise the scorer counts the chunk's types
+against all pairs with one product of a fixed cell-major 0/1 matrix, which
+marks where each pair sits in each (u, x, y) cell, and the chunk's one-hot
+outputs.  Products are sums of whole numbers, exact in any summation
+order.  Either way a type's score adds its x log x terms over the cells in
+C order, in the order numpy sums one row of them
+(``probability.term_sums``), so every score keeps the bits of a row sum.
+The scorer works in chunks whose scratch arrays hold at most ENTROPY_CELLS
+entries each, and decides each chunk along the pair axis before scoring
+the next.  Monte Carlo packs each received sequence into int64 code
+words of radix |Z| (``typeclasses.code_places``), scores each distinct
+code of an RNG block once, and remembers up to MEMO_ENTRIES
 decisions across blocks in a sorted code table; one sort of the table and
 the block's codes finds both the block's distinct codes and the remembered
 ones.  The exact path generates its outputs chunk by chunk and adds their
@@ -73,25 +81,15 @@ class _BlockScorer:
     """Decoder scores of blocks of received sequences for one codebook pair."""
 
     def __init__(self, pair: CodebookPair, sz: int) -> None:
-        self.n, self.sz = pair.n, sz
+        n = self.n = pair.n
+        self.sz = sz
         self.p_count = p_count = pair.m_x * pair.m_y
         su, sx, sy = (pair.u_alphabet.size, pair.x_alphabet.size,
                       pair.y_alphabet.size)
         self.uxy = su * sx * sy
         self.cells = self.uxy * sz
         self.su = su
-        # (|U||X||Y| P, n) one-hot, cell-major: row c P + p marks the
-        # positions where pair p sits in (u, x, y) cell c, so its product
-        # with a chunk's (n, |Z| B) output one-hot holds every pair's counts
-        # as (cell, pair, z, sequence).  Counts are sums of at most n ones,
-        # exact in any summation order: in float32 up to n = 2^24
-        cell = ((pair.u_seq * sx + pair.x_book[:, None, :]) * sy
-                + pair.y_book[None, :, :]).reshape(-1, pair.n)
-        self.onehot = np.zeros((self.uxy * p_count, pair.n),
-                               np.float32 if pair.n <= 1 << 24 else np.float64)
-        self.onehot[cell * p_count + np.arange(p_count)[:, None],
-                    np.arange(pair.n)] = 1.0
-        self.table = xlogx_table(pair.n)
+        self.xlogx = xlogx_table(n)
         # per received sequence: the count tensor's P cells entries, the
         # output one-hot's n |Z| and the exact path's P n log-likelihoods;
         # each array of a chunk stays within ENTROPY_CELLS entries (512 KB
@@ -99,13 +97,96 @@ class _BlockScorer:
         # larger score in about the same time and 16 times larger take
         # about 15% longer, at that much more memory
         self.chunk_rows = max(1, ENTROPY_CELLS // max(
-            p_count * max(self.cells, pair.n), pair.n * sz))
+            p_count * max(self.cells, n), n * sz))
         # a chunk's cell codes and x log x terms, reused from chunk to
         # chunk: arrays this large made anew for every chunk can cost a page
         # fault per 4 KB each time, when the allocator hands the freed top
         # of its heap back to the system
         self._codes = np.empty(0, dtype=np.intp)
         self._terms = np.empty(0)
+        # (P, n): the (u, x, y) cell of each pair at each position.  Counts
+        # are sums of at most n ones, exact in any summation order: in
+        # float32 up to n = 2^24
+        cell = ((pair.u_seq * sx + pair.x_book[:, None, :]) * sy
+                + pair.y_book[None, :, :]).reshape(-1, n)
+        self.dtype = np.float32 if n <= 1 << 24 else np.float64
+        self.index, self.types = (self._type_table(cell, pair.u_seq)
+                                  or (None, None))
+        if self.types is None:
+            # (|U||X||Y| P, n) one-hot, cell-major: row c P + p marks the
+            # positions where pair p sits in (u, x, y) cell c, so its
+            # product with a chunk's (n, |Z| B) output one-hot holds every
+            # pair's counts as (cell, pair, z, sequence)
+            self.onehot = np.zeros((self.uxy * p_count, n), self.dtype)
+            self.onehot[cell * p_count + np.arange(p_count)[:, None],
+                        np.arange(n)] = 1.0
+
+    def _type_table(self, cell: np.ndarray, u_seq: np.ndarray):
+        """Index rows and the x log x sum of every joint type a pair can
+        have with a received sequence; None if the sums take more than
+        ENTROPY_CELLS entries.
+
+        Pairs with equal (u, x, y) counts n_c form a class.  A sequence's
+        type with a pair of the class is fixed by its counts k_{c,z} for
+        z < |Z| - 1; the class numbers them in mixed radix n_c + 1, first
+        digit least significant, after the entries of the classes before
+        it.  For |Z| >= 3 no sequence reaches an entry whose last count
+        n_c - sum_z k_{c,z} is negative; it holds some finite value.  The
+        index rows' product with a chunk's (n |Z|, B) output one-hot gives
+        each (pair, sequence) its entry, then the chunk's (u, z) counts:
+        sums of whole numbers below ENTROPY_CELLS and n, exact in float32.
+        """
+        n, sz, p_count = self.n, self.sz, cell.shape[0]
+        counts = np.bincount(
+            (np.arange(p_count)[:, None] * self.uxy + cell).ravel(),
+            minlength=p_count * self.uxy).reshape(p_count, self.uxy)
+        classes, member = distinct_rows(counts)
+        sizes, total = [], 0
+        for row in classes.tolist():
+            sizes.append(math.prod(c + 1 for c in row) ** (sz - 1))
+            total += sizes[-1]
+            if total > ENTROPY_CELLS:
+                return None
+        offsets = np.cumsum([0] + sizes[:-1])
+        # radix and place of every digit k_{c,z}, in (c, z) C order
+        radix = np.repeat(classes + 1, sz - 1, axis=1)
+        place = np.cumprod(radix, axis=1) // radix
+        # each position adds its output symbol's place (the last symbol
+        # has none); the first also adds the class offset
+        places = np.zeros((len(classes), self.uxy, sz), dtype=np.int64)
+        places[:, :, :-1] = place.reshape(len(classes), self.uxy, sz - 1)
+        stride = places[member[:, None], cell]
+        stride[:, 0] += offsets[member][:, None]
+        uz = np.zeros((self.su, sz, n, sz), self.dtype)
+        uz[u_seq[:, None], np.arange(sz), np.arange(n)[:, None],
+           np.arange(sz)] = 1.0
+        index = np.concatenate((stride.reshape(p_count, n * sz),
+                                uz.reshape(-1, n * sz))).astype(self.dtype)
+        types = np.empty(total)
+        step = max(1, ENTROPY_CELLS // self.cells)
+        for start in range(0, total, step):
+            stop = min(start + step, total)
+            entry = np.arange(start, stop)
+            k = np.searchsorted(offsets, entry, side="right") - 1
+            # (u x y, z, entry) count columns of these entries
+            column = np.empty((self.uxy, sz, entry.size), dtype=np.int64)
+            column[:, :-1] = ((entry - offsets[k]) // place[k].T
+                              % radix[k].T).reshape(self.uxy, sz - 1, -1)
+            column[:, -1] = classes[k].T - column[:, :-1].sum(axis=1)
+            types[start:stop] = self._xlogx_sums(column.reshape(self.cells, -1))
+        return index, types
+
+    def _xlogx_sums(self, counts: np.ndarray) -> np.ndarray:
+        """The x log x sum of each column of a (cells, ...) count array,
+        adding its cells in C order as numpy sums one row of them."""
+        if counts.size > self._terms.size:
+            self._terms = np.empty(counts.size)
+        # every count is 0..n, except the negative ones of table entries no
+        # sequence reaches, so "clip" clips no count that is used; unlike
+        # the default mode it lets take write straight into out
+        return term_sums(np.take(
+            self.xlogx, counts, mode="clip",
+            out=self._terms[:counts.size].reshape(counts.shape)))
 
     def score(self, z: np.ndarray):
         """Scores (B, P), winner (B,) and ambiguity (B,) of a (B, n) block.
@@ -114,27 +195,26 @@ class _BlockScorer:
         row minimum; a row is ambiguous when more than one pair is.
         """
         b, n, sz, p_count = z.shape[0], self.n, self.sz, self.p_count
-        size = self.cells * p_count * b
-        if size > self._codes.size:
-            self._codes = np.empty(size, dtype=np.intp)
-            self._terms = np.empty(size)
-        outputs = np.zeros((n, sz, b), dtype=self.onehot.dtype)
+        outputs = np.zeros((n, sz, b), dtype=self.dtype)
         outputs[np.arange(n)[:, None], z.T, np.arange(b)] = 1.0
-        counts = np.matmul(self.onehot, outputs.reshape(n, sz * b))
-        # (u x y, z, pair, sequence): a cell's (P, B) terms are contiguous
-        codes = self._codes[:size].reshape(self.uxy, sz, p_count, b)
-        np.copyto(codes, counts.reshape(self.uxy, p_count, sz, b)
-                  .transpose(0, 2, 1, 3), casting="unsafe")
-        # every code is a count 0..n, so "clip" never clips; unlike the
-        # default mode it lets take write straight into out
-        terms = np.take(self.table, codes, mode="clip",
-                        out=self._terms[:size].reshape(codes.shape))
-        # each (pair, sequence) sums its cells in C order (u, x, y, z), as
-        # numpy sums one row of them
-        xl4 = term_sums(terms.reshape(-1, p_count, b))
-        # any one pair's counts, summed over (x, y): the (u, z) counts
-        cuz = codes[:, :, 0].reshape(self.su, -1, sz, b).sum(axis=1)
-        xl_uz = term_sums(np.take(self.table, cuz).reshape(-1, b))
+        if self.types is not None:
+            found = np.matmul(self.index, outputs.reshape(n * sz, b))
+            xl4 = self.types.take(found[:p_count].astype(np.intp))
+            cuz = found[p_count:].astype(np.intp)
+        else:
+            size = self.cells * p_count * b
+            if size > self._codes.size:
+                self._codes = np.empty(size, dtype=np.intp)
+            counts = np.matmul(self.onehot, outputs.reshape(n, sz * b))
+            # (u x y, z, pair, sequence): a cell's (P, B) counts are
+            # contiguous
+            codes = self._codes[:size].reshape(self.uxy, sz, p_count, b)
+            np.copyto(codes, counts.reshape(self.uxy, p_count, sz, b)
+                      .transpose(0, 2, 1, 3), casting="unsafe")
+            xl4 = self._xlogx_sums(codes.reshape(self.cells, p_count, b))
+            # any one pair's counts, summed over (x, y): the (u, z) counts
+            cuz = codes[:, :, 0].reshape(self.su, -1, sz, b).sum(axis=1)
+        xl_uz = self._xlogx_sums(cuz.reshape(-1, b))
         scores = (xl_uz - xl4) / n
         tied = scores <= scores.min(axis=0) + TIE_TOL
         return scores.T, tied.argmax(axis=0), tied.sum(axis=0) > 1

@@ -357,6 +357,21 @@ class TestSimulateCommand:
         assert "error probability" not in captured.out
         assert not out.exists()
 
+    def test_channel_row_off_one_exits_two(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "chan.json").read_text())
+        doc["rows"][0] = [0.85, 0.05]
+        save_json(tmp_path / "chan.json", doc)
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--codebook", str(workdir / "clean.json"),
+                "--channel", str(tmp_path / "chan.json"), "--exact",
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("macexp: Channel: row (x=0, y=0) sums to "
+                                "0.9, not 1\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_negative_seed_exits_two(self, workdir, capsys):
         argv = ["simulate", "--codebook", str(workdir / "clean.json"),
                 "--channel", str(workdir / "chan.json"), "--seed", "-1"]

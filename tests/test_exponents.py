@@ -102,6 +102,14 @@ class TestRatePairAndSpec:
         with pytest.raises(ValidationError, match="rates must be finite"):
             RatePair(*rates)
 
+    def test_refusals_print_plain_numbers(self):
+        with pytest.raises(ValidationError, match=r"^rates must be finite and "
+                           r">= 0, got \(-0\.1, 0\.0\)$"):
+            RatePair(np.float64(-0.1), 0.0)
+        with pytest.raises(ValidationError, match=r"^delta must be finite and "
+                           r">= 0, got -1\.0$"):
+            exponents.check_delta(np.float64(-1.0))
+
     def test_lower(self):
         assert RatePair(0.4, 0.3).lower == 0.3
 

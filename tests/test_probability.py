@@ -75,6 +75,14 @@ class TestConstruction:
             Channel(_alpha("X"), _alpha("Y"), _alpha("Z"),
                     np.full((2, 2, 2), 0.45))
 
+    def test_channel_row_refusal_prints_plain_numbers(self):
+        # the worst row is named by its inputs, its sum as a plain float
+        w = np.full((2, 3, 2), 0.5)
+        w[1, 2] = [0.5, 0.4]
+        with pytest.raises(ValidationError, match=r"^Channel: row \(x=1, y=2\) "
+                           r"sums to 0\.9, not 1$"):
+            Channel(_alpha("X"), _alpha("Y", 3), _alpha("Z"), w)
+
     def test_joint_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
             _joint("XX", np.full((2, 2), 0.25))

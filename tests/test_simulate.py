@@ -10,6 +10,7 @@ also compared for equality with the one-sequence-at-a-time decoder in
 """
 
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -22,6 +23,7 @@ from helpers import binary_codebooks, identity_channel, xor_bsc
 from macexp import Alphabet, TypeVector, simulate
 from macexp.codebooks import CodebookPair
 from macexp.errors import ScaleGuardError, ValidationError
+from macexp.fileio import codebook_from_dict
 from macexp.probability import Channel, product_channel_likelihood
 from macexp.simulate import (
     _BlockScorer,
@@ -327,6 +329,44 @@ CELL_CASES = {6: (1, 2, 1, 3, 6, 3), 36: (2, 2, 3, 3, 5, 3),
               144: (2, 3, 4, 6, 4, 2), 8: (1, 2, 2, 2, 5, 1)}
 
 
+def pair_classes(pair):
+    """The distinct (u, x, y) counts n_c of the candidate pairs."""
+    sx, sy = pair.x_alphabet.size, pair.y_alphabet.size
+    cells = pair.u_alphabet.size * sx * sy
+    return {tuple(np.bincount((pair.u_seq * sx + x) * sy + y,
+                              minlength=cells).tolist())
+            for x in pair.x_book for y in pair.y_book}
+
+
+def table_entries(pair, sz):
+    """Entries and classes of the scorer's type table: a class of pairs
+    holds prod_c (n_c + 1)^(|Z| - 1) entries."""
+    classes = pair_classes(pair)
+    return (sum(math.prod(c + 1 for c in counts) ** (sz - 1)
+                for counts in classes), len(classes))
+
+
+def decode_book(variant, m=12, n=12):
+    """The books of one variant of perfbench's decode_n12 workload: two
+    books of m distinct binary words with n/2 ones, drawn by shuffling."""
+    rng = random.Random(f"decode-{variant}")
+
+    def book():
+        words = []
+        while len(words) < m:
+            word = [0] * (n // 2) + [1] * (n - n // 2)
+            rng.shuffle(word)
+            if word not in words:
+                words.append(word)
+        return words
+
+    half = [[n // 2, n - n // 2]]
+    return codebook_from_dict({
+        "kind": "codebook_pair", "n": n, "u_size": 1, "x_size": 2,
+        "y_size": 2, "u": [0] * n, "cx": book(), "cy": book(),
+        "p_ux": half, "p_uy": half})
+
+
 ORACLE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 # count cells per scored chunk: one row at a time, a few rows, the default
 CHUNK_BUDGETS = st.sampled_from([1, 400, simulate.ENTROPY_CELLS])
@@ -402,6 +442,8 @@ class TestAgainstOracle:
         pair = binary_codebooks(70, 2, 3, seed=1)
         w = xor_bsc(0.3)
         assert 2 ** pair.n > 2 ** 63
+        assert table_entries(pair, 2)[0] > simulate.ENTROPY_CELLS
+        assert _BlockScorer(pair, 2).types is None
         est = error_prob_mc(pair, w, 500, seed=4)
         assert est.p == oracle.mc_errors(pair, w, 500, 4) / 500
 
@@ -423,6 +465,9 @@ class TestAgainstOracle:
         w[1, 1] = [0.0, 0.5, 0.5]
         w = Channel(alph[1], alph[2], Alphabet(3, "Z"), w)
         assert len(code_places(3, n)) == 2
+        # about 2 10^13 table entries: the per-cell path scores it
+        assert table_entries(pair, 3)[0] > 10 ** 12
+        assert _BlockScorer(pair, 3).types is None
         trials = 2 * simulate.RNG_BLOCK + 808
         want = oracle.mc_errors(pair, w, trials, 8) / trials
         assert 0.0 < want < 1.0
@@ -430,31 +475,47 @@ class TestAgainstOracle:
         monkeypatch.setattr(simulate, "MEMO_ENTRIES", 100)
         assert error_prob_mc(pair, w, trials, seed=8).p == want
 
-    @pytest.mark.parametrize("budget", [1, 400, simulate.ENTROPY_CELLS])
+    @pytest.mark.parametrize("budget", [1, 200, 400, simulate.ENTROPY_CELLS])
     def test_chunk_scratch_stays_within_the_budget(self, monkeypatch, budget):
-        # every count tensor is a matmul of the pairs' one-hot and a chunk's
-        # (n, |Z| B) output one-hot; a chunk of one sequence cannot be split
-        # further
-        shapes = []
-        matmul = np.matmul
+        # the per-cell path's count tensors are products of the pairs'
+        # one-hot and a chunk's (n, |Z| B) output one-hot; the table path's
+        # entries and (u, z) counts are products of its index rows and the
+        # chunk's (n |Z|, B) one-hot.  Every x log x sum adds one array of
+        # terms: a table block's (cells, entries), a chunk's (cells, P, B)
+        # or its (|U||Z|, B).  A chunk of one sequence, or a block of one
+        # entry, cannot be split further
+        shapes, sums = [], []
+        matmul, term_sums = np.matmul, simulate.term_sums
         pair = binary_codebooks(8, 4, 3, seed=6)
         w = xor_bsc(0.2)
+        n, sz = pair.n, w.z_alphabet.size
 
         def spy(cells, outputs):
             counts = matmul(cells, outputs)
-            rows = outputs.shape[1] // w.z_alphabet.size
-            shapes.append((rows, outputs.size, counts.size))
+            table = outputs.shape[0] == n * sz
+            rows = outputs.shape[1] // (1 if table else sz)
+            shapes.append((table, rows, outputs.size, counts.size))
             return counts
+
+        def sum_spy(terms, *args):
+            sums.append((terms.shape[-1], terms.size))
+            return term_sums(terms, *args)
 
         monkeypatch.setattr(simulate, "ENTROPY_CELLS", budget)
         monkeypatch.setattr(np, "matmul", spy)
+        monkeypatch.setattr(simulate, "term_sums", sum_spy)
         error_prob_exact(pair, w)
         error_prob_mc(pair, w, 3000, seed=1)
         monkeypatch.undo()
-        assert shapes
-        for rows, outputs, counts in shapes:
+        assert shapes and sums
+        # 209 entries: the table fits every budget but the two smallest
+        assert table_entries(pair, sz)[0] == 209
+        assert {table for table, *_ in shapes} == {budget >= 209}
+        for _, rows, outputs, counts in shapes:
             assert rows == 1 or max(outputs, counts) <= budget
-        assert (budget == 1) == all(rows == 1 for rows, _, _ in shapes)
+        assert (budget == 1) == all(rows == 1 for _, rows, _, _ in shapes)
+        for columns, size in sums:
+            assert columns == 1 or size <= budget
 
     def test_memo_bound_does_not_change_the_count(self, monkeypatch):
         pair = binary_codebooks(6, 3, 3, seed=2)
@@ -464,6 +525,75 @@ class TestAgainstOracle:
         monkeypatch.setattr(simulate, "MEMO_ENTRIES", 1)
         assert error_prob_mc(pair, w, trials, seed=5).p == bounded.p
         assert bounded.p == oracle.mc_errors(pair, w, trials, 5) / trials
+
+
+TABLE_CASES = {
+    # |U| = 2 and a ternary output, a channel entry zero: the classes hold
+    # entries whose last counts are negative
+    "u2_ternary": lambda: cell_case(2, 2, 2, 3, 5, 3, seed=7),
+    # constant-composition books: pairs share their (u, x, y) counts
+    "shared_classes": lambda: (binary_codebooks(6, 3, 3, seed=2),
+                               xor_bsc(0.1)),
+    "one_pair": lambda: (binary_codebooks(4, 1, 1, seed=3), xor_bsc(0.2)),
+    # at n = 20 scores pass 64, where adding the cells in another order
+    # changes the last bits of about one score in five
+    "long_words": lambda: (binary_codebooks(20, 3, 3, seed=4), xor_bsc(0.2)),
+}
+
+
+class TestTypeTable:
+    @pytest.mark.parametrize("fits", [True, False], ids=["fits", "over"])
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_both_sides_of_the_cap_match_the_oracle(self, monkeypatch, case,
+                                                     fits):
+        pair, w = TABLE_CASES[case]()
+        sz, p_count = w.z_alphabet.size, pair.m_x * pair.m_y
+        entries, classes = table_entries(pair, sz)
+        if case == "u2_ternary":
+            assert pair.u_alphabet.size == 2 and (w.w == 0.0).any()
+            # a class's types: |Z| - 1 counts with sum at most n_c per cell
+            reachable = sum(math.prod(math.comb(c + sz - 1, sz - 1)
+                                      for c in counts)
+                            for counts in pair_classes(pair))
+            assert reachable < entries
+        elif case == "one_pair":
+            assert p_count == 1
+        else:
+            assert classes < p_count
+        monkeypatch.setattr(simulate, "ENTROPY_CELLS",
+                            entries if fits else entries - 1)
+        types = _BlockScorer(pair, sz).types
+        assert (types is not None) == fits
+        assert not fits or types.size == entries
+        if sz ** pair.n <= 1 << 12:  # the oracle enumerates in seconds
+            exact = error_prob_exact(pair, w)
+            err = oracle.exact_errors(pair, w)
+            assert np.array_equal(exact.per_pair.ravel(), err)
+            assert exact.p == float(err.mean())
+        assert (error_prob_mc(pair, w, 3000, seed=4).p
+                == oracle.mc_errors(pair, w, 3000, 4) / 3000)
+        for z in np.random.default_rng(5).integers(0, sz, size=(50, pair.n)):
+            expected = oracle.scores(pair, sz, z)
+            assert np.array_equal(equivocation_scores(pair, w, z).ravel(),
+                                  expected)
+            best, tied = oracle.decide(expected)
+            out = alpha_decode(pair, w, z)
+            assert out.ambiguous == tied and out.score == expected[best]
+            if not tied:
+                assert (out.i, out.j) == divmod(best, pair.m_y)
+
+    @pytest.mark.parametrize("variant", range(12))
+    def test_every_decode_benchmark_book_takes_the_table(self, variant):
+        # 994 or 1043 entries in 5 or 6 classes, against ENTROPY_CELLS
+        pair = decode_book(variant)
+        entries, classes = table_entries(pair, 2)
+        assert entries in (994, 1043) and classes in (5, 6)
+        types = _BlockScorer(pair, 2).types
+        assert types is not None and types.size == entries
+        for z in np.random.default_rng(variant).integers(0, 2, size=(20, 12)):
+            assert np.array_equal(
+                equivocation_scores(pair, xor_bsc(0.05), z).ravel(),
+                oracle.scores(pair, 2, z))
 
 
 class TestDecoderInvariance:

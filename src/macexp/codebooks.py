@@ -15,10 +15,11 @@ family's packing exponent and c its delta coefficient; reports carry the
 smallest delta that would satisfy each family, and each type's tally,
 exact as an integer count over one denominator.  ``expurgate`` halves the
 higher-rate book four times (one family per stage, worst offenders
-dropped) which trades a factor 16 in size for per-pair guarantees, then
-audits the final books from their own tallies: ``audit_confusability``
-re-checks every realized competitor type against the rate-constraint
-family used by the exponent minimization.
+dropped) which trades a factor 16 in size for per-pair guarantees; each
+stage tallies only the message pairs it ranks, against wrong words from
+the whole books.  It then audits the final books from their own tallies:
+``audit_confusability`` re-checks every realized competitor type against
+the rate-constraint family used by the exponent minimization.
 
 A tally is a set of arrays: a family's distinct count rows in ascending
 order, and one (message pair, type, count) entry per type a pair realizes,
@@ -218,12 +219,13 @@ class Tally(NamedTuple):
     ``types`` holds the distinct count rows, one cell per (U, true words,
     wrong words) symbol tuple in C order, in ascending order, as a
     C-contiguous array of the smallest dtype that holds n.  Entry e says
-    that the true-word tuple ``np.unravel_index(pair[e], m)``, of one word
-    per book of sizes ``m``, realizes ``types[type[e]]`` in ``count[e]``
-    wrong-word patterns; each (tuple, type) appears once, in ascending
-    (pair, type) order.  Each field has the smallest unsigned dtype that
-    holds its values: ``pair`` the last tuple, ``count`` the patterns of
-    one tuple, ``type`` the tuples times their patterns.
+    that the true-word tuple ``np.unravel_index(pair[e], m)``, of one
+    tallied word per book with ``m`` the numbers of words tallied,
+    realizes ``types[type[e]]`` in ``count[e]`` wrong-word patterns; each
+    (tuple, type) appears once, in ascending (pair, type) order.  Each
+    field has the smallest unsigned dtype that holds its values: ``pair``
+    the last tuple, ``count`` the patterns of one tuple, ``type`` the
+    tuples times their patterns.
     """
 
     types: np.ndarray
@@ -264,11 +266,12 @@ def _code_factors(code: np.ndarray, wrong_cells: int):
     return alpha, beta
 
 
-def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
+def _tally(u: np.ndarray, su: int, books, competitors, words=None) -> Tally:
     """Tally of every tuple of one word per book, in C order.
 
-    ``books`` holds one (book, alphabet size) pair per true word.  Each
-    wrong word copies the true book named by its position in
+    ``books`` holds one (book, alphabet size) pair per true word, and
+    ``words`` each book's true words to tally (None: every word).  Each
+    wrong word copies the whole true book named by its position in
     ``competitors`` and skips that book's true word; later competitors vary
     fastest.  A position's cell pairs its true-side cell a (u and the true
     words) with its wrong-side cell b, so each code word (``code_places``)
@@ -291,7 +294,10 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     cells = su * math.prod(s for _, s in books) * wrong_cells
     code = code_places(n + 1, cells)
     alpha, beta = _code_factors(code, wrong_cells)
-    m = tuple(book.shape[0] for book, _ in books)
+    sizes = [book.shape[0] for book, _ in books]
+    words = [np.arange(size) if w is None else np.asarray(w, dtype=np.intp)
+             for size, w in zip(sizes, words or [None] * len(books))]
+    m = tuple(map(len, words))
     # cell indices on each side are in C order over that side's axes; the
     # wrong-side cells of every pattern of one word per competitor's book,
     # the patterns in C order
@@ -303,9 +309,9 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     right = beta[:, wrong_cell].reshape(len(code), len(wrong_cell), -1)
     right = np.ascontiguousarray(right.transpose(0, 2, 1))
     # row i of others[c]: the words of competitor c's book other than word i
-    others = [np.nonzero(~np.eye(m[c], dtype=bool))[1].reshape(m[c], -1)
-              for c in competitors]
-    k = math.prod(m[c] - 1 for c in competitors)
+    others = [np.nonzero(~np.eye(sizes[c], dtype=bool))[1].reshape(
+        sizes[c], -1) for c in competitors]
+    k = math.prod(sizes[c] - 1 for c in competitors)
     dtype = np.min_scalar_type(n)
     n_tuples = math.prod(m)
     # (pair, type, count) entries: one array per field, in the smallest
@@ -326,7 +332,8 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     pending = []
     stacked = 0
     for lo in range(0, n_tuples, step):
-        idx = np.unravel_index(np.arange(lo, min(lo + step, n_tuples)), m)
+        idx = [w[i] for w, i in zip(words, np.unravel_index(
+            np.arange(lo, min(lo + step, n_tuples)), m))]
         rows = len(idx[0])
         true_cell = u
         for (book, s), i in zip(books, idx):
@@ -336,8 +343,8 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
         # each tuple's columns: the patterns skipping its true words
         cols = np.zeros((rows, 1), dtype=np.intp)
         for c, o in zip(competitors, others):
-            cols = (cols[:, :, None] * m[c] + o[idx[c]][:, None, :]).reshape(
-                rows, -1)
+            cols = (cols[:, :, None] * sizes[c]
+                    + o[idx[c]][:, None, :]).reshape(rows, -1)
         codes = np.take_along_axis(codes, cols[None], axis=2)
         del cols
         types, local = distinct_rows(codes.reshape(len(code), -1).T)
@@ -375,12 +382,15 @@ def _tally(u: np.ndarray, su: int, books, competitors) -> Tally:
     return Tally(types, m, *entries)
 
 
-def _tally_family(pair: CodebookPair, family: str) -> Tally:
-    """Tally of every message pair (i, j) against the family's wrong words."""
+def _tally_family(pair: CodebookPair, family: str, words=None) -> Tally:
+    """Tally of each message pair (i, j) against the family's wrong words:
+    i and j range over ``words`` (an X and a Y index sequence, None for a
+    whole book; by default both books), the wrong words over whole books."""
     return _tally(pair.u_seq, pair.u_alphabet.size,
                   ((pair.x_book, pair.x_alphabet.size),
                    (pair.y_book, pair.y_alphabet.size)),
-                  [0 if c == "X~" else 1 for c in PACKING_FAMILIES[family][0]])
+                  [0 if c == "X~" else 1 for c in PACKING_FAMILIES[family][0]],
+                  words)
 
 
 def _family_batch(pair: CodebookPair, family: str, tally: Tally) -> JointBatch:
@@ -560,10 +570,10 @@ class ExpurgationResult:
 
 def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
                 rates: RatePair) -> np.ndarray:
-    """(m_x, m_y) grid of each message pair's smallest delta validating its
-    per-pair bounds of the family (0.0 without patterns), with exponents
-    and the min-rate offset taken at ``rates``: the family constraint's
-    bound on each type, less log2(count) / n."""
+    """``tally.m`` grid of each tallied message pair's smallest delta
+    validating its per-pair bounds of the family (0.0 without patterns),
+    with exponents and the min-rate offset taken at ``rates``: the family
+    constraint's bound on each type, less log2(count) / n."""
     f_of = family_exponents(_family_batch(pair, family, tally), family, rates)
     _, _, min_coeff, delta_coeff = PACKING_FAMILIES[family][1].rhs
     # math.log2, as the average needs use: np.log2 can differ in the last bit
@@ -574,7 +584,7 @@ def _pair_needs(pair: CodebookPair, family: str, tally: Tally,
         np.maximum.at(worst, p, _need(log2[tally.count[block]],
                                       f_of[tally.type[block]], pair.n,
                                       min_coeff * rates.lower, delta_coeff))
-    return worst.reshape(pair.m_x, pair.m_y)
+    return worst.reshape(tally.m)
 
 
 def _audit(pair: CodebookPair, tallies: dict[str, Tally], rates: RatePair,
@@ -609,36 +619,61 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
     Scoring is deterministic: a word's score in a family is the largest
     delta needed to validate any per-pair bound it participates in, with
     competitor tallies taken over the original books; the best-scoring
-    ceil(M/2) words survive each stage (ties keep lower indices).  Rates
-    and offsets refer to the original sizes throughout.  Returns the final
-    books, stage logs, the delta each family actually achieves, and the
-    audit of the final books at ``delta`` (as ``audit_confusability``).
+    ceil(M/2) words survive each stage (ties keep lower indices).  A stage
+    tallies only the pairs it ranks: the other book against the words
+    still active.  When no ranked pair needs more than ``delta``, the
+    original books are tallied a family at a time until one does; if none
+    does, the books pass unchanged.  Rates and offsets refer to the
+    original sizes throughout.  Returns the final books, stage logs, the
+    delta each family actually achieves, and the audit of the final books
+    at ``delta`` (as ``audit_confusability``).
     """
     check_delta(delta)
     rates = pair.rates
-    tallies = {f: _tally_family(pair, f) for f in FAMILY_ORDER}
-    needs = {f: _pair_needs(pair, f, tallies[f], rates) for f in FAMILY_ORDER}
-    achieved = {f: float(needs[f].max()) for f in FAMILY_ORDER}
     score_y = rates.rx <= rates.ry
-    book = ("none" if max(achieved.values()) <= delta
-            else "Y" if score_y else "X")
-    final, stages = pair, []
-    kept_x, kept_y = tuple(range(pair.m_x)), tuple(range(pair.m_y))
-    if book != "none" and (pair.m_y if score_y else pair.m_x) >= 2:
-        del tallies  # hold one set of tallies at a time
-        order = (("pair", "triple_x", "triple_y", "quad") if score_y
-                 else ("pair", "triple_y", "triple_x", "quad"))
-        active = list(kept_y if score_y else kept_x)
+    book = "Y" if score_y else "X"
+    size = pair.m_y if score_y else pair.m_x
+
+    def needs(family, active=None):
+        # a tally of every word of the other book against the active words
+        # of the expurgated one (default all), and its grid of needs: rows
+        # the other book's words, columns the active ones
+        tally = _tally_family(pair, family,
+                              (None, active) if score_y else (active, None))
+        grid = _pair_needs(pair, family, tally, rates)
+        return tally, (grid if score_y else grid.T)
+
+    order = (("pair", "triple_x", "triple_y", "quad") if score_y
+             else ("pair", "triple_y", "triple_x", "quad"))
+    # family -> (tally, grid) of the original books, each tallied once
+    full: dict[str, tuple[Tally, np.ndarray]] = {}
+    stages, over = [], False
+    if size >= 2:
+        active = list(range(size))
         for family in order:
-            # rows: the other book's words, columns: the expurgated book's
-            grid = needs[family] if score_y else needs[family].T
-            scores = grid[:, active].max(axis=0)
+            tally, grid = needs(family, active)
+            if len(active) == size:
+                full[family] = tally, grid
+            del tally  # hold one stage's tally at a time
+            over = over or grid.max() > delta
+            scores = grid.max(axis=0)
             keep_count = (len(active) + 1) // 2
             ranking = np.argsort(scores, kind="stable")
             kept = sorted(active[t] for t in ranking[:keep_count])
             stages.append(StageReport(family, book, tuple(kept),
                                       float(scores[ranking[keep_count - 1]])))
             active = kept
+    # no ranked pair needs more than delta: the dropped words decide, or
+    # all four families when no stages ran
+    for family in order:
+        if over and stages:
+            break
+        if family not in full:
+            full[family] = needs(family)
+        over = over or full[family][1].max() > delta
+    kept_x, kept_y = tuple(range(pair.m_x)), tuple(range(pair.m_y))
+    if over and stages:
+        full.clear()  # hold one set of tallies at a time
         kept_x, kept_y = ((kept_x, tuple(active)) if score_y
                           else (tuple(active), kept_y))
         final = pair.restrict(kept_x, kept_y)
@@ -646,6 +681,11 @@ def expurgate(pair: CodebookPair, delta: float) -> ExpurgationResult:
         tallies = {f: _tally_family(final, f) for f in FAMILY_ORDER}
         achieved = {f: float(_pair_needs(final, f, tallies[f], rates).max())
                     for f in FAMILY_ORDER}
+    else:
+        final, stages = pair, []
+        book = book if over else "none"
+        tallies = {f: full[f][0] for f in FAMILY_ORDER}
+        achieved = {f: float(full[f][1].max()) for f in FAMILY_ORDER}
     return ExpurgationResult(
         final=final, kept_x=kept_x, kept_y=kept_y, expurgated_book=book,
         stages=tuple(stages), achieved_delta=achieved, target_delta=delta,

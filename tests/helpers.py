@@ -5,11 +5,14 @@ constructor.  Random channels get a 0.05 probability floor so every
 divergence stays finite and small perturbations stay well conditioned.
 """
 
+import random
+
 import numpy as np
 
 from macexp import Alphabet, Channel, InputLaw, SymbolSequence, TypeVector
 from macexp.codebooks import generate_codebooks
 from macexp.exponents import _branch_axes
+from macexp.fileio import codebook_from_dict
 
 
 def chan(rows3) -> Channel:
@@ -98,3 +101,26 @@ def mixed_pair():
     p_uy = TypeVector((u_alph, y_alph),
                       np.asarray([[2, 2], [1, 3]], dtype=np.int64), 8)
     return generate_codebooks(p_ux, p_uy, u_seq, 6, 4, rng=5)
+
+
+def perfbench_book(variant: int, prefix: str, m: int, n: int):
+    """The books of one variant of a perfbench workload, ``prefix``
+    "decode" (decode_n12) or "codebook" (codebook_check_n12): two books of
+    m distinct binary words with n/2 ones, drawn by shuffling from one
+    stream seeded by the prefix and the variant."""
+    rng = random.Random(f"{prefix}-{variant}")
+
+    def book():
+        words = []
+        while len(words) < m:
+            word = [0] * (n // 2) + [1] * (n - n // 2)
+            rng.shuffle(word)
+            if word not in words:
+                words.append(word)
+        return words
+
+    half = [[n // 2, n - n // 2]]
+    return codebook_from_dict({
+        "kind": "codebook_pair", "n": n, "u_size": 1, "x_size": 2,
+        "y_size": 2, "u": [0] * n, "cx": book(), "cy": book(),
+        "p_ux": half, "p_uy": half})

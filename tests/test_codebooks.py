@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import tally_oracle as to
 import macexp.codebooks as codebooks
-from helpers import binary_codebooks, mixed_pair
+from helpers import binary_codebooks, mixed_pair, perfbench_book
 from macexp import Alphabet, TypeVector
 from macexp.codebooks import (
     FAMILY_ORDER,
@@ -270,6 +270,49 @@ class TestBlockTally:
                         assert np.array_equal(got, want)
 
 
+def u2_pair() -> CodebookPair:
+    """Binary books over a two-symbol u, five X words and four Y words."""
+    return case_pair((2, 2, 2, ([0, 1] * 4, [0, 0, 1, 1] * 2, [1, 0] * 4),
+                      5, 4, 3))
+
+
+class TestTallyOverSomeWords:
+    """A tally over some true words of each book equals those message
+    pairs' rows of the whole books' tally: the wrong words still range over
+    whole books, and the pair ids index the tallied words' grid."""
+
+    PAIRS = {"mixed": mixed_pair, "ternary": ternary_pair, "u2": u2_pair,
+             "binary": lambda: binary_codebooks(8, 6, 5, seed=20240817)}
+
+    @staticmethod
+    def choices(m_x: int, m_y: int):
+        """Every X word against every other Y word, the last X word against
+        every Y word, and the odd X words against the last Y word."""
+        return ((list(range(m_x)), list(range(0, m_y, 2))),
+                ([m_x - 1], list(range(m_y))),
+                (list(range(1, m_x, 2)), [m_y - 1]))
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    @pytest.mark.parametrize("family", FAMILY_ORDER)
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_rows_match_the_whole_books_recount(self, monkeypatch, name,
+                                                family, budget):
+        pair = self.PAIRS[name]()
+        monkeypatch.setattr(codebooks, "ENTROPY_CELLS", budget)
+        whole = _tally_family(pair, family)
+        recount, _ = to.recount(pair, family)
+        for x_rows, y_rows in self.choices(pair.m_x, pair.m_y):
+            tally = _tally_family(pair, family, (x_rows, y_rows))
+            assert tally.m == (len(x_rows), len(y_rows))
+            assert tally.pair.dtype == np.min_scalar_type(
+                len(x_rows) * len(y_rows) - 1)
+            assert tally.count.dtype == whole.count.dtype
+            want = {(i, j): recount[(i, j)] for i in x_rows for j in y_rows}
+            got = as_dicts(tally, x_rows, y_rows)
+            assert list(got) == list(want)
+            assert got == want
+
+
 class TestCodeWords:
     """Count rows are keyed by int64 code words of radix n + 1; tallies at
     the dtype and word-capacity boundaries equal the tally_oracle recount
@@ -410,6 +453,10 @@ class TestTallyAgainstOracle:
             assert rep.per_word_worst_need_delta == pytest.approx(pw, abs=1e-12)
 
 
+def tally_bytes(tally) -> int:
+    return sum(a.nbytes for a in tally if isinstance(a, np.ndarray))
+
+
 class TestTallyMemory:
     # int64 scratch arrays of ENTROPY_CELLS entries each, beyond the output
     SCRATCH_ARRAYS = 8
@@ -422,7 +469,7 @@ class TestTallyMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - sum(a.nbytes for a in tally if isinstance(a, np.ndarray))
+        return peak - tally_bytes(tally)
 
     def test_quad_scratch_stays_within_a_few_chunks(self, monkeypatch):
         # 576 message pairs against 576 patterns of wrong words
@@ -453,21 +500,55 @@ class TestReportMemory:
             tracemalloc.stop()
         return peak - held
 
+    @staticmethod
+    def built_bytes(call) -> int:
+        """The bytes of every tally ``call`` builds: at least those it
+        holds at once."""
+        built = []
+        tally = codebooks._tally
+
+        def measured(*args):
+            out = tally(*args)
+            built.append(tally_bytes(out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codebooks, "_tally", measured)
+            call()
+        return sum(built)
+
     def over_budget(self, budget: int) -> list[str]:
-        sizes = [sum(a.nbytes for a in _tally_family(self.PAIR, f)
-                     if isinstance(a, np.ndarray)) for f in FAMILY_ORDER]
-        # reports hold one family's tally at a time, expurgation all four
+        sizes = [tally_bytes(_tally_family(self.PAIR, f))
+                 for f in FAMILY_ORDER]
+
+        def halved():
+            expurgate(self.PAIR, 0.1)
+
+        def unchanged():
+            # the books pass unchanged and all four whole tallies are held;
+            # their audit, whose check table holds a value per type and
+            # constraint, is left out
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(codebooks, "_audit", lambda *args: None)
+                expurgate(self.PAIR, 10.0)
+
+        # reports hold one family's tally at a time, a halving expurgation
+        # the stages' and the kept books' tallies, which rank or hold
+        # fewer pairs than the whole books
         return [name for name, call, held in (
             ("reports", lambda: packing_reports(self.PAIR), max(sizes)),
-            ("expurgate", lambda: expurgate(self.PAIR, 0.1), sum(sizes)))
+            ("expurgate", halved, self.built_bytes(halved)),
+            ("no expurgation", unchanged, sum(sizes)))
             if self.scratch_bytes(call, held) > budget]
 
     def test_scratch_stays_within_a_few_blocks(self, monkeypatch):
         budget = self.SCRATCH_ARRAYS * codebooks.ENTROPY_CELLS * 8
         assert self.over_budget(budget) == []
-        # the bound has teeth: one chunk and one block for every entry
+        # the bound has teeth: one chunk and one block for every entry.  A
+        # halving expurgation stays within it even so: its largest tally
+        # ranks 72 of the 576 message pairs
         monkeypatch.setattr(codebooks, "ENTROPY_CELLS", 1 << 40)
-        assert self.over_budget(budget) == ["reports", "expurgate"]
+        assert self.over_budget(budget) == ["reports", "no expurgation"]
 
 
 def unit_pair(m_x: int, m_y: int) -> CodebookPair:
@@ -866,6 +947,116 @@ class TestExpurgate:
         achieved = max(res.achieved_delta.values())
         rep = audit_confusability(res.final, pair.rates, achieved + 1e-12)
         assert rep.ok
+
+
+def full_grid_expurgation(pair: CodebookPair, delta: float):
+    """Expurgation from the whole books' need grids: the path taken, the
+    halved book, the stages, the kept words, the achieved deltas and the
+    audit.  The path is "none", "one word" (no stages), "early" (some
+    ranked pair needs more than delta) or "late" (only dropped words do)."""
+    rates = pair.rates
+    tallies = {f: _tally_family(pair, f) for f in FAMILY_ORDER}
+    needs = {f: codebooks._pair_needs(pair, f, tallies[f], rates)
+             for f in FAMILY_ORDER}
+    achieved = {f: float(needs[f].max()) for f in FAMILY_ORDER}
+    score_y = rates.rx <= rates.ry
+    book = "Y" if score_y else "X"
+    kept = [tuple(range(pair.m_x)), tuple(range(pair.m_y))]
+    size = len(kept[score_y])
+    if max(achieved.values()) <= delta or size < 2:
+        path = "none" if max(achieved.values()) <= delta else "one word"
+        return (path, "none" if path == "none" else book, [], *kept, achieved,
+                codebooks._audit(pair, tallies, rates, delta))
+    order = (("pair", "triple_x", "triple_y", "quad") if score_y
+             else ("pair", "triple_y", "triple_x", "quad"))
+    active, stages, ranked = list(range(size)), [], 0.0
+    for family in order:
+        grid = needs[family] if score_y else needs[family].T
+        scores = grid[:, active].max(axis=0)
+        ranked = max(ranked, float(scores.max()))
+        keep_count = (len(active) + 1) // 2
+        ranking = np.argsort(scores, kind="stable")
+        active = sorted(active[t] for t in ranking[:keep_count])
+        stages.append(codebooks.StageReport(
+            family, book, tuple(active),
+            float(scores[ranking[keep_count - 1]])))
+    kept[score_y] = tuple(active)
+    final = pair.restrict(*kept)
+    tallies = {f: _tally_family(final, f) for f in FAMILY_ORDER}
+    achieved = {f: float(codebooks._pair_needs(final, f, tallies[f],
+                                               rates).max())
+                for f in FAMILY_ORDER}
+    return ("late" if ranked <= delta else "early", book, stages, *kept,
+            achieved, codebooks._audit(final, tallies, rates, delta))
+
+
+class TestExpurgateMatchesFullGrids:
+    """Each stage tallies only the pairs it ranks, and the whole books are
+    tallied only to decide on the dropped words or to pass the books
+    unchanged; stages, kept words, achieved deltas and the audit equal
+    those from the whole books' grids on every path."""
+
+    CASES = [
+        *((f"codebook-{v}", lambda v=v: perfbench_book(v, "codebook", 24, 12),
+           0.1, "late" if v == 7 else "early", "Y") for v in range(12)),
+        ("codebook-3", lambda: perfbench_book(3, "codebook", 24, 12), 1.0,
+         "none", "none"),
+        ("binary-8x8", lambda: binary_codebooks(8, 8, 8, seed=1), 0.25,
+         "none", "none"),
+        ("binary-10", lambda: binary_codebooks(10, 8, 8, seed=5), 0.1,
+         "late", "Y"),
+        ("binary-8x4", lambda: binary_codebooks(8, 8, 4, seed=6), 0.1,
+         "early", "X"),
+        ("binary-8x4", lambda: binary_codebooks(8, 8, 4, seed=6), 0.25,
+         "late", "X"),
+        ("mixed", mixed_pair, 0.1, "early", "X"),
+        # one word in the Y book; the X book is halved
+        ("binary-6x1", lambda: binary_codebooks(8, 6, 1, seed=4), 0.05,
+         "early", "X"),
+        ("binary-6x1", lambda: binary_codebooks(8, 6, 1, seed=4), 0.1,
+         "late", "X"),
+        # one word in each book: no stages
+        ("tiny", tiny_pair, 0.0, "one word", "Y"),
+        ("tiny", tiny_pair, 1.0, "none", "none"),
+    ]
+
+    @pytest.mark.parametrize("name, make, delta, path, book", CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in CASES])
+    def test_result_matches_the_full_grid_rule(self, monkeypatch, name, make,
+                                               delta, path, book):
+        pair = make()
+        want = full_grid_expurgation(pair, delta)
+        assert want[:2] == (path, book)
+        calls, audited = [], []
+        tally, audit = codebooks._tally, codebooks._audit
+
+        def tallied(u, su, books, competitors, *words):
+            out = tally(u, su, books, competitors, *words)
+            calls.append((tuple(b.shape[0] for b, _ in books),
+                          tuple(competitors), out.m))
+            return out
+
+        def audited_with(final, tallies, *args):
+            audited.extend(t.m == (final.m_x, final.m_y)
+                           for t in tallies.values())
+            return audit(final, tallies, *args)
+
+        monkeypatch.setattr(codebooks, "_tally", tallied)
+        monkeypatch.setattr(codebooks, "_audit", audited_with)
+        res = expurgate(pair, delta)
+        got = (res.expurgated_book, list(res.stages), res.kept_x, res.kept_y,
+               res.achieved_delta, res.audit)
+        assert got == want[1:]
+        # the audit sees the four whole tallies of the final books, and no
+        # family's original books are tallied whole twice
+        assert audited == [True] * 4
+        sizes = (pair.m_x, pair.m_y)
+        whole = [c for c, full, m in calls if full == sizes and m == sizes]
+        assert len(whole) == len(set(whole))
+        if name.startswith("codebook") and delta == 0.1:
+            # the quad stage ranks 3 of 24 Y words
+            assert [m for full, c, m in calls
+                    if full == sizes and c == (0, 1)] == [(24, 3)]
 
 
 class TestAuditConfusability:

@@ -10,7 +10,6 @@ also compared for equality with the one-sequence-at-a-time decoder in
 """
 
 import math
-import random
 from itertools import product
 
 import numpy as np
@@ -19,11 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decoder_oracle as oracle
-from helpers import binary_codebooks, identity_channel, xor_bsc
+from helpers import (binary_codebooks, identity_channel, perfbench_book,
+                     xor_bsc)
 from macexp import Alphabet, TypeVector, simulate
 from macexp.codebooks import CodebookPair
 from macexp.errors import ScaleGuardError, ValidationError
-from macexp.fileio import codebook_from_dict
 from macexp.probability import Channel, product_channel_likelihood
 from macexp.simulate import (
     _BlockScorer,
@@ -346,27 +345,6 @@ def table_entries(pair, sz):
                 for counts in classes), len(classes))
 
 
-def decode_book(variant, m=12, n=12):
-    """The books of one variant of perfbench's decode_n12 workload: two
-    books of m distinct binary words with n/2 ones, drawn by shuffling."""
-    rng = random.Random(f"decode-{variant}")
-
-    def book():
-        words = []
-        while len(words) < m:
-            word = [0] * (n // 2) + [1] * (n - n // 2)
-            rng.shuffle(word)
-            if word not in words:
-                words.append(word)
-        return words
-
-    half = [[n // 2, n - n // 2]]
-    return codebook_from_dict({
-        "kind": "codebook_pair", "n": n, "u_size": 1, "x_size": 2,
-        "y_size": 2, "u": [0] * n, "cx": book(), "cy": book(),
-        "p_ux": half, "p_uy": half})
-
-
 ORACLE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 # count cells per scored chunk: one row at a time, a few rows, the default
 CHUNK_BUDGETS = st.sampled_from([1, 400, simulate.ENTROPY_CELLS])
@@ -585,7 +563,7 @@ class TestTypeTable:
     @pytest.mark.parametrize("variant", range(12))
     def test_every_decode_benchmark_book_takes_the_table(self, variant):
         # 994 or 1043 entries in 5 or 6 classes, against ENTROPY_CELLS
-        pair = decode_book(variant)
+        pair = perfbench_book(variant, "decode", 12, 12)
         entries, classes = table_entries(pair, 2)
         assert entries in (994, 1043) and classes in (5, 6)
         types = _BlockScorer(pair, 2).types
